@@ -27,8 +27,9 @@ from .contraction import (ContractionReport, LargeInputSpec, Region,
 from .index import (Cluster, EchoIndexReport, EnsembleRun, IndexProtocol,
                     PullbackFibre, SeparatrixResult, cluster_asymptotics,
                     ensemble_to_csv, estimate_echo_index,
-                    hausdorff_semidistance, pair_divergence_step,
-                    pullback_fibre, run_ensemble, separatrix_bisect)
+                    estimate_echo_indices, hausdorff_semidistance,
+                    pair_divergence_step, pullback_fibre, run_ensemble,
+                    separatrix_bisect)
 from .training import (ReservoirConfig, TrainedModel, closed_loop_eval,
                        init_reservoir, load_model, nrmse, pca_project,
                        ridge_readout, save_model, teacher_forced_states)
@@ -51,8 +52,9 @@ __all__ = [
     "TrainedModel", "Trajectory", "WindowExhausted",
     "absorbing_entry_bound", "closed_loop_eval", "cluster_asymptotics",
     "context_reservoir", "d_prod", "d_unif", "ensemble_to_csv",
-    "estimate_echo_index", "gen_context_task", "gen_two_symbol",
-    "gen_uniform_scaled", "get_activation", "global_esp_check",
+    "estimate_echo_index", "estimate_echo_indices", "gen_context_task",
+    "gen_two_symbol", "gen_uniform_scaled", "get_activation",
+    "global_esp_check",
     "hausdorff_semidistance", "init_reservoir", "jacobian", "jacobian_batch",
     "large_input_radius", "load_input", "load_model", "load_params",
     "load_sequence", "local_contraction_norm", "nrmse", "orbit",

@@ -6,9 +6,6 @@ manifest into --out, print the report as JSON, and exit 0 only if every
 preset-internal assertion passed (nonzero exit carries the failure list
 in the JSON).  `index` and `certify` wrap the library operations for
 stored models and inputs; `rerun` replays a manifest.
-
-Parallelism over ensemble members and sweep points is capped by the
-ECHODEX_THREADS environment variable (default 1, fully serial).
 """
 
 import argparse
@@ -139,9 +136,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="echodex",
         description="Echo-index experiments and certifiers for input-driven "
-                    "recurrent networks.",
-        epilog="Set ECHODEX_THREADS to parallelize over ensemble members and "
-               "sweep points (default 1; results are identical either way).")
+                    "recurrent networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for preset in sorted(DEFAULTS):

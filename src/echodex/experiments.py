@@ -9,7 +9,6 @@ byte for byte (no timestamps, fixed float formatting, committed seeds).
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 import json
 import math
@@ -22,8 +21,8 @@ from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
 from .core import orbit
 from .index import (IndexProtocol, ensemble_to_csv, estimate_echo_index,
-                    pullback_fibre, run_ensemble, separatrix_bisect,
-                    pair_divergence_step, thread_cap)
+                    estimate_echo_indices, pullback_fibre, run_ensemble,
+                    separatrix_bisect, pair_divergence_step)
 from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
 from .sequences import (d_prod, gen_context_task, gen_two_symbol,
@@ -420,24 +419,12 @@ def _run_scalar_sweep(cfg, out):
         horizon=int(cfg["horizon"]), window=int(cfg["window"]),
         cluster_tol=float(cfg["cluster_tol"]))
 
-    jobs = [(wi, r) for wi in range(len(w_list)) for r in range(n_seeds)]
-    results = {}
-
-    def one(job):
-        wi, r = job
-        gen_seed = seed + r
-        seq = gen_uniform_scaled(w_list[wi], first, last, gen_seed)
-        rep = estimate_echo_index(params, seq,
-                                  replace(protocol_base, ic_seed=gen_seed))
-        results[job] = rep
-
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, jobs))
-    else:
-        for job in jobs:
-            one(job)
+    gen_seeds = [seed + r for r in range(n_seeds)]
+    seqs = [gen_uniform_scaled(w, first, last, s)
+            for w in w_list for s in gen_seeds]
+    reports = estimate_echo_indices(params, seqs, protocol_base,
+                                    ic_seeds=gen_seeds * len(w_list))
+    del seqs  # release the inputs before the CSV stage allocates its rows
 
     table = []
     majorities = []
@@ -446,7 +433,7 @@ def _run_scalar_sweep(cfg, out):
         verdicts = []
         switch = 0
         for r in range(n_seeds):
-            rep = results[(wi, r)]
+            rep = reports[wi * n_seeds + r]
             verdicts.append(rep.index)
             flagged = bool(rep.diagnostics.get("switching_tails"))
             switch += flagged
@@ -572,14 +559,15 @@ def _run_splice_demo(cfg, out):
                                     float(cfg["mu"]))
     far = admissible.far_value()
 
-    base_report = estimate_echo_index(params, base, protocol)
+    m_list = [int(m) for m in cfg["m_list"]]
+    spliced = [splice_large_input(base, m, far, admissible=admissible)
+               for m in m_list]
+    base_report, *reports = estimate_echo_indices(params, [base] + spliced,
+                                                  protocol)
     half_width = int(cfg["half_width"])
-    table = []
-    for m in [int(m) for m in cfg["m_list"]]:
-        spliced = splice_large_input(base, m, far, admissible=admissible)
-        rep = estimate_echo_index(params, spliced, protocol)
-        table.append({"m": m, "index": rep.verdict(),
-                      "d_prod": d_prod(base, spliced, half_width)})
+    table = [{"m": m, "index": rep.verdict(),
+              "d_prod": d_prod(base, seq, half_width)}
+             for m, seq, rep in zip(m_list, spliced, reports)]
 
     identity = splice_large_input(base, max(abs(first), abs(last)) + 1, far,
                                   admissible=admissible)

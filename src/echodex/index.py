@@ -12,14 +12,26 @@ stabilize under protocol escalation.
 
 Systems are either RnnParams or any object exposing `state_dim`,
 `state_bound`, `step_one(u, x)` and `step_batch(u, xs)` (the map applied
-rowwise); `step_batch` must act elementwise per row so batched and solo
-evolutions agree bit-exactly, which holds for the scalar systems that
-use this hook.
+rowwise).
+
+Ensembles are evolved under two contracts, each bit-exact:
+
+- Lockstep batching.  For elementwise systems (one-neuron, one-input
+  RnnParams without readout) the members of every input in one ladder
+  rung form one array, each row stepped with its own input's drive.
+  Every operation is elementwise, so each row equals its solo orbit bit
+  for bit.  Every other system evolves each member on the solo path
+  (`orbit`, or `step_one`), which stays the bit-exact reference for
+  reservoirs.
+- Continuation.  A ladder rung whose transient does not shrink
+  continues the members it shares with the previous rung from their
+  final states instead of restarting them at the anchor.  By the
+  cocycle identity (iterating s steps and then t more equals iterating
+  s + t steps under the same input) the retained tails equal those of a
+  fresh run bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +42,6 @@ from scipy.spatial.distance import pdist
 from .core import ConfigurationError, RnnParams, Trajectory, orbit, step_batch
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
-
-
-def thread_cap():
-    """Worker cap from ECHODEX_THREADS (default 1, i.e. serial)."""
-    try:
-        return max(1, int(os.environ.get("ECHODEX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -97,27 +101,119 @@ def _system_step_batch(system, u, xs):
     return system.step_batch(u, xs)
 
 
-def _evolve_scalar_rnn(params, seq, ics, anchor, transient, horizon):
-    """Elementwise batch for 1-neuron, 1-input, feedback-free networks.
+# input steps the lockstep loop reads at once: bounds the drive buffer
+# at (chunk x inputs) instead of (steps x inputs)
+_DRIVE_CHUNK = 1024
 
-    Every operation is elementwise over ICs, so each row is bit-identical
-    to the solo orbit path (asserted by tests); this makes long scalar
-    sweeps cheap without weakening the reproducibility contracts.
+
+def _advance_lockstep(params, seqs, xs, t0, t1, tails, tail_t0):
+    """Scalar-RNN case of _advance: all members of all inputs form one
+    (inputs, members) array, each row driven by its own input.  The
+    arithmetic is _step_raw's, applied elementwise, so every row equals
+    its solo orbit bit for bit."""
+    w, alpha = params.w_r[0, 0], params.alpha
+    om = 1.0 - alpha
+    x = xs[:, :, 0]
+    if t0 >= tail_t0:
+        tails[:, :, t0 - tail_t0, 0] = x
+    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
+        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
+        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor, 0]
+                          for s in seqs], axis=1)
+        drive *= params.w_in[0, 0]
+        for t, u in zip(range(c0, c1), drive[:, :, None]):
+            x = om * x + alpha * np.tanh(w * x + u)
+            if t >= tail_t0:
+                tails[:, :, t - tail_t0, 0] = x
+    return x[:, :, None]
+
+
+def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
+    """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
+    time t0 to t1 and return their states at t1.
+
+    The state at each time t in [max(t0, tail_t0), t1] is written to
+    tails[i, k, t - tail_t0].
     """
-    total = transient + horizon
-    w = params.w_r[0, 0]
-    om = 1.0 - params.alpha
-    ks = np.arange(anchor + 1, anchor + total + 1)
-    drive = params.w_in[0, 0] * seq.values[ks - seq.anchor, 0]
-    x = ics[:, 0].copy()
-    tails = np.empty((ics.shape[0], horizon + 1, 1))
-    for j in range(1, total + 1):
-        x = om * x + params.alpha * np.tanh(w * x + drive[j - 1])
-        if j >= transient:
-            tails[:, j - transient, 0] = x
-    if transient == 0:
-        tails[:, 0, 0] = ics[:, 0]
+    if xs.shape[1] == 0:
+        return xs
+    if _is_scalar_rnn(system):
+        return _advance_lockstep(system, seqs, xs, t0, t1, tails, tail_t0)
+    first = max(t0, tail_t0)
+    # final states are gathered after the loop: a buffer allocated before
+    # it sits below every per-member orbit on the heap, which then cannot
+    # shrink when they are freed, and peak RSS grows
+    finals = []
+    for i, seq in enumerate(seqs):
+        for k in range(xs.shape[1]):
+            states = _solo_states(system, seq, xs[i, k], t0, t1 - t0)
+            if first <= t1:
+                tails[i, k, first - tail_t0:t1 - tail_t0 + 1] = states[first - t0:]
+            finals.append(states[-1].copy())
+    return np.reshape(finals, xs.shape)
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """Members of one ladder rung for several inputs at one anchor.
+
+    ics is (inputs, m, d); tails (inputs, m, n, d) holds the last n
+    states of each member, ending at anchor + transient + horizon.
+    """
+
+    ics: np.ndarray
+    tails: np.ndarray
+    transient: int
+
+    def carry(self, rows, transient, horizon):
+        """The part of `rows` a next rung with `transient` reads: the
+        states overlapping its tail window, and at least the final one."""
+        n = min(horizon + 1, max(1, self.transient + horizon + 1 - transient))
+        return _Rung(self.ics[rows], self.tails[rows, :, -n:], self.transient)
+
+
+def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
+    """Tails (inputs, m, horizon + 1, d) of members ics[i] under seqs[i].
+
+    `prev` is an earlier rung of the same inputs, ICs and anchor.  When
+    its transient is not larger, the members the two rungs share
+    continue from prev's final states and keep the part of prev's tails
+    that overlaps this window; the other members start at the anchor.
+    Otherwise every member starts at the anchor.
+    """
+    if transient < 0 or horizon < 1:
+        raise ConfigurationError("need transient >= 0 and horizon >= 1")
+    for seq in seqs:
+        seq.require_window(anchor + 1, anchor + transient + horizon)
+    tail_t0 = anchor + transient
+    tails = np.empty(ics.shape[:2] + (horizon + 1,) + ics.shape[2:])
+    keep = 0
+    if prev is not None and prev.transient <= transient:
+        keep = min(ics.shape[1], prev.ics.shape[1])
+    if keep:
+        join = anchor + prev.transient + horizon
+        xs = _advance(system, seqs, ics[:, keep:], anchor, join,
+                      tails[:, keep:], tail_t0)
+        overlap = join - tail_t0 + 1
+        if overlap > 0:
+            tails[:, :keep, :overlap] = prev.tails[:, :keep, -overlap:]
+        xs = np.concatenate([prev.tails[:, :keep, -1], xs], axis=1)
+    else:
+        join, xs = anchor, ics
+    _advance(system, seqs, xs, join, tail_t0 + horizon, tails, tail_t0)
     return tails
+
+
+def _draw_ics(system, ic_seed, count):
+    """`count` ICs uniform on [-L, L]^d, one PRNG substream per IC, so a
+    larger count extends a smaller one."""
+    count = int(count)
+    if count < 1:
+        raise ConfigurationError("need at least one initial condition")
+    bound = system.state_bound
+    return np.stack([substream(ic_seed, DOMAIN_IC, i).uniform(-bound, bound,
+                                                              system.state_dim)
+                     for i in range(count)])
 
 
 def run_ensemble(system, input_seq, ics, transient, horizon, anchor=0, ic_seed=0):
@@ -134,40 +230,14 @@ def run_ensemble(system, input_seq, ics, transient, horizon, anchor=0, ic_seed=0
     """
     d = system.state_dim
     if np.isscalar(ics):
-        count = int(ics)
-        if count < 1:
-            raise ConfigurationError("need at least one initial condition")
-        bound = system.state_bound
-        ics_arr = np.stack([substream(ic_seed, DOMAIN_IC, i).uniform(-bound, bound, d)
-                            for i in range(count)])
+        ics_arr = _draw_ics(system, ic_seed, ics)
     else:
         ics_arr = np.array(ics, dtype=float)
         if ics_arr.ndim == 1:
             ics_arr = ics_arr[:, None]
         if ics_arr.ndim != 2 or ics_arr.shape[1] != d:
             raise ConfigurationError(f"explicit ICs must be (m, {d}), got {ics_arr.shape}")
-    if transient < 0 or horizon < 1:
-        raise ConfigurationError("need transient >= 0 and horizon >= 1")
-    input_seq.require_window(anchor + 1, anchor + transient + horizon)
-
-    if _is_scalar_rnn(system):
-        tails = _evolve_scalar_rnn(system, input_seq, ics_arr, anchor, transient, horizon)
-    else:
-        m = ics_arr.shape[0]
-        tails = np.empty((m, horizon + 1, d))
-
-        def one(i):
-            states = _solo_states(system, input_seq, ics_arr[i], anchor,
-                                  transient + horizon)
-            tails[i] = states[transient:]
-
-        workers = thread_cap()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(one, range(m)))
-        else:
-            for i in range(m):
-                one(i)
+    tails = _evolve(system, [input_seq], ics_arr[None], transient, horizon, anchor)[0]
     return EnsembleRun(system=system, input_seq=input_seq,
                        initial_conditions=ics_arr, transient=int(transient),
                        horizon=int(horizon), anchor=int(anchor),
@@ -340,6 +410,11 @@ class IndexProtocol:
     Rung r runs ic_counts[r] initial conditions after transients[r]
     discarded steps; the estimate is accepted once two consecutive rungs
     give the same definite index, then spot-checked at a shifted anchor.
+    IC i is drawn from its own substream, so rung r + 1 shares its first
+    min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
+    transients[r + 1] >= transients[r], those members continue from rung
+    r's final states (bit-exact by the cocycle identity); otherwise rung
+    r + 1 starts every member afresh at the anchor.
     """
 
     ic_counts: tuple = (16, 24, 32)
@@ -356,11 +431,99 @@ class IndexProtocol:
                 "protocol needs matching ic_counts/transients with >= 2 rungs")
 
 
-def _single_estimate(system, input_seq, protocol, anchor, count, transient):
-    run = run_ensemble(system, input_seq, count, transient, protocol.horizon,
-                       anchor=anchor, ic_seed=protocol.ic_seed)
-    return cluster_asymptotics(run, cluster_tol=protocol.cluster_tol,
-                               window=protocol.window)
+def _ladder_rung(system, seqs, seeds, protocol, r, anchor, prev=None):
+    """Rung r of the protocol for every input, continuing `prev` (an
+    earlier rung of the same inputs) where the protocol allows."""
+    count, transient = protocol.ic_counts[r], protocol.transients[r]
+    ics = np.stack([_draw_ics(system, seed, count) for seed in seeds])
+    return _Rung(ics, _evolve(system, seqs, ics, transient, protocol.horizon,
+                              anchor, prev), int(transient))
+
+
+def _cluster_rung(system, seqs, seeds, protocol, rung, anchor):
+    return [cluster_asymptotics(
+        EnsembleRun(system=system, input_seq=seq, initial_conditions=rung.ics[i],
+                    transient=rung.transient, horizon=int(protocol.horizon),
+                    anchor=int(anchor), ic_seed=seed, trajectories=rung.tails[i]),
+        cluster_tol=protocol.cluster_tol, window=protocol.window)
+        for i, (seq, seed) in enumerate(zip(seqs, seeds))]
+
+
+def _final_report(reports, stable_at, shifted, protocol, anchor):
+    final = reports[-1]
+    diagnostics = dict(final.diagnostics)
+    diagnostics["rungs"] = [(int(c), int(t), rep.verdict()) for c, t, rep in
+                            zip(protocol.ic_counts, protocol.transients, reports)]
+    if stable_at is None:
+        diagnostics["stabilized"] = False
+        return replace(final, index=None, diagnostics=diagnostics)
+    diagnostics["stabilized"] = True
+    if shifted.index != final.index:
+        diagnostics["shift_check"] = (
+            f"disagreement at anchor {anchor + protocol.shift_check}: "
+            f"{shifted.verdict()} vs {final.verdict()}")
+        return replace(final, index=None, diagnostics=diagnostics)
+    diagnostics["shift_check"] = "agree"
+    return replace(final, diagnostics=diagnostics)
+
+
+def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
+                          ic_seeds=None):
+    """Echo index estimates for many inputs from one lockstep ladder.
+
+    Each report equals what estimate_echo_index gives for that input
+    alone (with ic_seed = ic_seeds[i], default protocol.ic_seed).  Every
+    rung evolves the inputs still open as one batch, continuing the
+    previous rung's members where the protocol allows; the shift checks
+    of all inputs that stabilised at the same rung run as one batch.
+    """
+    protocol = protocol or IndexProtocol()
+    seqs = list(input_seqs)
+    seeds = ([protocol.ic_seed] * len(seqs) if ic_seeds is None
+             else [int(s) for s in ic_seeds])
+    if len(seeds) != len(seqs):
+        raise ConfigurationError(
+            f"{len(seeds)} IC seeds for {len(seqs)} input sequences")
+    history = [[] for _ in seqs]
+    stable_at = [None] * len(seqs)
+    open_, prev = list(range(len(seqs))), None
+    for r in range(len(protocol.ic_counts)):
+        if not open_:
+            break
+        open_seqs = [seqs[i] for i in open_]
+        open_seeds = [seeds[i] for i in open_]
+        rung = _ladder_rung(system, open_seqs, open_seeds, protocol, r, anchor,
+                            prev)
+        prev = None  # the carried states are not needed while clustering
+        reports = _cluster_rung(system, open_seqs, open_seeds, protocol, rung,
+                                anchor)
+        rows = []
+        for row, (i, rep) in enumerate(zip(open_, reports)):
+            history[i].append(rep)
+            if (len(history[i]) >= 2 and rep.is_definite
+                    and history[i][-2].index == rep.index):
+                stable_at[i] = r
+            else:
+                rows.append(row)
+        if r + 1 < len(protocol.transients):
+            prev = rung.carry(rows, protocol.transients[r + 1], protocol.horizon)
+        rung = None  # free the full tails before the next rung allocates its own
+        open_ = [open_[row] for row in rows]
+
+    shifted = [None] * len(seqs)
+    shift_anchor = anchor + protocol.shift_check
+    for r in sorted({s for s in stable_at if s is not None}):
+        group = [i for i, s in enumerate(stable_at) if s == r]
+        group_seqs = [seqs[i] for i in group]
+        group_seeds = [seeds[i] for i in group]
+        rung = _ladder_rung(system, group_seqs, group_seeds, protocol, r,
+                            shift_anchor)
+        for i, rep in zip(group, _cluster_rung(system, group_seqs, group_seeds,
+                                               protocol, rung, shift_anchor)):
+            shifted[i] = rep
+        rung = None
+    return [_final_report(history[i], stable_at[i], shifted[i], protocol, anchor)
+            for i in range(len(seqs))]
 
 
 def estimate_echo_index(system, input_seq, protocol=None, anchor=0):
@@ -369,38 +532,14 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0):
     Escalates through the protocol's rungs until two consecutive rungs
     agree on a definite index, then requires the same index at a second
     anchor (shift invariance); any disagreement or exhaustion of the
-    ladder yields "indefinite".
+    ladder yields "indefinite".  This is the one-input case of
+    estimate_echo_indices.  Its tails are bit-identical to fresh
+    run_ensemble calls: elementwise systems are stepped in lockstep,
+    which is exact elementwise; a rung that continues the previous one
+    is exact by the cocycle identity; and reservoirs evolve each member
+    on the solo orbit path, the bit-exact reference.
     """
-    protocol = protocol or IndexProtocol()
-    reports = []
-    rung_trace = []
-    stable_at = None
-    for count, transient in zip(protocol.ic_counts, protocol.transients):
-        rep = _single_estimate(system, input_seq, protocol, anchor, count, transient)
-        reports.append(rep)
-        rung_trace.append((int(count), int(transient), rep.verdict()))
-        if (len(reports) >= 2 and rep.is_definite
-                and reports[-2].index == rep.index):
-            stable_at = len(reports) - 1
-            break
-    final = reports[-1]
-    diagnostics = dict(final.diagnostics)
-    diagnostics["rungs"] = rung_trace
-    if stable_at is None:
-        diagnostics["stabilized"] = False
-        return replace(final, index=None, diagnostics=diagnostics)
-    diagnostics["stabilized"] = True
-    shifted = _single_estimate(system, input_seq, protocol,
-                               anchor + protocol.shift_check,
-                               protocol.ic_counts[stable_at],
-                               protocol.transients[stable_at])
-    if shifted.index != final.index:
-        diagnostics["shift_check"] = (
-            f"disagreement at anchor {anchor + protocol.shift_check}: "
-            f"{shifted.verdict()} vs {final.verdict()}")
-        return replace(final, index=None, diagnostics=diagnostics)
-    diagnostics["shift_check"] = "agree"
-    return replace(final, diagnostics=diagnostics)
+    return estimate_echo_indices(system, [input_seq], protocol, anchor)[0]
 
 
 # ----------------------------------------------------------------------

@@ -206,7 +206,9 @@ def gen_uniform_scaled(w, first, last, seed):
     n = last - first + 1
     if n <= 0:
         raise ValueError("empty window")
-    vals = w * substream(seed, DOMAIN_CHANNEL, 0).uniform(-1.0, 1.0, size=(n, 1))
+    vals = substream(seed, DOMAIN_CHANNEL, 0).uniform(-1.0, 1.0, size=(n, 1))
+    vals *= w
+    vals.setflags(write=False)  # handed over: InputSequence keeps it uncopied
     spec = GeneratorSpec("uniform_scaled", {"w": w, "first": first, "last": last}, seed)
     return InputSequence(anchor=first, values=vals,
                          lo=np.array([-w]), hi=np.array([w]), provenance=spec)

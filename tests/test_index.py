@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
                      KloedenSystem, Region, RnnParams, WindowExhausted,
                      cluster_asymptotics, ensemble_to_csv, estimate_echo_index,
-                     gen_uniform_scaled, hausdorff_semidistance, orbit,
-                     pair_divergence_step, pullback_fibre, run_ensemble,
-                     separatrix_bisect)
+                     estimate_echo_indices, gen_two_symbol, gen_uniform_scaled,
+                     hausdorff_semidistance, orbit, pair_divergence_step,
+                     pullback_fibre, run_ensemble, separatrix_bisect,
+                     switching_inputs)
+from echodex import index
 from echodex.sequences import InputSequence
 
 
@@ -37,17 +41,15 @@ class RotationSystem:
         return xs @ self.rot.T
 
 
-def test_run_ensemble_is_deterministic_and_thread_invariant(monkeypatch):
+def test_run_ensemble_is_deterministic():
     params = scalar_expander(0.01)
     seq = gen_uniform_scaled(0.01, -5, 400, seed=3)
-    monkeypatch.setenv("ECHODEX_THREADS", "1")
-    serial = run_ensemble(params, seq, 12, transient=100, horizon=40, ic_seed=2)
-    monkeypatch.setenv("ECHODEX_THREADS", "4")
-    threaded = run_ensemble(params, seq, 12, transient=100, horizon=40, ic_seed=2)
-    assert np.array_equal(serial.trajectories, threaded.trajectories)
-    assert np.array_equal(serial.initial_conditions, threaded.initial_conditions)
+    first = run_ensemble(params, seq, 12, transient=100, horizon=40, ic_seed=2)
+    second = run_ensemble(params, seq, 12, transient=100, horizon=40, ic_seed=2)
+    assert np.array_equal(first.trajectories, second.trajectories)
+    assert np.array_equal(first.initial_conditions, second.initial_conditions)
     again = run_ensemble(params, seq, 12, transient=100, horizon=40, ic_seed=2)
-    assert np.array_equal(serial.trajectories, again.trajectories)
+    assert np.array_equal(first.trajectories, again.trajectories)
 
 
 def test_run_ensemble_duplicate_ics_identical():
@@ -184,6 +186,119 @@ def test_estimate_never_stabilizes_on_an_isometry():
     rep = estimate_echo_index(system, seq)
     assert rep.index is None
     assert not rep.diagnostics["stabilized"]
+
+
+def bistable_driven():
+    # x' = tanh(2x + u): bistable for |u| < 0.533, one attractor beyond
+    return RnnParams(alpha=1.0, w_r=[[2.0]], w_in=[[1.0]])
+
+
+SHORT_LADDER = IndexProtocol(ic_counts=(8, 12, 16), transients=(40, 60, 200),
+                             horizon=30, window=20)
+
+
+def test_many_input_ladder_matches_one_input_ladders():
+    params = bistable_driven()
+    seqs = [const_seq(0.0, -5, 394), const_seq(1.0, -5, 394),
+            gen_uniform_scaled(1.0, -5, 400, seed=6), const_seq(0.533, -5, 394),
+            gen_uniform_scaled(1.1, -5, 400, seed=1)]
+    seeds = [3, 1, 0, 2, 0]
+    many = estimate_echo_indices(params, seqs, SHORT_LADDER, ic_seeds=seeds)
+    for seq, seed, rep in zip(seqs, seeds, many):
+        solo = estimate_echo_index(params, seq, replace(SHORT_LADDER, ic_seed=seed))
+        assert rep.verdict() == solo.verdict()
+        assert rep.min_separation == solo.min_separation
+        assert rep.max_diameter == solo.max_diameter
+        assert rep.diagnostics == solo.diagnostics
+    # 2 and 1 stable at the second rung, 1 stable at the third (a second
+    # shift-check batch), never stable, and a shift-check disagreement
+    assert [r.verdict() for r in many] == ["2", "1", "1", "indefinite", "indefinite"]
+    assert [len(r.diagnostics["rungs"]) for r in many] == [2, 2, 3, 3, 2]
+    assert not many[3].diagnostics["stabilized"]
+    assert many[4].diagnostics["shift_check"].startswith("disagreement")
+    with pytest.raises(ConfigurationError):
+        estimate_echo_indices(params, seqs, SHORT_LADDER, ic_seeds=[0])
+
+
+def continued_rung(system, seqs, seeds, protocol, r):
+    """Tails of rung r continued from rung r - 1, as the ladder does it."""
+    prev = index._ladder_rung(system, seqs, seeds, protocol, r - 1, 0)
+    carried = prev.carry(list(range(len(seqs))), protocol.transients[r],
+                         protocol.horizon)
+    return index._ladder_rung(system, seqs, seeds, protocol, r, 0, carried).tails
+
+
+def fresh_rung(system, seq, seed, protocol, r):
+    return run_ensemble(system, seq, protocol.ic_counts[r], protocol.transients[r],
+                        protocol.horizon, ic_seed=seed).trajectories
+
+
+def count_orbit_steps(monkeypatch):
+    steps = []
+
+    def counting(params, input_seq, x0, n, anchor=0):
+        steps.append(n)
+        return orbit(params, input_seq, x0, n, anchor=anchor)
+    monkeypatch.setattr(index, "orbit", counting)
+    return steps
+
+
+def test_continued_rung_is_bit_exact_on_the_scalar_path():
+    params = bistable_driven()
+    seqs = [gen_uniform_scaled(w, -5, 400, seed=s)
+            for w, s in ((0.3, 0), (1.0, 6), (1.2, 0))]
+    seeds = [0, 4, 1]
+    for r in (1, 2):  # overlapping tail windows, then disjoint ones
+        tails = continued_rung(params, seqs, seeds, SHORT_LADDER, r)
+        for i, (seq, seed) in enumerate(zip(seqs, seeds)):
+            assert np.array_equal(tails[i],
+                                  fresh_rung(params, seq, seed, SHORT_LADDER, r))
+
+
+def test_continued_rung_is_bit_exact_on_a_reservoir_with_feedback(monkeypatch):
+    rng = np.random.default_rng(21)
+    n_r = 30
+    w_r = rng.uniform(-1, 1, (n_r, n_r))
+    params = RnnParams(alpha=0.6, w_r=0.9 * w_r / np.linalg.norm(w_r, 2),
+                       w_in=rng.uniform(-1, 1, (n_r, 2)),
+                       w_fb=rng.uniform(-0.5, 0.5, (n_r, 1)),
+                       w_out=rng.uniform(-0.2, 0.2, (1, n_r)))
+    seq = InputSequence(anchor=0, values=rng.uniform(-1, 1, (400, 2)))
+    proto = IndexProtocol(ic_counts=(5, 5), transients=(50, 150), horizon=40)
+    steps = count_orbit_steps(monkeypatch)
+    tails = continued_rung(params, [seq], [7], proto, 1)[0]
+    # rung 2 continues all five members for 100 steps, no restart
+    assert steps == [90] * 5 + [100] * 5
+    assert np.array_equal(tails, fresh_rung(params, seq, 7, proto, 1))
+
+
+def test_continued_rung_is_bit_exact_under_the_default_protocol(
+        switching_system, monkeypatch):
+    proto = IndexProtocol()  # (16, 24, 32) ICs after (150, 300, 600) steps
+    seq = gen_two_symbol(*switching_inputs(), 0.5, -5, 800, seed=4)
+    steps = count_orbit_steps(monkeypatch)
+    for r in (1, 2):
+        steps.clear()
+        tails = continued_rung(switching_system, [seq], [5], proto, r)
+        shared, count = proto.ic_counts[r - 1], proto.ic_counts[r]
+        join = proto.transients[r - 1] + proto.horizon
+        # rung r - 1 runs from the anchor; rung r runs its new members from
+        # the anchor to rung r - 1's end, then every member on from there
+        assert steps == ([join] * count
+                         + [proto.transients[r] - proto.transients[r - 1]] * count)
+        assert shared < count
+        assert np.array_equal(tails[0], fresh_rung(switching_system, seq, 5,
+                                                   proto, r))
+
+
+def test_shrinking_transient_falls_back_to_fresh_evolution(
+        switching_system, switching_input, monkeypatch):
+    proto = IndexProtocol(ic_counts=(6, 6), transients=(300, 150), horizon=120)
+    steps = count_orbit_steps(monkeypatch)
+    tails = continued_rung(switching_system, [switching_input], [2], proto, 1)
+    assert steps[6:] == [270] * 6  # every member restarts at the anchor
+    assert np.array_equal(tails[0], fresh_rung(switching_system, switching_input,
+                                               2, proto, 1))
 
 
 def test_protocol_validation():
