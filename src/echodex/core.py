@@ -233,8 +233,11 @@ def step(params, u, x):
 def step_batch(params, u, xs):
     """Apply the map to every row of xs (m, n_r) under one input value.
 
-    Row results equal step() up to last-ulp BLAS variation; contracts
-    that rely on bit-exact equality use the solo path instead.
+    One GEMM for all rows, for point clouds (pullback fibres, region
+    checks) where exactness is not a contract: row results equal step()
+    only up to last-ulp BLAS variation and depend on the batch.
+    Ensembles, whose rows must equal orbit() bit for bit, are stepped
+    by the index module with one gemv per row instead.
     """
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)

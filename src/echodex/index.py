@@ -11,18 +11,19 @@ ambiguity band around the clustering tolerance, or failure to
 stabilize under protocol escalation.
 
 Systems are either RnnParams or any object exposing `state_dim`,
-`state_bound`, `step_one(u, x)` and `step_batch(u, xs)` (the map applied
-rowwise).
+`state_bound`, `step_one(u, x)` and `step_batch(u, xs)`; step_batch
+must apply the map rowwise, each row bit-exact with step_one.
 
-Ensembles are evolved under two contracts, each bit-exact:
+Ensembles of every system are evolved under two contracts, each bit-exact:
 
-- Lockstep batching.  For elementwise systems (one-neuron, one-input
-  RnnParams without readout) the members of every input in one ladder
-  rung form one array, each row stepped with its own input's drive.
-  Every operation is elementwise, so each row equals its solo orbit bit
-  for bit.  Every other system evolves each member on the solo path
-  (`orbit`, or `step_one`), which stays the bit-exact reference for
-  reservoirs.
+- Lockstep batching.  The members of every input in one ladder rung
+  form one (inputs, members, d) array, advanced one step at a time,
+  each row with its own input's drive.  Reservoir rows equal their solo
+  `orbit` bit for bit because numpy's stacked matmul issues one gemv
+  per row, the call the solo W @ x makes.  That is a property of
+  numpy/OpenBLAS, not a claim of the paper, and the test suite guards
+  it.  `orbit` stays the reference for separatrix bisection and pair
+  divergence.
 - Continuation.  A ladder rung whose transient does not shrink
   continues the members it shares with the previous rung from their
   final states instead of restarting them at the anchor.  By the
@@ -32,6 +33,7 @@ Ensembles are evolved under two contracts, each bit-exact:
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +79,6 @@ class EnsembleRun:
         return Trajectory(anchor=self.tail_anchor, states=self.trajectories[i])
 
 
-def _is_scalar_rnn(system):
-    return (isinstance(system, RnnParams) and system.n_r == 1
-            and system.n_i == 1 and system.readout == "none")
-
-
 def _solo_states(system, seq, x0, anchor, n):
     """States (n+1, d) of one trajectory; the bit-exact reference path."""
     if isinstance(system, RnnParams):
@@ -95,62 +92,54 @@ def _solo_states(system, seq, x0, anchor, n):
     return states
 
 
-def _system_step_batch(system, u, xs):
-    if isinstance(system, RnnParams):
-        return step_batch(system, u, xs)
-    return system.step_batch(u, xs)
+def _matvec_rows(w):
+    """x -> w @ v for every row v of x (..., n), one gemv per row; a
+    1 x 1 w is one multiply, bound without a Python call per step."""
+    if w.shape == (1, 1):
+        return partial(np.multiply, w[0, 0])
+    return lambda x: np.matmul(w, x[..., None])[..., 0]
 
 
 # input steps the lockstep loop reads at once: bounds the drive buffer
-# at (chunk x inputs) instead of (steps x inputs)
+# at (chunk x inputs x n_r) instead of (steps x inputs x n_r)
 _DRIVE_CHUNK = 1024
-
-
-def _advance_lockstep(params, seqs, xs, t0, t1, tails, tail_t0):
-    """Scalar-RNN case of _advance: all members of all inputs form one
-    (inputs, members) array, each row driven by its own input.  The
-    arithmetic is _step_raw's, applied elementwise, so every row equals
-    its solo orbit bit for bit."""
-    w, alpha = params.w_r[0, 0], params.alpha
-    om = 1.0 - alpha
-    x = xs[:, :, 0]
-    if t0 >= tail_t0:
-        tails[:, :, t0 - tail_t0, 0] = x
-    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
-        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
-        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor, 0]
-                          for s in seqs], axis=1)
-        drive *= params.w_in[0, 0]
-        for t, u in zip(range(c0, c1), drive[:, :, None]):
-            x = om * x + alpha * np.tanh(w * x + u)
-            if t >= tail_t0:
-                tails[:, :, t - tail_t0, 0] = x
-    return x[:, :, None]
 
 
 def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
     """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
-    time t0 to t1 and return their states at t1.
-
-    The state at each time t in [max(t0, tail_t0), t1] is written to
-    tails[i, k, t - tail_t0].
-    """
+    time t0 to t1 in lockstep and return their states at t1, writing the
+    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  RnnParams
+    rows follow _step_raw's arithmetic and order; other systems step
+    each input's rows through step_batch."""
     if xs.shape[1] == 0:
         return xs
-    if _is_scalar_rnn(system):
-        return _advance_lockstep(system, seqs, xs, t0, t1, tails, tail_t0)
-    first = max(t0, tail_t0)
-    # final states are gathered after the loop: a buffer allocated before
-    # it sits below every per-member orbit on the heap, which then cannot
-    # shrink when they are freed, and peak RSS grows
-    finals = []
-    for i, seq in enumerate(seqs):
-        for k in range(xs.shape[1]):
-            states = _solo_states(system, seq, xs[i, k], t0, t1 - t0)
-            if first <= t1:
-                tails[i, k, first - tail_t0:t1 - tail_t0 + 1] = states[first - t0:]
-            finals.append(states[-1].copy())
-    return np.reshape(finals, xs.shape)
+    rnn = isinstance(system, RnnParams)
+    if rnn:
+        w_r, w_in = _matvec_rows(system.w_r), _matvec_rows(system.w_in)
+        feedback = system.w_out is not None
+        if feedback:
+            w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
+        alpha, om = system.alpha, 1.0 - system.alpha
+    x = xs
+    if t0 >= tail_t0:
+        tails[:, :, t0 - tail_t0] = x
+    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
+        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
+        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs],
+                         axis=1)
+        if rnn:
+            drive = w_in(drive)[:, :, None]
+        for t, u in zip(range(c0, c1), drive):
+            if rnn:
+                pre = w_r(x) + u
+                if feedback:
+                    pre = pre + w_fb(w_out(x))
+                x = om * x + alpha * np.tanh(pre)
+            else:
+                x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
+            if t >= tail_t0:
+                tails[:, :, t - tail_t0] = x
+    return x
 
 
 @dataclass(frozen=True)
@@ -311,6 +300,28 @@ def _component_labels(adj):
     return n_comp, labels
 
 
+def _pair_distances(tails):
+    """Pair distances of the tails (m, W, d) over the window: max, min,
+    max per last third (3, m, m), final.  Its one buffer dies on return."""
+    m, window, _ = tails.shape
+    third = window // 3
+    d_max, d_min, d_final = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
+    d_parts = np.zeros((3, m, m))
+    buf = np.empty((m - 1,) + tails.shape[1:])
+    for i in range(m - 1):
+        diff = np.subtract(tails[i + 1:], tails[i][None, :, :], out=buf[i:])
+        np.multiply(diff, diff, out=diff)
+        norms = np.sqrt(np.sum(diff, axis=2))
+        d_max[i, i + 1:] = norms.max(axis=1)
+        d_min[i, i + 1:] = norms.min(axis=1)
+        d_final[i, i + 1:] = norms[:, -1]
+        for p in range(3):
+            hi = window - (2 - p) * third
+            d_parts[p, i, i + 1:] = norms[:, hi - third:hi].max(axis=1)
+    return (d_max + d_max.T, d_min + d_min.T,
+            d_parts + np.transpose(d_parts, (0, 2, 1)), d_final + d_final.T)
+
+
 def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     """Cluster ensemble tails and derive the index verdict.
 
@@ -330,23 +341,7 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
         raise ConfigurationError(f"window {window} exceeds retained steps {max_window}")
     tails = tails_full[:, max_window - window:, :]
     m = tails.shape[0]
-    third = window // 3
-
-    d_max = np.zeros((m, m))
-    d_min = np.zeros((m, m))
-    d_parts = np.zeros((3, m, m))
-    for i in range(m - 1):
-        diff = tails[i + 1:] - tails[i][None, :, :]
-        norms = np.sqrt(np.sum(diff * diff, axis=2))
-        d_max[i, i + 1:] = norms.max(axis=1)
-        d_min[i, i + 1:] = norms.min(axis=1)
-        for p in range(3):
-            hi = window - (2 - p) * third
-            seg = norms[:, hi - third:hi]
-            d_parts[p, i, i + 1:] = seg.max(axis=1)
-    d_max = d_max + d_max.T
-    d_min = d_min + d_min.T
-    d_parts = d_parts + np.transpose(d_parts, (0, 2, 1))
+    d_max, d_min, d_parts, d_final = _pair_distances(tails)
 
     n_clusters, labels = _component_labels(d_max <= cluster_tol)
     part_counts = tuple(_component_labels(d_parts[p] <= cluster_tol)[0]
@@ -357,9 +352,6 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     ambiguous_pairs = int(np.count_nonzero(band) // 2)
 
     finals = tails[:, -1, :]
-    fdiff = finals[:, None, :] - finals[None, :, :]
-    d_final = np.sqrt(np.sum(fdiff * fdiff, axis=2))
-
     clusters = []
     for lbl in range(n_clusters):
         members = np.flatnonzero(labels == lbl)
@@ -407,9 +399,10 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
 class IndexProtocol:
     """Escalation ladder for estimate_echo_index.
 
-    Rung r runs ic_counts[r] initial conditions after transients[r]
-    discarded steps; the estimate is accepted once two consecutive rungs
-    give the same definite index, then spot-checked at a shifted anchor.
+    Rung r runs ic_counts[r] initial conditions in lockstep (each row
+    bit-exact with its solo orbit) after transients[r] discarded steps;
+    the estimate is accepted once two consecutive rungs give the same
+    definite index, then spot-checked at a shifted anchor.
     IC i is drawn from its own substream, so rung r + 1 shares its first
     min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
     transients[r + 1] >= transients[r], those members continue from rung
@@ -534,10 +527,10 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0):
     anchor (shift invariance); any disagreement or exhaustion of the
     ladder yields "indefinite".  This is the one-input case of
     estimate_echo_indices.  Its tails are bit-identical to fresh
-    run_ensemble calls: elementwise systems are stepped in lockstep,
-    which is exact elementwise; a rung that continues the previous one
-    is exact by the cocycle identity; and reservoirs evolve each member
-    on the solo orbit path, the bit-exact reference.
+    run_ensemble calls and to solo orbits: every system is stepped in
+    lockstep, rowwise exact (one gemv per reservoir row, step_batch
+    rowwise otherwise), and a rung that continues the previous one is
+    exact by the cocycle identity.
     """
     return estimate_echo_indices(system, [input_seq], protocol, anchor)[0]
 
@@ -585,11 +578,13 @@ def pullback_fibre(system, input_seq, n, depth, boundary_grid=None, region=None,
         rng = substream(cloud_seed, DOMAIN_FIBRE, 0)
         points = rng.uniform(box.lo, box.hi, size=(int(count), d))
     input_seq.require_window(n - depth + 1, n)
+    step = (partial(step_batch, system) if isinstance(system, RnnParams)
+            else system.step_batch)
     diameters = np.empty(depth + 1)
     xs = points
     diameters[0] = pdist(xs).max() if xs.shape[0] > 1 else 0.0
     for j, k in enumerate(range(n - depth + 1, n + 1), start=1):
-        xs = _system_step_batch(system, input_seq.at(k), xs)
+        xs = step(input_seq.at(k), xs)
         diameters[j] = pdist(xs).max() if xs.shape[0] > 1 else 0.0
     return PullbackFibre(time=int(n), depth=int(depth), points=xs,
                          diameters=diameters)

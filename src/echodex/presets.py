@@ -67,7 +67,7 @@ class KloedenSystem:
     def step_one(self, u, x):
         return np.tanh(u * x / (1.0 + np.abs(x)))
 
-    step_batch = step_one  # elementwise, so rows evolve independently
+    step_batch = step_one  # elementwise: rowwise, bit-exact with step_one
 
     def arrival_sequence(self, first, last):
         """The canonical drive as an InputSequence on [first, last]."""

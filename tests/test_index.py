@@ -37,8 +37,8 @@ class RotationSystem:
     def step_one(self, u, x):
         return self.rot @ x
 
-    def step_batch(self, u, xs):
-        return xs @ self.rot.T
+    def step_batch(self, u, xs):  # rowwise, so bit-exact with step_one
+        return np.matmul(self.rot, xs[..., None])[..., 0]
 
 
 def test_run_ensemble_is_deterministic():
@@ -72,6 +72,68 @@ def test_scalar_fast_path_matches_solo_orbits():
     for i in range(run.count):
         ref = orbit(params, seq, run.initial_conditions[i], 110).states
         assert np.array_equal(run.trajectories[i], ref[50:])
+
+
+def lockstep_reservoir(rng, n_r, wiring):
+    """Random reservoir without readout, with one fed-back output, or
+    with two outputs and the second feedback column zeroed (the context
+    task's wiring)."""
+    w_r = rng.uniform(-1, 1, (n_r, n_r))
+    w_r = 0.9 * w_r / np.linalg.norm(w_r, 2)
+    if wiring == "none":
+        return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 1)))
+    n_o = 1 if wiring == "feedback" else 2
+    w_fb = rng.uniform(-0.5, 0.5, (n_r, n_o))
+    w_fb[:, 1:] = 0.0
+    return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 4)),
+                     w_fb=w_fb, w_out=rng.uniform(-0.2, 0.2, (n_o, n_r)))
+
+
+@pytest.mark.parametrize("n_r", [2, 30, 200])
+@pytest.mark.parametrize("wiring", ["none", "feedback", "context"])
+def test_lockstep_rows_equal_solo_orbits(n_r, wiring):
+    # BLAS threading is left at the suite's default: the guarded property
+    # is that numpy's stacked matmul issues one gemv per row, the same
+    # call the solo W @ x makes
+    rng = np.random.default_rng(n_r)
+    params = lockstep_reservoir(rng, n_r, wiring)
+    seqs = [InputSequence(anchor=0, values=scale * rng.uniform(-1, 1, (60, params.n_i)))
+            for scale in (0.1, 1.0, 3.0)]
+    for m in (1, 7, 100):
+        ics = np.stack([rng.uniform(-1, 1, (m, n_r)) for _ in seqs])
+        tails = index._evolve(params, seqs, ics, transient=25, horizon=30, anchor=0)
+        for i, seq in enumerate(seqs):
+            for k in range(m):
+                ref = orbit(params, seq, ics[i, k], 55).states[25:]
+                assert np.array_equal(tails[i, k], ref)
+        run = run_ensemble(params, seqs[1], ics[1], transient=25, horizon=30)
+        assert np.array_equal(run.trajectories, tails[1])
+    proto = IndexProtocol(ic_counts=(4, 6), transients=(10, 20), horizon=12,
+                          window=10, shift_check=3)
+    for rep, seq in zip(estimate_echo_indices(params, seqs, proto), seqs):
+        count, transient, _ = rep.diagnostics["rungs"][-1]
+        x0s = index._draw_ics(params, proto.ic_seed, count)
+        for c in rep.clusters:
+            ref = orbit(params, seq, x0s[c.representative_ic],
+                        transient + proto.horizon).states
+            assert np.array_equal(c.tail, ref[-proto.window:])
+
+
+def test_lockstep_rows_equal_step_one_on_a_kloeden_system():
+    system = KloedenSystem(a=1.5)
+    rng = np.random.default_rng(3)
+    seqs = [system.arrival_sequence(-40, 60),
+            InputSequence(anchor=-40, values=rng.uniform(0.7, 1.5, (101, 1))),
+            InputSequence(anchor=-40, values=rng.uniform(1.2, 3.0, (101, 1)))]
+    ics = rng.uniform(-1, 1, (3, 7, 1))
+    tails = index._evolve(system, seqs, ics, transient=60, horizon=40, anchor=-40)
+    for i, seq in enumerate(seqs):
+        for k in range(7):
+            x = ics[i, k]
+            for t in range(-39, 61):
+                x = system.step_one(seq.at(t), x)
+                if t >= 20:  # the tails start at anchor + transient
+                    assert np.array_equal(tails[i, k, t - 20], x)
 
 
 def test_ensemble_csv_format(tmp_path):
@@ -160,6 +222,42 @@ def test_clustering_window_validation():
     assert solo.min_separation == float("inf")
 
 
+def explicit_pair_distances(tails):
+    """The pairwise window distances written out over all (m, m) pairs,
+    and the final-step distances from their own (m, m, d) difference."""
+    m, window, _ = tails.shape
+    diff = tails[:, None] - tails[None]
+    norms = np.sqrt(np.sum(diff * diff, axis=3))
+    third = window // 3
+    parts = np.stack([norms[:, :, window - (3 - p) * third:window - (2 - p) * third]
+                      .max(axis=2) for p in range(3)])
+    finals = tails[:, -1, :]
+    fdiff = finals[:, None, :] - finals[None, :, :]
+    return (norms.max(axis=2), norms.min(axis=2), parts,
+            np.sqrt(np.sum(fdiff * fdiff, axis=2)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 40])
+def test_pair_distances_match_the_explicit_formula(m):
+    rng = np.random.default_rng(m)
+    centres = np.where(rng.random(m) < 0.5, -0.6, 0.6)[:, None, None]
+    tails = centres + 1e-5 * rng.standard_normal((m, 31, 3))
+    got = index._pair_distances(tails)
+    want = explicit_pair_distances(tails)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
+    d_max, d_min, _, d_final = want
+    labels = np.zeros(m, dtype=int)
+    for lbl, c in enumerate(rep.clusters):
+        labels[d_max[c.representative_ic] <= 1e-3] = lbl
+    cross = labels[:, None] != labels[None, :]
+    same = ~cross & ~np.eye(m, dtype=bool)
+    assert rep.min_separation == (d_min[cross].min() if cross.any() else np.inf)
+    assert rep.max_diameter == (d_final[same].max() if same.any() else 0.0)
+    assert len(rep.clusters) == np.unique(centres).size
+
+
 def test_estimate_echo_index_switching(switching_system, switching_input):
     proto = IndexProtocol(ic_counts=(16, 24), transients=(150, 300),
                           horizon=120, window=100)
@@ -233,13 +331,17 @@ def fresh_rung(system, seq, seed, protocol, r):
                         protocol.horizon, ic_seed=seed).trajectories
 
 
-def count_orbit_steps(monkeypatch):
+def count_advanced_steps(monkeypatch):
+    """Records (members, steps) for every lockstep advance that moves a
+    member."""
     steps = []
+    advance = index._advance
 
-    def counting(params, input_seq, x0, n, anchor=0):
-        steps.append(n)
-        return orbit(params, input_seq, x0, n, anchor=anchor)
-    monkeypatch.setattr(index, "orbit", counting)
+    def counting(system, seqs, xs, t0, t1, tails, tail_t0):
+        if xs.shape[1]:
+            steps.append((xs.shape[1], t1 - t0))
+        return advance(system, seqs, xs, t0, t1, tails, tail_t0)
+    monkeypatch.setattr(index, "_advance", counting)
     return steps
 
 
@@ -265,10 +367,10 @@ def test_continued_rung_is_bit_exact_on_a_reservoir_with_feedback(monkeypatch):
                        w_out=rng.uniform(-0.2, 0.2, (1, n_r)))
     seq = InputSequence(anchor=0, values=rng.uniform(-1, 1, (400, 2)))
     proto = IndexProtocol(ic_counts=(5, 5), transients=(50, 150), horizon=40)
-    steps = count_orbit_steps(monkeypatch)
+    steps = count_advanced_steps(monkeypatch)
     tails = continued_rung(params, [seq], [7], proto, 1)[0]
     # rung 2 continues all five members for 100 steps, no restart
-    assert steps == [90] * 5 + [100] * 5
+    assert steps == [(5, 90), (5, 100)]
     assert np.array_equal(tails, fresh_rung(params, seq, 7, proto, 1))
 
 
@@ -276,7 +378,7 @@ def test_continued_rung_is_bit_exact_under_the_default_protocol(
         switching_system, monkeypatch):
     proto = IndexProtocol()  # (16, 24, 32) ICs after (150, 300, 600) steps
     seq = gen_two_symbol(*switching_inputs(), 0.5, -5, 800, seed=4)
-    steps = count_orbit_steps(monkeypatch)
+    steps = count_advanced_steps(monkeypatch)
     for r in (1, 2):
         steps.clear()
         tails = continued_rung(switching_system, [seq], [5], proto, r)
@@ -284,8 +386,8 @@ def test_continued_rung_is_bit_exact_under_the_default_protocol(
         join = proto.transients[r - 1] + proto.horizon
         # rung r - 1 runs from the anchor; rung r runs its new members from
         # the anchor to rung r - 1's end, then every member on from there
-        assert steps == ([join] * count
-                         + [proto.transients[r] - proto.transients[r - 1]] * count)
+        assert steps == [(shared, join), (count - shared, join),
+                         (count, proto.transients[r] - proto.transients[r - 1])]
         assert shared < count
         assert np.array_equal(tails[0], fresh_rung(switching_system, seq, 5,
                                                    proto, r))
@@ -294,9 +396,9 @@ def test_continued_rung_is_bit_exact_under_the_default_protocol(
 def test_shrinking_transient_falls_back_to_fresh_evolution(
         switching_system, switching_input, monkeypatch):
     proto = IndexProtocol(ic_counts=(6, 6), transients=(300, 150), horizon=120)
-    steps = count_orbit_steps(monkeypatch)
+    steps = count_advanced_steps(monkeypatch)
     tails = continued_rung(switching_system, [switching_input], [2], proto, 1)
-    assert steps[6:] == [270] * 6  # every member restarts at the anchor
+    assert steps[1:] == [(6, 270)]  # every member restarts at the anchor
     assert np.array_equal(tails[0], fresh_rung(switching_system, switching_input,
                                                2, proto, 1))
 
