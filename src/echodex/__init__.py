@@ -10,10 +10,9 @@ reservoir training recipe with output feedback, and preset experiments
 exposed through the `echodex` command.
 """
 
-from .core import (Activation, ConfigurationError, RnnParams, TANH,
-                   Trajectory, get_activation, jacobian, jacobian_batch,
-                   load_params, orbit, save_params, spectral_norm, step,
-                   step_batch)
+from .core import (ConfigurationError, RnnParams, Trajectory, jacobian,
+                   jacobian_batch, load_params, orbit, save_params,
+                   spectral_norm, step, step_batch)
 from .sequences import (ContextTask, GeneratorSpec, InputSequence,
                         WindowExhausted, d_prod, d_unif, gen_context_task,
                         gen_two_symbol, gen_uniform_scaled, load_input,
@@ -44,17 +43,16 @@ from .rng import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation", "Assertion", "Cluster", "ConfigurationError",
-    "ContextTask", "ContractionReport", "EchoIndexReport", "EnsembleRun",
+    "Assertion", "Cluster", "ConfigurationError", "ContextTask",
+    "ContractionReport", "EchoIndexReport", "EnsembleRun",
     "ExperimentResult", "GeneratorSpec", "IndexProtocol", "InputSequence",
     "KloedenSystem", "LargeInputSpec", "PullbackFibre", "Region",
-    "ReservoirConfig", "RnnParams", "SeparatrixResult", "TANH",
-    "TrainedModel", "Trajectory", "WindowExhausted",
+    "ReservoirConfig", "RnnParams", "SeparatrixResult", "TrainedModel",
+    "Trajectory", "WindowExhausted",
     "absorbing_entry_bound", "closed_loop_eval", "cluster_asymptotics",
     "context_reservoir", "d_prod", "d_unif", "ensemble_to_csv",
     "estimate_echo_index", "estimate_echo_indices", "gen_context_task",
-    "gen_two_symbol", "gen_uniform_scaled", "get_activation",
-    "global_esp_check",
+    "gen_two_symbol", "gen_uniform_scaled", "global_esp_check",
     "hausdorff_semidistance", "init_reservoir", "jacobian", "jacobian_batch",
     "large_input_radius", "load_input", "load_model", "load_params",
     "load_sequence", "local_contraction_norm", "nrmse", "orbit",

@@ -173,14 +173,13 @@ def strip_bounds_closed_form(input_sign=1):
     return ((-a - 0.15 * s) / 1.5, (a - 0.15 * s) / 1.5)
 
 
-def global_esp_check(params, mu, grid=None):
+def global_esp_check(params, mu):
     """Global certificate phi'(0) * ||W_r + W_fb W_o|| <= mu < 1.
 
     A pass certifies a single uniformly attracting response for every
     admissible input sequence.  With a linear (or absent) readout the
-    effective matrix is constant, so a single evaluation suffices; the
-    grid argument is kept for future state-dependent readouts.  For a
-    leaky map the report carries the effective rate 1 - alpha (1 - mu).
+    effective matrix is constant, so a single evaluation suffices.  For
+    a leaky map the report carries the effective rate 1 - alpha (1 - mu).
     """
     if not 0.0 < mu < 1.0:
         raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
@@ -238,13 +237,12 @@ class LargeInputSpec:
         return r * d
 
 
-def large_input_radius(params, epsilon, mu, grid=None):
+def large_input_radius(params, epsilon, mu):
     """Per-row radii beyond which aligned inputs certify index 1.
 
     sigma_j = sup_x |f_j(x)| with f_j(x) = (W_r)_j x + (W_fb)_j psi(x);
     for a linear (or absent) readout this is L * ||M_j||_1 exactly, the
-    corner maximum over the state box, so no state grid is needed (the
-    grid argument is kept for future nonlinear readouts).  xi_bar
+    corner maximum over the state box, so no state grid is needed.  xi_bar
     solves phi'(xi_bar) * sigma_tilde = mu for tanh (clamped to 0 when
     mu >= sigma_tilde), and R_j = (xi_bar + sigma_j) / (eps ||(W_in)_j||).
     """

@@ -27,39 +27,6 @@ class ConfigurationError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# activation descriptors
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Activation:
-    """Bounded C1 activation descriptor.
-
-    `bound` is the L with image (-L, L); it is stored, not hardcoded, so
-    further activations can be registered later.  Only tanh ships today.
-    """
-
-    name: str
-    bound: float
-
-
-TANH = Activation("tanh", 1.0)
-
-_ACTIVATIONS = {"tanh": TANH}
-
-
-def get_activation(name):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown activation {name!r}") from None
-
-
-def _require_tanh(activation):
-    if activation.name != "tanh":
-        raise ConfigurationError(f"activation {activation.name!r} not supported yet")
-
-
-# ----------------------------------------------------------------------
 # parameters
 # ----------------------------------------------------------------------
 
@@ -84,7 +51,6 @@ class RnnParams:
     w_in: np.ndarray
     w_fb: np.ndarray = None
     w_out: np.ndarray = None
-    activation: Activation = TANH
 
     def __post_init__(self):
         object.__setattr__(self, "w_r", _frozen_array(self.w_r))
@@ -116,7 +82,6 @@ class RnnParams:
             a = getattr(self, name)
             if a is not None and not np.all(np.isfinite(a)):
                 raise ConfigurationError(f"{name} contains non-finite entries")
-        _require_tanh(self.activation)
         # effective recurrent matrix M = W_r + W_fb W_o (constant for a
         # linear readout); cached because certifiers query it repeatedly
         if self.readout == "linear":
@@ -148,21 +113,21 @@ class RnnParams:
         """W_r + W_fb W_o, the matrix entering the state Jacobian."""
         return self._m
 
-    # state space is the hypercube [-L, L]^{n_r}
+    # state space is the hypercube [-L, L]^{n_r}, L = 1 the tanh bound
     @property
     def state_dim(self):
         return self.n_r
 
     @property
     def state_bound(self):
-        return self.activation.bound
+        return 1.0
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self):
         doc = {
             "alpha": self.alpha,
-            "activation": self.activation.name,
+            "activation": "tanh",
             "readout": self.readout,
             "n_r": self.n_r,
             "n_i": self.n_i,
@@ -177,6 +142,9 @@ class RnnParams:
 
     @classmethod
     def from_dict(cls, doc):
+        activation = doc.get("activation", "tanh")
+        if activation != "tanh":
+            raise ConfigurationError(f"unknown activation {activation!r}")
         n_r = int(doc["n_r"])
         n_o = int(doc["n_o"])
         w_fb = np.asarray(doc["w_fb"], dtype=float).reshape(n_r, n_o)
@@ -189,7 +157,6 @@ class RnnParams:
             w_in=np.asarray(doc["w_in"], dtype=float).reshape(n_r, int(doc["n_i"])),
             w_fb=w_fb,
             w_out=w_out,
-            activation=get_activation(doc.get("activation", "tanh")),
         )
 
 
@@ -205,13 +172,26 @@ def load_params(path):
 # the map and its Jacobian
 # ----------------------------------------------------------------------
 
-def _step_raw(params, u, x):
-    # fixed evaluation order: W_r x, + W_in u, + W_fb psi(x)
-    pre = params.w_r @ x
+def _preactivation(params, u, x, matvec=np.matmul):
+    """W_r x, then + W_in u, then + W_fb (W_o x): the one fixed order.
+
+    matvec(w, x) applies w to x; the batch maps pass _rows_gemm.
+    """
+    pre = matvec(params.w_r, x)
     pre = pre + params.w_in @ u
     if params.w_out is not None:
-        pre = pre + params.w_fb @ (params.w_out @ x)
-    return (1.0 - params.alpha) * x + params.alpha * np.tanh(pre)
+        pre = pre + matvec(params.w_fb, matvec(params.w_out, x))
+    return pre
+
+
+def _rows_gemm(w, xs):
+    """w applied to every row of xs (m, n) as one GEMM."""
+    return xs @ w.T
+
+
+def _step_raw(params, u, x):
+    return (1.0 - params.alpha) * x + params.alpha * np.tanh(
+        _preactivation(params, u, x))
 
 
 def _check_uq(params, u, x):
@@ -241,10 +221,7 @@ def step_batch(params, u, xs):
     """
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    pre = xs @ params.w_r.T
-    pre = pre + params.w_in @ u
-    if params.w_out is not None:
-        pre = pre + (xs @ params.w_out.T) @ params.w_fb.T
+    pre = _preactivation(params, u, xs, matvec=_rows_gemm)
     return (1.0 - params.alpha) * xs + params.alpha * np.tanh(pre)
 
 
@@ -256,11 +233,7 @@ def jacobian(params, u, x):
     phi'(xi) = 1 - tanh(xi)^2.
     """
     u, x = _check_uq(params, u, x)
-    pre = params.w_r @ x
-    pre = pre + params.w_in @ u
-    if params.w_out is not None:
-        pre = pre + params.w_fb @ (params.w_out @ x)
-    s = 1.0 - np.tanh(pre) ** 2
+    s = 1.0 - np.tanh(_preactivation(params, u, x)) ** 2
     return (1.0 - params.alpha) * np.eye(params.n_r) + params.alpha * (
         s[:, None] * params.effective_matrix)
 
@@ -269,11 +242,7 @@ def jacobian_batch(params, u, xs):
     """Jacobians at every row of xs; returns (m, n_r, n_r)."""
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    pre = xs @ params.w_r.T
-    pre = pre + params.w_in @ u
-    if params.w_out is not None:
-        pre = pre + (xs @ params.w_out.T) @ params.w_fb.T
-    s = 1.0 - np.tanh(pre) ** 2
+    s = 1.0 - np.tanh(_preactivation(params, u, xs, matvec=_rows_gemm)) ** 2
     eye = (1.0 - params.alpha) * np.eye(params.n_r)
     return eye[None, :, :] + params.alpha * (
         s[:, :, None] * params.effective_matrix[None, :, :])

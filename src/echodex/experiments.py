@@ -4,14 +4,17 @@ Each preset resolves a config (defaults + overrides, unknown keys
 rejected), runs, and returns an ExperimentResult holding a summary, a
 list of named pass/fail assertions, and the files written.  Every run
 with an output directory also writes a manifest capturing the fully
-resolved config; re-running from the manifest reproduces every output
-byte for byte (no timestamps, fixed float formatting, committed seeds).
+resolved config; re-running from the manifest at the same BLAS thread
+count reproduces every output byte for byte (no timestamps, one CSV
+writer with lossless floats, committed seeds).  context_task's ridge
+readout rounds differently under another thread count.
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from .index import (IndexProtocol, ensemble_to_csv, estimate_echo_index,
 from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
 from .sequences import (d_prod, gen_context_task, gen_two_symbol,
-                        gen_uniform_scaled, splice_large_input)
+                        gen_uniform_scaled, splice_large_input, write_csv)
 from .training import (ReservoirConfig, TrainedModel, closed_loop_eval, nrmse,
                        pca_project, ridge_readout, save_model,
                        teacher_forced_states)
@@ -210,11 +213,10 @@ def _run_kloeden(cfg, out):
     outputs = {}
     if out is not None:
         path = out / "trajectories.csv"
-        lines = ["ic_id,k,x"]
-        for i in range(len(ics)):
-            for j, k in enumerate(range(k0, k1 + 1)):
-                lines.append(f"{i},{k},{runs[i, j]:.17g}")
-        path.write_text("\n".join(lines) + "\n")
+        ks = range(k0, k1 + 1)
+        write_csv(path, "ic_id,k,x", "%d,%d,%.17g",
+                  ((i, k, x) for i, row in enumerate(runs.tolist())
+                   for k, x in zip(ks, row)))
         outputs["trajectories"] = str(path)
     return summary, assertions, outputs
 
@@ -467,14 +469,10 @@ def _run_scalar_sweep(cfg, out):
     outputs = {}
     if out is not None:
         path = out / "sweep_results.csv"
-        lines = ["w,gen_seed,index,min_separation,max_diameter,"
-                 "max_tail_std,switching_tails"]
-        for row in table:
-            lines.append(
-                f"{row['w']:g},{row['gen_seed']},{row['index']},"
-                f"{row['min_separation']:.17g},{row['max_diameter']:.17g},"
-                f"{row['max_tail_std']:.17g},{int(row['switching_tails'])}")
-        path.write_text("\n".join(lines) + "\n")
+        cols = ("w", "gen_seed", "index", "min_separation", "max_diameter",
+                "max_tail_std", "switching_tails")
+        write_csv(path, ",".join(cols), "%g,%d,%s,%.17g,%.17g,%.17g,%d",
+                  map(itemgetter(*cols), table))
         outputs["sweep_results"] = str(path)
         for w in w_list:
             seq = gen_uniform_scaled(w, first, last, seed)
@@ -596,10 +594,9 @@ def _run_splice_demo(cfg, out):
     outputs = {}
     if out is not None:
         path = out / "splice_table.csv"
-        lines = ["m,index,d_prod"]
-        for row in table:
-            lines.append(f"{row['m']},{row['index']},{row['d_prod']:.17g}")
-        path.write_text("\n".join(lines) + "\n")
+        cols = ("m", "index", "d_prod")
+        write_csv(path, ",".join(cols), "%d,%s,%.17g",
+                  map(itemgetter(*cols), table))
         outputs["splice_table"] = str(path)
     return summary, assertions, outputs
 
@@ -690,33 +687,28 @@ def _run_context_task(cfg, out):
         outputs["model"] = str(model_path)
 
         eval_path = out / "test_eval.csv"
-        lines = ["k,z1_target,z1_out,z2_target,z2_out,scored"]
-        for j in range(1, test_len + 1):
-            k = train_len + j
-            lines.append(f"{k},{targets_test[j, 0]:.17g},"
-                         f"{outputs_ts[j, 0]:.17g},{targets_test[j, 1]:.17g},"
-                         f"{outputs_ts[j, 1]:.17g},{int(not excluded[k])}")
-        eval_path.write_text("\n".join(lines) + "\n")
+        write_csv(eval_path, "k,z1_target,z1_out,z2_target,z2_out,scored",
+                  "%d,%.17g,%.17g,%.17g,%.17g,%d",
+                  zip(range(train_len + 1, total + 1),
+                      targets_test[1:, 0].tolist(), outputs_ts[1:, 0].tolist(),
+                      targets_test[1:, 1].tolist(), outputs_ts[1:, 1].tolist(),
+                      scored.tolist()))
         outputs["test_eval"] = str(eval_path)
 
         pca_path = out / "pca.csv"
-        lines = ["k,pc1,pc2,z1_target"]
-        for j in range(projections.shape[0]):
-            lines.append(f"{train_len + j},{projections[j, 0]:.17g},"
-                         f"{projections[j, 1]:.17g},{targets_test[j, 0]:.17g}")
-        pca_path.write_text("\n".join(lines) + "\n")
+        write_csv(pca_path, "k,pc1,pc2,z1_target", "%d,%.17g,%.17g,%.17g",
+                  zip(range(train_len, train_len + projections.shape[0]),
+                      *projections.T.tolist(), targets_test[:, 0].tolist()))
         outputs["pca"] = str(pca_path)
 
         run = run_ensemble(params, inputs_off, int(cfg["ens_ics"]),
                            transient=int(cfg["ens_transients"][-1]),
                            horizon=int(cfg["ens_horizon"]), ic_seed=seed)
         z1_path = out / "ensemble_z1.csv"
-        lines = ["ic_id,k,z1"]
-        for i in range(run.count):
-            z1 = run.trajectories[i] @ params.w_out[0]
-            for j in range(run.horizon + 1):
-                lines.append(f"{i},{run.tail_anchor + j},{z1[j]:.17g}")
-        z1_path.write_text("\n".join(lines) + "\n")
+        ks = range(run.tail_anchor, run.tail_anchor + run.horizon + 1)
+        z1 = [(tail @ params.w_out[0]).tolist() for tail in run.trajectories]
+        write_csv(z1_path, "ic_id,k,z1", "%d,%d,%.17g",
+                  ((i, k, z) for i, row in enumerate(z1) for k, z in zip(ks, row)))
         outputs["ensemble_z1"] = str(z1_path)
     return summary, assertions, outputs
 
@@ -763,8 +755,9 @@ def run_preset(preset, seed=None, out_dir=None, overrides=None):
 def run_from_manifest(path, out_dir=None):
     """Re-run the exact configuration recorded in a manifest.
 
-    With the same seed and overrides all outputs are reproduced byte for
-    byte; pass a different out_dir to write alongside the original.
+    With the same seed, overrides and BLAS thread count all outputs are
+    reproduced byte for byte; pass a different out_dir to write
+    alongside the original.
     """
     doc = json.loads(Path(path).read_text())
     target = out_dir if out_dir is not None else Path(path).parent

@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import RnnParams
+from .index import _solo_states
 from .sequences import InputSequence
 from .training import init_reservoir
 
@@ -58,19 +59,18 @@ class KloedenSystem:
     state_dim = 1
     state_bound = 1.0
 
-    # The whole package indexes drives by arrival time: the transition
-    # arriving at time k consumes u[k].  Here u[k] = a for k >= 0 and
-    # 1/a before, so the contracting past ends at the step into k = -1.
-    def drive_value(self, k):
-        return self.a if k >= 0 else 1.0 / self.a
-
     def step_one(self, u, x):
         return np.tanh(u * x / (1.0 + np.abs(x)))
 
     step_batch = step_one  # elementwise: rowwise, bit-exact with step_one
 
     def arrival_sequence(self, first, last):
-        """The canonical drive as an InputSequence on [first, last]."""
+        """The canonical drive as an InputSequence on [first, last].
+
+        The whole package indexes drives by arrival time: the transition
+        arriving at time k consumes u[k].  Here u[k] = a for k >= 0 and
+        1/a before, so the contracting past ends at the step into k = -1.
+        """
         ks = np.arange(first, last + 1)
         vals = np.where(ks >= 0, self.a, 1.0 / self.a)[:, None]
         return InputSequence(anchor=first, values=vals,
@@ -80,14 +80,8 @@ class KloedenSystem:
 
     def run(self, x0, k_start, k_end):
         """States at times k_start..k_end from x0 under the canonical drive."""
-        n = k_end - k_start
-        states = np.empty(n + 1)
-        x = float(x0)
-        states[0] = x
-        for j, k in enumerate(range(k_start + 1, k_end + 1), start=1):
-            x = float(np.tanh(self.drive_value(k) * x / (1.0 + abs(x))))
-            states[j] = x
-        return states
+        return _solo_states(self, self.arrival_sequence(k_start, k_end),
+                            np.array([x0]), k_start, k_end - k_start)[:, 0]
 
 
 def context_reservoir(cfg):

@@ -333,14 +333,22 @@ def splice_large_input(u, m, far_value, admissible=None):
 # file formats
 # ----------------------------------------------------------------------
 
+def write_csv(path, header, fmt, rows):
+    """Write `header`, then `fmt % row` for each row tuple, one per
+    LF-terminated line.  Every CSV of the package goes through here;
+    floats use %.17g, which round-trips every double exactly, so reruns
+    reproduce the files byte for byte.  Lines are streamed, not joined,
+    so no copy of the whole text is held."""
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(map((fmt + "\n").__mod__, rows))
+
+
 def save_sequence(seq, path):
     """Write CSV with header k,u_1..u_{n_i}."""
-    cols = ",".join(f"u_{j + 1}" for j in range(seq.n_i))
-    lines = [f"k,{cols}"]
-    for j in range(seq.length):
-        row = ",".join(f"{v:.17g}" for v in seq.values[j])
-        lines.append(f"{seq.anchor + j},{row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "k," + ",".join(f"u_{j + 1}" for j in range(seq.n_i)),
+              "%d" + ",%.17g" * seq.n_i,
+              zip(range(seq.first, seq.last + 1), *seq.values.T.tolist()))
 
 
 def load_sequence(path, lo=None, hi=None):

@@ -113,6 +113,7 @@ def teacher_forced_states(params, drive, pulses, target_z1, noise_std, seed):
     states = np.zeros((full.length, params.n_r))
     x = states[0]
     for j in range(1, full.length):
+        # core._preactivation's order, but the feedback is the target
         pre = params.w_r @ x
         pre = pre + params.w_in @ full.values[j]
         pre = pre + fb_col * target_z1[j - 1]

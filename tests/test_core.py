@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from echodex import (ConfigurationError, RnnParams, TANH, WindowExhausted,
-                     get_activation, jacobian, jacobian_batch, load_params,
-                     orbit, save_params, shift, spectral_norm, step,
-                     step_batch)
+from echodex import (ConfigurationError, RnnParams, WindowExhausted, jacobian,
+                     jacobian_batch, load_params, orbit, save_params, shift,
+                     spectral_norm, step, step_batch)
 from echodex.sequences import InputSequence
 
 from conftest import random_params
@@ -237,7 +236,13 @@ def test_spectral_norm_against_power_iteration():
 
 
 def test_activation_registry():
-    assert get_activation("tanh") is TANH
-    assert TANH.bound == 1.0
-    with pytest.raises(ConfigurationError):
-        get_activation("relu")
+    # tanh is the only activation: every document names it, and a
+    # document naming another one is refused on reading
+    params = RnnParams(alpha=0.5, w_r=np.eye(2), w_in=np.ones((2, 1)))
+    assert params.state_bound == 1.0
+    doc = params.to_dict()
+    assert list(doc)[:2] == ["alpha", "activation"]
+    assert doc["activation"] == "tanh"
+    RnnParams.from_dict(doc)
+    with pytest.raises(ConfigurationError, match="relu"):
+        RnnParams.from_dict({**doc, "activation": "relu"})

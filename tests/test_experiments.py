@@ -58,6 +58,9 @@ def test_kloeden_preset(tmp_path):
     text = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert text[0] == "ic_id,k,x"
     assert len(text) == 1 + 11 * 36
+    ics = np.linspace(-1.0, 1.0, 11)
+    assert [text[1 + 36 * i] for i in range(11)] == [
+        f"{i},-10,{ics[i]:.17g}" for i in range(11)]
     assert (tmp_path / "report.json").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["preset"] == "kloeden"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from echodex import (GeneratorSpec, InputSequence, WindowExhausted, d_prod,
                      d_unif, gen_context_task, gen_two_symbol,
                      gen_uniform_scaled, load_input, load_sequence, realize,
                      save_sequence, shift, splice_large_input)
+from echodex.sequences import write_csv
 
 
 def rand_seq(rng, n_i=2, first=-6, last=6):
@@ -214,11 +216,15 @@ def test_splice_admissibility_is_enforced():
 def test_sequence_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     seq = rand_seq(rng, n_i=3, first=-7, last=12)
+    vals = seq.values.copy()
+    vals[:6, 1] = [0.0, -0.0, 5e-324, 0.1, 1e16, 1.7976931348623157e308]
+    seq = InputSequence(anchor=seq.anchor, values=vals)
     path = tmp_path / "input.csv"
     save_sequence(seq, path)
     back = load_sequence(path)
     assert back.anchor == seq.anchor
     assert np.array_equal(back.values, seq.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(seq.values))
     header = path.read_text().splitlines()[0]
     assert header == "k,u_1,u_2,u_3"
     bad = tmp_path / "missing_header.csv"
@@ -229,6 +235,25 @@ def test_sequence_csv_roundtrip_is_exact(tmp_path):
     gap.write_text("k,u_1\n0,0.5\n2,0.5\n")
     with pytest.raises(ValueError):
         load_sequence(gap)
+
+
+def test_write_csv_formats_every_column_kind(tmp_path):
+    # sweep_results.csv writes inf as the min_separation of one cluster
+    path = tmp_path / "table.csv"
+    rows = [(0.0006, 3, "2", True, math.inf),
+            (0.05, 4, "indefinite", False, -math.inf),
+            (1e-07, 5, "1", True, math.nan),
+            (0.01, 6, "1", False, 0.1)]
+    write_csv(path, "w,seed,index,flag,x", "%g,%d,%s,%d,%.17g", rows)
+    assert path.read_bytes() == (b"w,seed,index,flag,x\n"
+                                 b"0.0006,3,2,1,inf\n"
+                                 b"0.05,4,indefinite,0,-inf\n"
+                                 b"1e-07,5,1,1,nan\n"
+                                 b"0.01,6,1,0,0.10000000000000001\n")
+    assert path.read_text().splitlines()[1:] == [
+        f"{w:g},{s},{i},{int(f)},{x:.17g}" for w, s, i, f, x in rows]
+    write_csv(path, "k", "%d", [])
+    assert path.read_bytes() == b"k\n"
 
 
 def test_realize_reproduces_from_provenance(tmp_path):
