@@ -23,9 +23,9 @@ from scipy.optimize import brentq
 from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
 from .core import orbit
-from .index import (IndexProtocol, ensemble_to_csv, estimate_echo_index,
-                    estimate_echo_indices, pullback_fibre, run_ensemble,
-                    separatrix_bisect, pair_divergence_step)
+from .index import (IndexProtocol, _divergence_step, ensemble_to_csv,
+                    estimate_echo_index, estimate_echo_indices, pullback_fibre,
+                    run_ensemble, separatrix_bisect)
 from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
 from .sequences import (d_prod, gen_context_task, gen_two_symbol,
@@ -326,11 +326,11 @@ def _run_switching2d(cfg, out):
     direction = np.array([0.0, 1.0])
     pa = sep.boundary - 5e-12 * direction
     pb = sep.boundary + 5e-12 * direction
-    div_step = pair_divergence_step(params, seq, pa, pb, threshold=0.1,
-                                    horizon=int(cfg["sep_horizon"]))
-    ends = [orbit(params, seq, p, int(cfg["sep_horizon"])).final for p in (pa, pb)]
+    sa, sb = (orbit(params, seq, p, int(cfg["sep_horizon"])).states
+              for p in (pa, pb))
+    div_step = _divergence_step(sa, sb, threshold=0.1)
     split_ok = (div_step is not None
-                and float(np.linalg.norm(ends[0] - ends[1])) > 0.5)
+                and float(np.linalg.norm(sa[-1] - sb[-1])) > 0.5)
 
     fixed_points = {"f1": _switching_fixed_points(params, u1),
                     "f2": _switching_fixed_points(params, u2)}

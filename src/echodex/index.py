@@ -556,6 +556,27 @@ class PullbackFibre:
 # pullback fibre seeds: grid points per axis (dimension <= 2), else a cloud
 _FIBRE_GRID = 33
 _FIBRE_CLOUD = 1000
+# diameter bound below which squares may underflow: no pruning there
+_PRUNE_FLOOR = 1e-140
+
+
+def _fibre_diameter(xs):
+    """pdist(xs).max() bit for bit, 0.0 below two points; see pullback_fibre."""
+    if xs.shape[0] < 2:
+        return 0.0
+    r = np.linalg.norm(xs - xs.mean(axis=0), axis=1)
+    big = r.max()
+    if not np.isfinite(big):
+        return pdist(xs).max()
+    if (xs == xs[0]).all():
+        return 0.0
+    far = int(np.argmax(r))
+    ends = [*xs.argmin(axis=0), *xs.argmax(axis=0), far,
+            np.argmax(np.linalg.norm(xs - xs[far], axis=1))]
+    lower = pdist(xs[np.unique(ends)]).max()
+    if not _PRUNE_FLOOR <= lower < np.inf:
+        return pdist(xs).max()
+    return pdist(xs[r + big >= lower * (1 - 1e-9)]).max()
 
 
 def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
@@ -566,6 +587,14 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     evolves it from time n - depth to n, and records the exact pairwise
     diameter at every step.  In certified contraction regions the trace
     shrinks at least like mu^depth.
+
+    Each diameter is pdist(points).max() bit for bit, from only the
+    points that can lie on a maximal pair (p, q).  With r the distance
+    from the centroid and R = max r, D <= r_p + r_q <= r_p + R; D >= L,
+    the pdist maximum over the axis extremes and a farthest pair; so p
+    is kept if r_p + R >= L (1 - 1e-9), the slack covering the rounding
+    of r and pdist.  If L < 1e-140 (squares may underflow) or on
+    overflow, pdist runs over every point.
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
@@ -585,10 +614,10 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
             else system.step_batch)
     diameters = np.empty(depth + 1)
     xs = points
-    diameters[0] = pdist(xs).max() if xs.shape[0] > 1 else 0.0
+    diameters[0] = _fibre_diameter(xs)
     for j, k in enumerate(range(n - depth + 1, n + 1), start=1):
         xs = step(input_seq.at(k), xs)
-        diameters[j] = pdist(xs).max() if xs.shape[0] > 1 else 0.0
+        diameters[j] = _fibre_diameter(xs)
     return PullbackFibre(time=int(n), depth=int(depth), points=xs,
                          diameters=diameters)
 
@@ -635,6 +664,27 @@ def _commit_step(states, rep_a, rep_b, cluster_tol):
     return None, None
 
 
+# steps a bisection midpoint is evolved between two commit checks
+_COMMIT_CHUNK = 50
+
+
+def _evolve_to_commit(system, input_seq, x0, anchor, rep_a, rep_b, cluster_tol):
+    """_commit_step of x0's full orbit, evolved chunk by chunk (bit-exact
+    by the cocycle identity) only until a prefix commits, which decides it."""
+    horizon, t = rep_a.shape[0] - 1, 0
+    states = np.empty_like(rep_a)
+    states[0] = x0
+    while True:
+        n = min(_COMMIT_CHUNK, horizon - t)
+        states[t:t + n + 1] = _solo_states(system, input_seq, states[t],
+                                           anchor + t, n)
+        t += n
+        side, hit = _commit_step(states[:t + 1], rep_a[:t + 1], rep_b[:t + 1],
+                                 cluster_tol)
+        if side is not None or t == horizon:
+            return side, hit
+
+
 def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
                       cluster_tol=1e-3, anchor=0, target_width=1e-12):
     """Bisect the segment [lo, hi] for the basin boundary.
@@ -643,11 +693,13 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
     (checked first); their orbits serve as the cluster representatives
     for labeling midpoints.  Each midpoint is evolved until it commits
     (within cluster_tol of one representative, >= 10 cluster_tol from
-    the other).  The trace records, per iteration, the bracket width
-    after the update and the smaller commit step among the endpoints
-    measured so far; every replacement lands strictly closer to the
-    boundary, so this escape time never decreases as the bracket
-    tightens (plateaus happen while one side waits for its update).
+    the other): in chunks of _COMMIT_CHUNK steps, each continuing the
+    last, checked after each chunk against the representatives' matching
+    prefix.  The trace records, per iteration, the bracket width after
+    the update and the smaller commit step among the endpoints measured
+    so far; every replacement lands strictly closer to the boundary, so
+    this escape time never decreases as the bracket tightens (plateaus
+    happen while one side waits for its update).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -666,8 +718,8 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
         if width <= target_width:
             break
         mid = (a + b) / 2.0
-        states = _solo_states(system, input_seq, mid, anchor, horizon)
-        side, t = _commit_step(states, rep_a, rep_b, cluster_tol)
+        side, t = _evolve_to_commit(system, input_seq, mid, anchor, rep_a,
+                                    rep_b, cluster_tol)
         if side is None:
             warning = ("midpoint did not commit within the horizon; "
                        "returning the best bracket")
@@ -690,8 +742,12 @@ def pair_divergence_step(system, input_seq, a, b, threshold, horizon, anchor=0):
     """First step at which two orbits drift more than `threshold` apart."""
     sa = _solo_states(system, input_seq, np.asarray(a, float), anchor, horizon)
     sb = _solo_states(system, input_seq, np.asarray(b, float), anchor, horizon)
-    gaps = np.linalg.norm(sa - sb, axis=1)
-    over = gaps > threshold
+    return _divergence_step(sa, sb, threshold)
+
+
+def _divergence_step(sa, sb, threshold):
+    """First row where states sa and sb are more than `threshold` apart."""
+    over = np.linalg.norm(sa - sb, axis=1) > threshold
     return int(np.argmax(over)) if over.any() else None
 
 

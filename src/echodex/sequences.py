@@ -126,10 +126,6 @@ class InputSequence:
         return InputSequence(anchor=first, values=self.values[a:b].copy(),
                              lo=self.lo, hi=self.hi, provenance=self.provenance)
 
-    def box_diameter(self):
-        """Euclidean diameter of the declared box U."""
-        return float(np.linalg.norm(self.hi - self.lo))
-
 
 def shift(seq, n):
     """Shift operator: (sigma^n u)[k] = u[k + n].

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
                      KloedenSystem, Region, RnnParams, WindowExhausted,
@@ -9,7 +10,7 @@ from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
                      estimate_echo_indices, gen_two_symbol, gen_uniform_scaled,
                      hausdorff_semidistance, orbit, pair_divergence_step,
                      pullback_fibre, run_ensemble, separatrix_bisect,
-                     switching_inputs)
+                     step_batch, switching_inputs)
 from echodex import index
 from echodex.sequences import InputSequence
 
@@ -439,6 +440,52 @@ def test_fibre_cloud_path_for_higher_dimensions():
     assert not np.array_equal(fib.points, other.points)
 
 
+def test_fibre_diameter_equals_pdist_max(switching_system, switching_input):
+    def check(xs):
+        ref = pdist(xs).max() if xs.shape[0] > 1 else 0.0
+        got = index._fibre_diameter(xs)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), xs.shape
+
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 50, 1000):
+        for d in (1, 2, 3, 10, 200):
+            for scale in (1.0, 1e-10, 1e-155, 1e-300):
+                for centre in (0.5, 0.0):
+                    if (n, d, scale, centre) == (1000, 200, 1e-155, 0.0):
+                        continue  # 10^8 subnormal products take seconds
+                    # skewed clouds: the maximal pair is off-centre
+                    check(centre + scale * rng.standard_exponential((n, d)))
+            check(rng.uniform(-1, 1, (n, d)))
+    # squares of differences below ~1e-154 underflow, and r with them
+    check(np.array([[0.0], [3e-162]]))
+    check(3e-162 * rng.standard_exponential((50, 3)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        check(np.full((5, 2), np.inf))
+        check(np.vstack([rng.uniform(-1, 1, (20, 2)), [[np.nan, 0.0]]]))
+        check(1e160 * rng.uniform(-1, 1, (20, 2)))  # squares overflow
+        check(np.array([[-1e154], [0.0], [1e154]]))  # only pair distances do
+    check(np.full((300, 2), 0.3))
+    check(np.full((4, 3), -0.0))
+    clump = 1e-20 * rng.uniform(-1, 1, (40, 2))
+    check(np.concatenate([clump, clump + [1e-17, 0.0]]))
+    check(np.concatenate([np.full((40, 2), 0.5), np.full((40, 2), 0.5 + 1e-17)]))
+    for d in (2, 3):
+        t = rng.uniform(-1, 1, (200, 1))
+        check(0.2 + t * rng.uniform(-1, 1, d))
+    angles = rng.uniform(0, 2 * np.pi, 500)
+    check(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    # every fibre diameter against the plain pdist loop
+    r_plus = Region(lo=np.array([-1.0, 0.55]), hi=np.array([1.0, 1.0]))
+    fib = pullback_fibre(switching_system, switching_input, n=0, depth=80,
+                         region=r_plus)
+    xs = r_plus.grid(33)[0]
+    ref = [pdist(xs).max()]
+    for k in range(-79, 1):
+        xs = step_batch(switching_system, switching_input.at(k), xs)
+        ref.append(pdist(xs).max())
+    assert fib.diameters.tobytes() == np.array(ref).tobytes()
+
+
 def test_fibre_respects_region_and_window(switching_system, switching_input):
     r_plus = Region(lo=np.array([-1.0, 0.55]), hi=np.array([1.0, 1.0]))
     fib = pullback_fibre(switching_system, switching_input, n=0, depth=80,
@@ -502,6 +549,111 @@ def test_pair_divergence_step():
     assert t is not None and 20 <= t <= 60
     assert pair_divergence_step(params, seq, a, a, threshold=0.1,
                                 horizon=50) is None
+
+
+def count_orbit_steps(monkeypatch):
+    """Record (anchor, n) of every orbit call made through index."""
+    calls = []
+
+    def counted(params, seq, x0, n, anchor=0):
+        calls.append((anchor, n))
+        return orbit(params, seq, x0, n, anchor=anchor)
+
+    monkeypatch.setattr(index, "orbit", counted)
+    return calls
+
+
+def test_evolve_to_commit_matches_full_horizon(switching_system, switching_input,
+                                               monkeypatch):
+    # tol 0 commits a step exactly where a representative equals the orbit,
+    # so the first hit of either side is placed at will, ties included
+    x0 = np.array([0.3, -0.1])
+    chunk = index._COMMIT_CHUNK
+    calls = count_orbit_steps(monkeypatch)
+    for horizon in (30, chunk, 137, 2 * chunk, 600):
+        full = index._solo_states(switching_system, switching_input, x0, 0,
+                                  horizon)
+        hits = {None, 0, 1, chunk - 1, chunk, chunk + 1, 73, 120, horizon - 1,
+                horizon}
+        hits = [h for h in hits if h is None or h <= horizon]
+        for hit_a in hits:
+            for hit_b in hits:
+                rep_a, rep_b = full.copy(), full.copy()
+                rep_a[:horizon + 1 if hit_a is None else hit_a] += 1.0
+                rep_b[:horizon + 1 if hit_b is None else hit_b] += 1.0
+                want = index._commit_step(full, rep_a, rep_b, 0.0)
+                calls.clear()
+                got = index._evolve_to_commit(switching_system, switching_input,
+                                              x0, 0, rep_a, rep_b, 0.0)
+                assert got == want, (horizon, hit_a, hit_b)
+                first = want[1]
+                steps = (horizon if first is None
+                         else min(horizon, chunk * max(1, -(-first // chunk))))
+                assert sum(n for _, n in calls) == steps
+                assert [a for a, _ in calls] == list(range(0, steps, chunk))
+
+
+def bisect_full_horizon(system, seq, lo, hi, horizon, max_iters=80,
+                        cluster_tol=1e-3, target_width=1e-12):
+    """separatrix_bisect with every midpoint evolved over the full horizon."""
+    rep_a = index._solo_states(system, seq, lo, 0, horizon)
+    rep_b = index._solo_states(system, seq, hi, 0, horizon)
+    a, b = lo.copy(), hi.copy()
+    commit_times, trace, straddle, warning = {"a": None, "b": None}, [], None, None
+    for _ in range(max_iters):
+        if float(np.linalg.norm(b - a)) <= target_width:
+            break
+        mid = (a + b) / 2.0
+        states = index._solo_states(system, seq, mid, 0, horizon)
+        side, t = index._commit_step(states, rep_a, rep_b, cluster_tol)
+        if side is None:
+            warning = "did not commit"
+            break
+        if side == "a":
+            a = mid
+        else:
+            b = mid
+        commit_times[side] = t
+        trace.append((float(np.linalg.norm(b - a)),
+                      min(v for v in commit_times.values() if v is not None)))
+        if straddle is None and np.linalg.norm(b - a) <= 1e-11:
+            straddle = (a.copy(), b.copy())
+    return a, b, trace, straddle, warning
+
+
+def test_separatrix_midpoints_stop_at_commit(switching_system, switching_input,
+                                             monkeypatch):
+    scalar, flat = bistable_scalar(), const_seq(0.0, -1, 300)
+    cases = [(scalar, flat, [-0.37], [0.52], 250, False),
+             (scalar, flat, [-0.37], [0.52], 20, True),
+             (switching_system, switching_input, [0.49, -0.2], [0.49, 0.0], 600,
+              False),
+             (switching_system, switching_input, [0.49, -0.2], [0.49, 0.0], 137,
+              True)]
+    for system, seq, lo, hi, horizon, warns in cases:
+        lo, hi = np.array(lo), np.array(hi)
+        a, b, trace, straddle, warning = bisect_full_horizon(system, seq, lo, hi,
+                                                             horizon)
+        calls = count_orbit_steps(monkeypatch)
+        res = separatrix_bisect(system, seq, lo, hi, horizon=horizon)
+        monkeypatch.undo()
+        assert res.bracket_lo.tobytes() == a.tobytes()
+        assert res.bracket_hi.tobytes() == b.tobytes()
+        assert res.trace.tobytes() == np.asarray(trace).reshape(-1, 2).tobytes()
+        assert (res.straddle_pair is None) == (straddle is None)
+        if straddle is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(res.straddle_pair,
+                                                            straddle))
+        assert (res.warning is not None) == (warning is not None) == warns
+        if horizon == 600:
+            # the representatives run the full horizon; each midpoint
+            # starts at the anchor and stops at its commit chunk
+            assert calls[:2] == [(0, 600), (0, 600)]
+            starts = [i for i, (anchor, _) in enumerate(calls) if anchor == 0][2:]
+            spans = [sum(n for _, n in calls[i:j])
+                     for i, j in zip(starts, starts[1:] + [len(calls)])]
+            assert len(spans) == len(trace) and max(spans) < horizon
+            assert min(spans) <= 2 * index._COMMIT_CHUNK
 
 
 def brute_hausdorff(a, b):
