@@ -260,7 +260,9 @@ def _run_switching2d(cfg, out):
         transients=tuple(int(t) for t in cfg["transients"]),
         horizon=int(cfg["horizon"]), window=int(cfg["window"]),
         cluster_tol=tol, ic_seed=seed)
-    report = estimate_echo_index(params, seq, protocol)
+    # with --out, ensemble.csv holds the tails of the ladder's first rung
+    report = estimate_echo_index(params, seq, protocol,
+                                 keep_rung=None if out is None else 0)
 
     strip_plus = strip_bounds_closed_form(1)
     strip_minus = strip_bounds_closed_form(-1)
@@ -387,11 +389,8 @@ def _run_switching2d(cfg, out):
     }
     outputs = {}
     if out is not None:
-        run = run_ensemble(params, seq, int(cfg["ic_count"]),
-                           transient=int(cfg["transients"][0]),
-                           horizon=int(cfg["horizon"]), ic_seed=seed)
         path = out / "ensemble.csv"
-        ensemble_to_csv(run, path)
+        ensemble_to_csv(report.ensemble, path)
         outputs["ensemble"] = str(path)
     return summary, assertions, outputs
 
@@ -651,6 +650,7 @@ def _run_context_task(cfg, out):
     accuracy = float(np.mean(pred_sign[scored] == true_sign[scored]))
 
     projections, cumvar = pca_project(traj.states, 2)
+    del states, traj  # not read again; frees them before the ensemble ladder
 
     inputs_off = task.pulses_off_input()
     ens_protocol = IndexProtocol(
@@ -658,7 +658,9 @@ def _run_context_task(cfg, out):
         transients=tuple(int(t) for t in cfg["ens_transients"]),
         horizon=int(cfg["ens_horizon"]), window=int(cfg["ens_window"]),
         cluster_tol=float(cfg["cluster_tol"]), ic_seed=seed)
-    ens_report = estimate_echo_index(params, inputs_off, ens_protocol)
+    # with --out, ensemble_z1.csv holds the tails of the ladder's final rung
+    ens_report = estimate_echo_index(params, inputs_off, ens_protocol,
+                                     keep_rung=None if out is None else -1)
 
     assertions = [
         Assertion("context-accuracy",
@@ -701,9 +703,7 @@ def _run_context_task(cfg, out):
                       *projections.T.tolist(), targets_test[:, 0].tolist()))
         outputs["pca"] = str(pca_path)
 
-        run = run_ensemble(params, inputs_off, int(cfg["ens_ics"]),
-                           transient=int(cfg["ens_transients"][-1]),
-                           horizon=int(cfg["ens_horizon"]), ic_seed=seed)
+        run = ens_report.ensemble
         z1_path = out / "ensemble_z1.csv"
         ks = range(run.tail_anchor, run.tail_anchor + run.horizon + 1)
         z1 = [(tail @ params.w_out[0]).tolist() for tail in run.trajectories]

@@ -30,6 +30,12 @@ Ensembles of every system are evolved under two contracts, each bit-exact:
   cocycle identity (iterating s steps and then t more equals iterating
   s + t steps under the same input) the retained tails equal those of a
   fresh run bit for bit.
+
+A caller that also needs a rung's ensemble (to write it out) passes
+estimate_echo_indices' keep_rung; each report then holds that rung's
+EnsembleRun in report.ensemble, so no ensemble is evolved twice.
+Clustering keeps its pair differences in one scratch block of about
+512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size.
 """
 
 from dataclasses import dataclass, field, replace
@@ -268,6 +274,8 @@ class EchoIndexReport:
     min_separation is the smallest over-time gap between members of
     different clusters (inf over the window); max_diameter is the
     largest intra-cluster distance at the final retained step.
+    ensemble is the EnsembleRun of the ladder rung a caller kept
+    (estimate_echo_indices' keep_rung); it is not part of the summary.
     """
 
     index: object
@@ -276,6 +284,7 @@ class EchoIndexReport:
     max_diameter: float
     cluster_tol: float
     diagnostics: dict
+    ensemble: object = field(default=None, repr=False)
 
     @property
     def is_definite(self):
@@ -300,24 +309,36 @@ def _component_labels(adj):
     return n_comp, labels
 
 
+# bytes of pair differences _pair_distances holds at once: bounds its
+# scratch at one block of rows instead of (m - 1) x W x d
+_PAIR_BLOCK_BYTES = 512 * 1024
+
+
 def _pair_distances(tails):
     """Pair distances of the tails (m, W, d) over the window: max, min,
-    max per last third (3, m, m), final.  Its one buffer dies on return."""
-    m, window, _ = tails.shape
+    max per last third (3, m, m), final.  Row i runs over j > i in blocks
+    of one scratch buffer of ~_PAIR_BLOCK_BYTES; each (pair, step) sum
+    reduces its own contiguous row, so the block height leaves the bits
+    unchanged."""
+    m, window, d = tails.shape
     third = window // 3
     d_max, d_min, d_final = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
     d_parts = np.zeros((3, m, m))
-    buf = np.empty((m - 1,) + tails.shape[1:])
+    block = max(1, _PAIR_BLOCK_BYTES // (window * d * 8))
+    buf = np.empty((min(block, m - 1), window, d))
     for i in range(m - 1):
-        diff = np.subtract(tails[i + 1:], tails[i][None, :, :], out=buf[i:])
-        np.multiply(diff, diff, out=diff)
-        norms = np.sqrt(np.sum(diff, axis=2))
-        d_max[i, i + 1:] = norms.max(axis=1)
-        d_min[i, i + 1:] = norms.min(axis=1)
-        d_final[i, i + 1:] = norms[:, -1]
-        for p in range(3):
-            hi = window - (2 - p) * third
-            d_parts[p, i, i + 1:] = norms[:, hi - third:hi].max(axis=1)
+        for j0 in range(i + 1, m, block):
+            j1 = min(j0 + block, m)
+            diff = np.subtract(tails[j0:j1], tails[i][None, :, :],
+                               out=buf[:j1 - j0])
+            np.multiply(diff, diff, out=diff)
+            norms = np.sqrt(np.sum(diff, axis=2))
+            d_max[i, j0:j1] = norms.max(axis=1)
+            d_min[i, j0:j1] = norms.min(axis=1)
+            d_final[i, j0:j1] = norms[:, -1]
+            for p in range(3):
+                hi = window - (2 - p) * third
+                d_parts[p, i, j0:j1] = norms[:, hi - third:hi].max(axis=1)
     return (d_max + d_max.T, d_min + d_min.T,
             d_parts + np.transpose(d_parts, (0, 2, 1)), d_final + d_final.T)
 
@@ -433,13 +454,20 @@ def _ladder_rung(system, seqs, seeds, protocol, r, anchor, prev=None):
                               anchor, prev), int(transient))
 
 
-def _cluster_rung(system, seqs, seeds, protocol, rung, anchor):
-    return [cluster_asymptotics(
-        EnsembleRun(system=system, input_seq=seq, initial_conditions=rung.ics[i],
-                    transient=rung.transient, horizon=int(protocol.horizon),
-                    anchor=int(anchor), ic_seed=seed, trajectories=rung.tails[i]),
-        cluster_tol=protocol.cluster_tol, window=protocol.window)
-        for i, (seq, seed) in enumerate(zip(seqs, seeds))]
+def _rung_runs(system, seqs, seeds, protocol, rung, anchor, own=False):
+    """EnsembleRun of each input's members in a rung: views of the rung's
+    arrays, or with `own` copies that do not hold the whole rung alive."""
+    return [EnsembleRun(system=system, input_seq=seq,
+                        initial_conditions=rung.ics[i].copy() if own else rung.ics[i],
+                        transient=rung.transient, horizon=int(protocol.horizon),
+                        anchor=int(anchor), ic_seed=seed,
+                        trajectories=rung.tails[i].copy() if own else rung.tails[i])
+            for i, (seq, seed) in enumerate(zip(seqs, seeds))]
+
+
+def _cluster_runs(runs, protocol):
+    return [cluster_asymptotics(run, cluster_tol=protocol.cluster_tol,
+                                window=protocol.window) for run in runs]
 
 
 def _final_report(reports, stable_at, shifted, protocol, anchor):
@@ -461,7 +489,7 @@ def _final_report(reports, stable_at, shifted, protocol, anchor):
 
 
 def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
-                          ic_seeds=None):
+                          ic_seeds=None, keep_rung=None):
     """Echo index estimates for many inputs from one lockstep ladder.
 
     Each report equals what estimate_echo_index gives for that input
@@ -469,6 +497,16 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     rung evolves the inputs still open as one batch, continuing the
     previous rung's members where the protocol allows; the shift checks
     of all inputs that stabilised at the same rung run as one batch.
+
+    keep_rung (a protocol rung index, negative from the end) makes each
+    report carry that rung's ensemble at `anchor` in report.ensemble,
+    bit-identical to run_ensemble(system, seq, ic_counts[r],
+    transients[r], horizon, anchor, ic_seed), or None if the ladder
+    stopped before that rung.  It is built from the rung's own arrays
+    (views for one input, a copy per input for several), so keeping a
+    rung evolves nothing more.  Beyond the rungs' tails, clustering
+    needs only (m, m) results and one pair scratch block of about
+    512 KiB (_pair_distances).
     """
     protocol = protocol or IndexProtocol()
     seqs = list(input_seqs)
@@ -477,10 +515,17 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     if len(seeds) != len(seqs):
         raise ConfigurationError(
             f"{len(seeds)} IC seeds for {len(seqs)} input sequences")
+    n_rungs = len(protocol.ic_counts)
+    if keep_rung is not None:
+        if not -n_rungs <= keep_rung < n_rungs:
+            raise ConfigurationError(
+                f"keep_rung {keep_rung} outside a {n_rungs}-rung protocol")
+        keep_rung %= n_rungs
     history = [[] for _ in seqs]
+    kept = [None] * len(seqs)
     stable_at = [None] * len(seqs)
     open_, prev = list(range(len(seqs))), None
-    for r in range(len(protocol.ic_counts)):
+    for r in range(n_rungs):
         if not open_:
             break
         open_seqs = [seqs[i] for i in open_]
@@ -488,8 +533,12 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
         rung = _ladder_rung(system, open_seqs, open_seeds, protocol, r, anchor,
                             prev)
         prev = None  # the carried states are not needed while clustering
-        reports = _cluster_rung(system, open_seqs, open_seeds, protocol, rung,
-                                anchor)
+        runs = _rung_runs(system, open_seqs, open_seeds, protocol, rung, anchor,
+                          own=r == keep_rung and len(open_) > 1)
+        if r == keep_rung:
+            for i, run in zip(open_, runs):
+                kept[i] = run
+        reports = _cluster_runs(runs, protocol)
         rows = []
         for row, (i, rep) in enumerate(zip(open_, reports)):
             history[i].append(rep)
@@ -500,7 +549,8 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
                 rows.append(row)
         if r + 1 < len(protocol.transients):
             prev = rung.carry(rows, protocol.transients[r + 1], protocol.horizon)
-        rung = None  # free the full tails before the next rung allocates its own
+        # free the full tails before the next rung allocates its own
+        rung = runs = None
         open_ = [open_[row] for row in rows]
 
     shifted = [None] * len(seqs)
@@ -511,15 +561,18 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
         group_seeds = [seeds[i] for i in group]
         rung = _ladder_rung(system, group_seqs, group_seeds, protocol, r,
                             shift_anchor)
-        for i, rep in zip(group, _cluster_rung(system, group_seqs, group_seeds,
-                                               protocol, rung, shift_anchor)):
+        runs = _rung_runs(system, group_seqs, group_seeds, protocol, rung,
+                          shift_anchor)
+        for i, rep in zip(group, _cluster_runs(runs, protocol)):
             shifted[i] = rep
-        rung = None
-    return [_final_report(history[i], stable_at[i], shifted[i], protocol, anchor)
+        rung = runs = None
+    return [replace(_final_report(history[i], stable_at[i], shifted[i], protocol,
+                                  anchor), ensemble=kept[i])
             for i in range(len(seqs))]
 
 
-def estimate_echo_index(system, input_seq, protocol=None, anchor=0):
+def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
+                        keep_rung=None):
     """Escalating ensemble estimate of the echo index at one anchor.
 
     Escalates through the protocol's rungs until two consecutive rungs
@@ -530,9 +583,10 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0):
     run_ensemble calls and to solo orbits: every system is stepped in
     lockstep, rowwise exact (one gemv per reservoir row, step_batch
     rowwise otherwise), and a rung that continues the previous one is
-    exact by the cocycle identity.
+    exact by the cocycle identity.  keep_rung is estimate_echo_indices'.
     """
-    return estimate_echo_indices(system, [input_seq], protocol, anchor)[0]
+    return estimate_echo_indices(system, [input_seq], protocol, anchor,
+                                 keep_rung=keep_rung)[0]
 
 
 # ----------------------------------------------------------------------

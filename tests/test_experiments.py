@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from echodex import (Assertion, ExperimentResult, RnnParams, TrainedModel,
-                     gen_two_symbol, resolve_config, run_fold_bisect,
-                     run_from_manifest, run_kloeden, save_model, save_sequence)
+                     ensemble_to_csv, gen_two_symbol, resolve_config,
+                     run_ensemble, run_fold_bisect, run_from_manifest,
+                     run_kloeden, run_switching2d, save_model, save_sequence,
+                     switching_inputs, switching_params)
+from echodex import experiments
 from echodex.cli import main
 from echodex.experiments import DEFAULT_SEEDS, DEFAULTS
 
@@ -104,6 +107,19 @@ def test_fold_bisect_rejects_bad_bracket():
     with pytest.raises(ValueError):
         # both ends below the fold: nothing to straddle
         run_fold_bisect(w_hi=0.0001)
+
+
+def test_switching2d_ensemble_csv_is_the_first_rung(tmp_path, monkeypatch):
+    def no_second_run(*args, **kwargs):
+        raise AssertionError("the preset evolved an ensemble outside its ladder")
+    monkeypatch.setattr(experiments, "run_ensemble", no_second_run)
+    result = run_switching2d(out_dir=tmp_path / "out")
+    assert result.ok, result.failures()
+    seq = gen_two_symbol(*switching_inputs(), 0.5, -300, 700, seed=0)
+    ensemble_to_csv(run_ensemble(switching_params(), seq, 30, transient=200,
+                                 horizon=120, ic_seed=0), tmp_path / "fresh.csv")
+    assert ((tmp_path / "out" / "ensemble.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
 
 
 def test_cli_preset_pass_and_fail(tmp_path, capsys):

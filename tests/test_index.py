@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,11 +239,18 @@ def explicit_pair_distances(tails):
             np.sqrt(np.sum(fdiff * fdiff, axis=2)))
 
 
-@pytest.mark.parametrize("m", [1, 2, 9, 40])
-def test_pair_distances_match_the_explicit_formula(m):
+# at d = 200 a scratch block holds 10 rows of a 31-step window, at
+# d = 1000 two: rows span several blocks, the last one partial
+@pytest.mark.parametrize("m, d", [pytest.param(1, 3, id="1"),
+                                  pytest.param(2, 3, id="2"),
+                                  pytest.param(9, 3, id="9"),
+                                  pytest.param(40, 3, id="40"),
+                                  pytest.param(24, 200, id="24-d200"),
+                                  pytest.param(8, 1000, id="8-d1000")])
+def test_pair_distances_match_the_explicit_formula(m, d):
     rng = np.random.default_rng(m)
     centres = np.where(rng.random(m) < 0.5, -0.6, 0.6)[:, None, None]
-    tails = centres + 1e-5 * rng.standard_normal((m, 31, 3))
+    tails = centres + 1e-5 * rng.standard_normal((m, 31, d))
     got = index._pair_distances(tails)
     want = explicit_pair_distances(tails)
     for g, w in zip(got, want):
@@ -257,6 +265,22 @@ def test_pair_distances_match_the_explicit_formula(m):
     assert rep.min_separation == (d_min[cross].min() if cross.any() else np.inf)
     assert rep.max_diameter == (d_final[same].max() if same.any() else 0.0)
     assert len(rep.clusters) == np.unique(centres).size
+
+
+def test_pair_distances_scratch_is_bounded():
+    # the context ensemble's shape, whose whole (m - 1, W, d) difference
+    # array would be 15.8 MB
+    m, window, d = 100, 100, 200
+    tails = np.random.default_rng(0).standard_normal((m, window, d))
+    tracemalloc.start()
+    try:
+        index._pair_distances(tails)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six (m, m) arrays are filled, six more are their symmetric sums
+    results = 12 * m * m * 8
+    assert peak - results < 1.5 * 2**20
 
 
 def test_estimate_echo_index_switching(switching_system, switching_input):
@@ -402,6 +426,95 @@ def test_shrinking_transient_falls_back_to_fresh_evolution(
     assert steps[1:] == [(6, 270)]  # every member restarts at the anchor
     assert np.array_equal(tails[0], fresh_rung(switching_system, switching_input,
                                                2, proto, 1))
+
+
+def feedback_reservoir(seed, n_r=30):
+    rng = np.random.default_rng(seed)
+    w_r = rng.uniform(-1, 1, (n_r, n_r))
+    params = RnnParams(alpha=0.6, w_r=0.9 * w_r / np.linalg.norm(w_r, 2),
+                       w_in=rng.uniform(-1, 1, (n_r, 2)),
+                       w_fb=rng.uniform(-0.5, 0.5, (n_r, 1)),
+                       w_out=rng.uniform(-0.2, 0.2, (1, n_r)))
+    return params, InputSequence(anchor=0, values=rng.uniform(-1, 1, (400, 2)))
+
+
+def assert_fresh_run(kept, system, seq, protocol, r, anchor, seed):
+    fresh = run_ensemble(system, seq, protocol.ic_counts[r], protocol.transients[r],
+                         protocol.horizon, anchor=anchor, ic_seed=seed)
+    assert kept.system is system and kept.input_seq is seq
+    assert np.array_equal(kept.initial_conditions, fresh.initial_conditions)
+    assert np.array_equal(kept.trajectories, fresh.trajectories)
+    assert (kept.transient, kept.horizon, kept.anchor, kept.ic_seed) == (
+        fresh.transient, fresh.horizon, fresh.anchor, fresh.ic_seed)
+    assert type(kept.transient) is type(kept.anchor) is int
+
+
+@pytest.mark.parametrize("keep_rung", [0, -1])
+@pytest.mark.parametrize("system_name", ["feedback", "switching"])
+def test_kept_rung_equals_a_fresh_run(system_name, keep_rung, switching_system,
+                                      switching_input, monkeypatch):
+    if system_name == "feedback":
+        system, seq = feedback_reservoir(21)
+        proto = IndexProtocol(ic_counts=(5, 8), transients=(50, 150),
+                              horizon=40, window=30, ic_seed=7)
+        anchor = 3
+    else:
+        system, seq = switching_system, switching_input
+        proto = IndexProtocol(ic_counts=(16, 24), transients=(150, 300),
+                              horizon=120, window=100, ic_seed=2)
+        anchor = 0
+    steps = count_advanced_steps(monkeypatch)
+    plain = estimate_echo_index(system, seq, proto, anchor=anchor)
+    plain_steps = list(steps)
+    steps.clear()
+    rep = estimate_echo_index(system, seq, proto, anchor=anchor,
+                              keep_rung=keep_rung)
+    assert steps == plain_steps  # keeping a rung evolves nothing more
+    assert plain.ensemble is None
+    assert rep.summary_dict() == plain.summary_dict()
+    assert "ensemble" not in rep.summary_dict() and "ensemble" not in repr(rep)
+    assert_fresh_run(rep.ensemble, system, seq, proto, keep_rung % 2, anchor,
+                     proto.ic_seed)
+
+
+def test_kept_rung_is_none_when_the_ladder_stops_before_it():
+    params = bistable_driven()
+    seq = const_seq(0.0, -5, 394)
+    rep = estimate_echo_index(params, seq, SHORT_LADDER, keep_rung=2)
+    assert rep.verdict() == "2" and len(rep.diagnostics["rungs"]) == 2
+    assert rep.ensemble is None
+    assert estimate_echo_index(params, seq, SHORT_LADDER, keep_rung=-1).ensemble is None
+    for bad in (3, -4):
+        with pytest.raises(ConfigurationError):
+            estimate_echo_index(params, seq, SHORT_LADDER, keep_rung=bad)
+
+
+def test_many_input_ladder_keeps_one_run_per_input(monkeypatch):
+    params = bistable_driven()
+    seqs = [const_seq(0.0, -5, 394), const_seq(1.0, -5, 394),
+            gen_uniform_scaled(1.0, -5, 400, seed=6), const_seq(0.533, -5, 394),
+            gen_uniform_scaled(1.1, -5, 400, seed=1)]
+    seeds = [3, 1, 0, 2, 0]
+    steps = count_advanced_steps(monkeypatch)
+    plain = estimate_echo_indices(params, seqs, SHORT_LADDER, ic_seeds=seeds)
+    plain_steps = list(steps)
+    for r in (1, 2):
+        steps.clear()
+        reps = estimate_echo_indices(params, seqs, SHORT_LADDER, ic_seeds=seeds,
+                                     keep_rung=r)
+        assert steps == plain_steps
+        for seq, seed, rep, ref in zip(seqs, seeds, reps, plain):
+            assert rep.summary_dict() == ref.summary_dict()
+            if len(rep.diagnostics["rungs"]) <= r:
+                assert rep.ensemble is None
+                continue
+            assert_fresh_run(rep.ensemble, params, seq, SHORT_LADDER, r, 0, seed)
+        runs = [rep.ensemble for rep in reps if rep.ensemble is not None]
+        assert len(runs) == (5 if r == 1 else 2)
+        for a in runs:  # each input owns its arrays, not the whole rung's
+            assert a.trajectories.base is None
+            assert not any(np.shares_memory(a.trajectories, b.trajectories)
+                           for b in runs if b is not a)
 
 
 def test_protocol_validation():
