@@ -10,12 +10,21 @@ configured.  The affine form is always evaluated in the fixed order
 W_r x, then + W_in u, then + W_fb z, so that repeated runs are
 bit-identical and the cocycle identity holds exactly.
 
+One kernel, _advance, evolves every orbit of every system: (inputs,
+members, d) states in lockstep, each input's rows under its own drive.
+orbit is its one-member case and the index module's ensembles its
+many-member case, so ensemble rows equal solo orbits by construction.
+numpy must only compute each stacked row on its own (stacked matmul
+runs one gemv per row).  step, built on the same _preactivation, is
+the per-step public reference the test suite checks orbit against.
+
 All floats are 64-bit.  Parameter objects are frozen and their arrays
 read-only; step / jacobian / orbit are pure functions safe to call from
 many threads.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 import json
 from pathlib import Path
 
@@ -189,11 +198,6 @@ def _rows_gemm(w, xs):
     return xs @ w.T
 
 
-def _step_raw(params, u, x):
-    return (1.0 - params.alpha) * x + params.alpha * np.tanh(
-        _preactivation(params, u, x))
-
-
 def _check_uq(params, u, x):
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -207,7 +211,8 @@ def _check_uq(params, u, x):
 def step(params, u, x):
     """One application of the state-update map G(u, x)."""
     u, x = _check_uq(params, u, x)
-    return _step_raw(params, u, x)
+    return (1.0 - params.alpha) * x + params.alpha * np.tanh(
+        _preactivation(params, u, x))
 
 
 def step_batch(params, u, xs):
@@ -216,8 +221,8 @@ def step_batch(params, u, xs):
     One GEMM for all rows, for point clouds (pullback fibres, region
     checks) where exactness is not a contract: row results equal step()
     only up to last-ulp BLAS variation and depend on the batch.
-    Ensembles, whose rows must equal orbit() bit for bit, are stepped
-    by the index module with one gemv per row instead.
+    Orbits and ensembles, whose rows must equal step() bit for bit, are
+    stepped by _advance with one gemv per row instead.
     """
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -279,32 +284,84 @@ class Trajectory:
         return self.states[j]
 
 
-def orbit(params, input_seq, x0, n, anchor=0):
+def _matvec_rows(w):
+    """x -> w @ v for every row v of x (..., n), one gemv per row; a
+    1 x 1 w is one multiply, bound without a Python call per step."""
+    if w.shape == (1, 1):
+        return partial(np.multiply, w[0, 0])
+    return lambda x: np.matmul(w, x[..., None])[..., 0]
+
+
+# input steps the lockstep loop reads at once: bounds the drive buffer
+# at (chunk x inputs x n_r) instead of (steps x inputs x n_r)
+_DRIVE_CHUNK = 1024
+
+
+def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
+    """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
+    time t0 to t1 in lockstep and return their states at t1, writing the
+    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  RnnParams
+    rows follow _preactivation's arithmetic and order; other systems step
+    each input's rows through step_batch."""
+    if xs.shape[1] == 0:
+        return xs
+    rnn = isinstance(system, RnnParams)
+    if rnn:
+        w_r, w_in = _matvec_rows(system.w_r), _matvec_rows(system.w_in)
+        feedback = system.w_out is not None
+        if feedback:
+            w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
+        alpha, om = system.alpha, 1.0 - system.alpha
+    x = xs
+    if t0 >= tail_t0:
+        tails[:, :, t0 - tail_t0] = x
+    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
+        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
+        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs],
+                         axis=1)
+        if rnn:
+            drive = w_in(drive)[:, :, None]
+        for t, u in zip(range(c0, c1), drive):
+            if rnn:
+                # _preactivation's order, inlined with bound row maps: a
+                # Python call per step slows the n_r = 1 loop by 7-8 %
+                pre = w_r(x) + u
+                if feedback:
+                    pre = pre + w_fb(w_out(x))
+                x = om * x + alpha * np.tanh(pre)
+            else:
+                x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
+            if t >= tail_t0:
+                tails[:, :, t - tail_t0] = x
+    return x
+
+
+def orbit(system, input_seq, x0, n, anchor=0):
     """Iterate the map n times from x0 anchored at time `anchor`.
 
-    The step arriving at time k consumes input value u[k], so the input
-    window must cover [anchor + 1, anchor + n].  Underflow raises the
-    sequence's window-exhausted error; there is no silent padding.
+    system is RnnParams or any object with state_dim, state_bound and a
+    rowwise step_batch (see the index module).  The step arriving at
+    time k consumes input value u[k], so the input window must cover
+    [anchor + 1, anchor + n].  Underflow raises the sequence's
+    window-exhausted error; there is no silent padding.  The orbit is
+    _advance's one-input, one-member case.
 
     Returns
     -------
     Trajectory
         states[j] is the state at time anchor + j, j = 0..n.
     """
+    d = system.state_dim
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (params.n_r,):
-        raise ConfigurationError(f"x0 must have shape ({params.n_r},), got {x0.shape}")
+    if x0.shape != (d,):
+        raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
-    if n > 0:
-        input_seq.require_window(anchor + 1, anchor + n)
-    states = np.empty((n + 1, params.n_r))
-    states[0] = x0
-    x = x0
-    for j in range(1, n + 1):
-        x = _step_raw(params, input_seq.at(anchor + j), x)
-        states[j] = x
-    return Trajectory(anchor=anchor, states=states)
+    input_seq.require_window(anchor + 1, anchor + n)
+    states = np.empty((1, 1, n + 1, d))
+    _advance(system, [input_seq], x0[None, None], anchor, anchor + n, states,
+             anchor)
+    return Trajectory(anchor=anchor, states=states[0, 0])
 
 
 def spectral_norm(mat):

@@ -11,19 +11,17 @@ ambiguity band around the clustering tolerance, or failure to
 stabilize under protocol escalation.
 
 Systems are either RnnParams or any object exposing `state_dim`,
-`state_bound`, `step_one(u, x)` and `step_batch(u, xs)`; step_batch
-must apply the map rowwise, each row bit-exact with step_one.
+`state_bound` and `step_batch(u, xs)`, which must apply the map rowwise:
+each row's result depends on that row alone.
 
-Ensembles of every system are evolved under two contracts, each bit-exact:
+Every orbit here, ensemble member or solo (separatrix, pair
+divergence), is evolved by core._advance under two bit-exact contracts:
 
 - Lockstep batching.  The members of every input in one ladder rung
-  form one (inputs, members, d) array, advanced one step at a time,
-  each row with its own input's drive.  Reservoir rows equal their solo
-  `orbit` bit for bit because numpy's stacked matmul issues one gemv
-  per row, the call the solo W @ x makes.  That is a property of
-  numpy/OpenBLAS, not a claim of the paper, and the test suite guards
-  it.  `orbit` stays the reference for separatrix bisection and pair
-  divergence.
+  form one (inputs, members, d) array, each row under its own input's
+  drive.  `orbit` is the kernel's one-member case, so each row is its
+  solo orbit by construction; numpy must only compute each stacked row
+  on its own, a property of numpy/OpenBLAS (see core), not of the paper.
 - Continuation.  A ladder rung whose transient does not shrink
   continues the members it shares with the previous rung from their
   final states instead of restarting them at the anchor.  By the
@@ -46,7 +44,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
-from .core import ConfigurationError, RnnParams, Trajectory, orbit, step_batch
+from .core import (ConfigurationError, RnnParams, Trajectory, _advance, orbit,
+                   step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
 from .sequences import write_csv
@@ -83,71 +82,6 @@ class EnsembleRun:
 
     def trajectory(self, i):
         return Trajectory(anchor=self.tail_anchor, states=self.trajectories[i])
-
-
-def _solo_states(system, seq, x0, anchor, n):
-    """States (n+1, d) of one trajectory; the bit-exact reference path."""
-    if isinstance(system, RnnParams):
-        return orbit(system, seq, x0, n, anchor=anchor).states
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((n + 1, x.shape[0]))
-    states[0] = x
-    for j in range(1, n + 1):
-        x = system.step_one(seq.at(anchor + j), x)
-        states[j] = x
-    return states
-
-
-def _matvec_rows(w):
-    """x -> w @ v for every row v of x (..., n), one gemv per row; a
-    1 x 1 w is one multiply, bound without a Python call per step."""
-    if w.shape == (1, 1):
-        return partial(np.multiply, w[0, 0])
-    return lambda x: np.matmul(w, x[..., None])[..., 0]
-
-
-# input steps the lockstep loop reads at once: bounds the drive buffer
-# at (chunk x inputs x n_r) instead of (steps x inputs x n_r)
-_DRIVE_CHUNK = 1024
-
-
-def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
-    """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
-    time t0 to t1 in lockstep and return their states at t1, writing the
-    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  RnnParams
-    rows follow _step_raw's arithmetic and order; other systems step
-    each input's rows through step_batch."""
-    if xs.shape[1] == 0:
-        return xs
-    rnn = isinstance(system, RnnParams)
-    if rnn:
-        w_r, w_in = _matvec_rows(system.w_r), _matvec_rows(system.w_in)
-        feedback = system.w_out is not None
-        if feedback:
-            w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
-        alpha, om = system.alpha, 1.0 - system.alpha
-    x = xs
-    if t0 >= tail_t0:
-        tails[:, :, t0 - tail_t0] = x
-    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
-        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
-        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs],
-                         axis=1)
-        if rnn:
-            drive = w_in(drive)[:, :, None]
-        for t, u in zip(range(c0, c1), drive):
-            if rnn:
-                # core._preactivation's order, inlined with bound row maps:
-                # a Python call per step slows the n_r = 1 loop by 7-8 %
-                pre = w_r(x) + u
-                if feedback:
-                    pre = pre + w_fb(w_out(x))
-                x = om * x + alpha * np.tanh(pre)
-            else:
-                x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
-            if t >= tail_t0:
-                tails[:, :, t - tail_t0] = x
-    return x
 
 
 @dataclass(frozen=True)
@@ -421,7 +355,8 @@ class IndexProtocol:
     """Escalation ladder for estimate_echo_index.
 
     Rung r runs ic_counts[r] initial conditions in lockstep (each row
-    bit-exact with its solo orbit) after transients[r] discarded steps;
+    is its solo orbit: both come from core._advance) after transients[r]
+    discarded steps;
     the estimate is accepted once two consecutive rungs give the same
     definite index, then spot-checked at a shifted anchor.
     IC i is drawn from its own substream, so rung r + 1 shares its first
@@ -580,10 +515,11 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
     anchor (shift invariance); any disagreement or exhaustion of the
     ladder yields "indefinite".  This is the one-input case of
     estimate_echo_indices.  Its tails are bit-identical to fresh
-    run_ensemble calls and to solo orbits: every system is stepped in
-    lockstep, rowwise exact (one gemv per reservoir row, step_batch
-    rowwise otherwise), and a rung that continues the previous one is
-    exact by the cocycle identity.  keep_rung is estimate_echo_indices'.
+    run_ensemble calls and to solo orbits: all of them are core._advance
+    runs, whose rows are computed on their own (one gemv per reservoir
+    row, step_batch rowwise otherwise), and a rung that continues the
+    previous one is exact by the cocycle identity.  keep_rung is
+    estimate_echo_indices'.
     """
     return estimate_echo_indices(system, [input_seq], protocol, anchor,
                                  keep_rung=keep_rung)[0]
@@ -730,8 +666,8 @@ def _evolve_to_commit(system, input_seq, x0, anchor, rep_a, rep_b, cluster_tol):
     states[0] = x0
     while True:
         n = min(_COMMIT_CHUNK, horizon - t)
-        states[t:t + n + 1] = _solo_states(system, input_seq, states[t],
-                                           anchor + t, n)
+        states[t:t + n + 1] = orbit(system, input_seq, states[t], n,
+                                    anchor=anchor + t).states
         t += n
         side, hit = _commit_step(states[:t + 1], rep_a[:t + 1], rep_b[:t + 1],
                                  cluster_tol)
@@ -757,9 +693,8 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    input_seq.require_window(anchor + 1, anchor + horizon)
-    rep_a = _solo_states(system, input_seq, lo, anchor, horizon)
-    rep_b = _solo_states(system, input_seq, hi, anchor, horizon)
+    rep_a = orbit(system, input_seq, lo, horizon, anchor=anchor).states
+    rep_b = orbit(system, input_seq, hi, horizon, anchor=anchor).states
     if np.linalg.norm(rep_a[-1] - rep_b[-1]) <= 10 * cluster_tol:
         raise ConfigurationError("lo and hi converge to the same basin")
     a, b = lo.copy(), hi.copy()
@@ -794,8 +729,8 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
 
 def pair_divergence_step(system, input_seq, a, b, threshold, horizon, anchor=0):
     """First step at which two orbits drift more than `threshold` apart."""
-    sa = _solo_states(system, input_seq, np.asarray(a, float), anchor, horizon)
-    sb = _solo_states(system, input_seq, np.asarray(b, float), anchor, horizon)
+    sa = orbit(system, input_seq, a, horizon, anchor=anchor).states
+    sb = orbit(system, input_seq, b, horizon, anchor=anchor).states
     return _divergence_step(sa, sb, threshold)
 
 

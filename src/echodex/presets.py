@@ -4,8 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RnnParams
-from .index import _solo_states
+from .core import RnnParams, orbit
 from .sequences import InputSequence
 from .training import init_reservoir
 
@@ -60,6 +59,7 @@ class KloedenSystem:
     state_bound = 1.0
 
     def step_one(self, u, x):
+        """The reference map on one state; the package steps step_batch."""
         return np.tanh(u * x / (1.0 + np.abs(x)))
 
     step_batch = step_one  # elementwise: rowwise, bit-exact with step_one
@@ -80,8 +80,8 @@ class KloedenSystem:
 
     def run(self, x0, k_start, k_end):
         """States at times k_start..k_end from x0 under the canonical drive."""
-        return _solo_states(self, self.arrival_sequence(k_start, k_end),
-                            np.array([x0]), k_start, k_end - k_start)[:, 0]
+        return orbit(self, self.arrival_sequence(k_start, k_end), [x0],
+                     k_end - k_start, anchor=k_start).states[:, 0]
 
 
 def context_reservoir(cfg):

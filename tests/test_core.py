@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from echodex import (ConfigurationError, RnnParams, WindowExhausted, jacobian,
-                     jacobian_batch, load_params, orbit, save_params, shift,
-                     spectral_norm, step, step_batch)
+from echodex import (ConfigurationError, KloedenSystem, RnnParams,
+                     WindowExhausted, jacobian, jacobian_batch, load_params,
+                     orbit, save_params, shift, spectral_norm, step, step_batch)
 from echodex.sequences import InputSequence
 
-from conftest import random_params
+from conftest import lockstep_reservoir, random_params
 
 
 def make_seq(rng, n_i, first, last):
@@ -210,6 +210,29 @@ def test_orbit_consumes_inputs_at_arrival_times():
     for k in (-1, 0, 1):
         x = step(params, seq.at(k), x)
     assert np.array_equal(traj.final, x)
+    # orbit runs the lockstep kernel; step is the per-step reference
+    # beside it.  2100 steps cross two of the kernel's drive-chunk seams.
+    n = 2100
+    for n_r in (1, 2, 30, 200):
+        for wiring in ("none", "feedback", "context"):
+            params = lockstep_reservoir(rng, n_r, wiring)
+            seq = make_seq(rng, params.n_i, -2, n - 3)
+            x = rng.uniform(-1, 1, n_r)
+            ref = [x]
+            for k in range(-2, n - 2):
+                x = step(params, seq.at(k), x)
+                ref.append(x)
+            states = orbit(params, seq, ref[0], n, anchor=-3).states
+            assert states.tobytes() == np.array(ref).tobytes(), (n_r, wiring)
+    system = KloedenSystem(a=1.5)
+    seq = system.arrival_sequence(-40, n - 40)
+    x = np.array([0.3])
+    ref = [x]
+    for k in range(-39, n - 39):
+        x = system.step_one(seq.at(k), x)
+        ref.append(x)
+    run = system.run(0.3, -40, n - 40)
+    assert run.tobytes() == np.array(ref)[:, 0].tobytes()
 
 
 def power_iteration_norm(a, iters=2000):

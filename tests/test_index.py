@@ -15,6 +15,8 @@ from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
 from echodex import index
 from echodex.sequences import InputSequence
 
+from conftest import lockstep_reservoir
+
 
 def const_seq(value, first, last, n_i=1):
     vals = np.tile(np.atleast_1d(np.asarray(value, dtype=float)),
@@ -36,10 +38,7 @@ class RotationSystem:
         c, s = np.cos(angle), np.sin(angle)
         self.rot = np.array([[c, -s], [s, c]])
 
-    def step_one(self, u, x):
-        return self.rot @ x
-
-    def step_batch(self, u, xs):  # rowwise, so bit-exact with step_one
+    def step_batch(self, u, xs):  # rowwise: one gemv per row
         return np.matmul(self.rot, xs[..., None])[..., 0]
 
 
@@ -74,21 +73,6 @@ def test_scalar_fast_path_matches_solo_orbits():
     for i in range(run.count):
         ref = orbit(params, seq, run.initial_conditions[i], 110).states
         assert np.array_equal(run.trajectories[i], ref[50:])
-
-
-def lockstep_reservoir(rng, n_r, wiring):
-    """Random reservoir without readout, with one fed-back output, or
-    with two outputs and the second feedback column zeroed (the context
-    task's wiring)."""
-    w_r = rng.uniform(-1, 1, (n_r, n_r))
-    w_r = 0.9 * w_r / np.linalg.norm(w_r, 2)
-    if wiring == "none":
-        return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 1)))
-    n_o = 1 if wiring == "feedback" else 2
-    w_fb = rng.uniform(-0.5, 0.5, (n_r, n_o))
-    w_fb[:, 1:] = 0.0
-    return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 4)),
-                     w_fb=w_fb, w_out=rng.uniform(-0.2, 0.2, (n_o, n_r)))
 
 
 @pytest.mark.parametrize("n_r", [2, 30, 200])
@@ -664,6 +648,43 @@ def test_pair_divergence_step():
                                 horizon=50) is None
 
 
+def test_other_systems_orbits_are_checked_like_reservoir_orbits():
+    system = KloedenSystem(a=1.5)
+    seq = system.arrival_sequence(0, 200)
+    # a 2-vector (or scalar) state of a 1-D system is refused, as is a
+    # negative horizon, before any step
+    for bad in ([0.1, 0.3], 0.1, [[0.1]]):
+        with pytest.raises(ConfigurationError, match="shape"):
+            orbit(system, seq, bad, 5)
+        with pytest.raises(ConfigurationError, match="shape"):
+            pair_divergence_step(system, seq, bad, [0.2], 0.5, 5)
+        with pytest.raises(ConfigurationError, match="shape"):
+            separatrix_bisect(system, seq, bad, [0.7], horizon=100)
+    with pytest.raises(ConfigurationError):
+        pair_divergence_step(KloedenSystem(), seq, [0.1, 0.3], [0.2, 0.1], 0.5, 5)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        orbit(system, seq, [0.1], -1)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        pair_divergence_step(system, seq, [0.1], [0.2], 0.5, -3)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        separatrix_bisect(system, seq, [-0.5], [0.7], horizon=-3)
+    with pytest.raises(WindowExhausted):
+        orbit(system, seq, [0.1], 201)
+    with pytest.raises(WindowExhausted):
+        pair_divergence_step(system, seq, [0.1], [0.2], 0.5, 5, anchor=-2)
+    # and the valid calls run: 0 is the unstable fixed point between the
+    # two forward attractors
+    traj = orbit(system, seq, [0.1], 200)
+    assert traj.n_steps == 200 and traj.final.shape == (1,)
+    x = np.array([0.1])
+    for k in range(1, 201):
+        x = system.step_one(seq.at(k), x)
+    assert np.array_equal(traj.final, x)
+    assert pair_divergence_step(system, seq, [1e-6], [-1e-6], 0.5, 200) > 0
+    res = separatrix_bisect(system, seq, [-0.5], [0.7], horizon=200)
+    assert res.warning is None and abs(res.boundary[0]) < 1e-9
+
+
 def count_orbit_steps(monkeypatch):
     """Record (anchor, n) of every orbit call made through index."""
     calls = []
@@ -684,8 +705,7 @@ def test_evolve_to_commit_matches_full_horizon(switching_system, switching_input
     chunk = index._COMMIT_CHUNK
     calls = count_orbit_steps(monkeypatch)
     for horizon in (30, chunk, 137, 2 * chunk, 600):
-        full = index._solo_states(switching_system, switching_input, x0, 0,
-                                  horizon)
+        full = orbit(switching_system, switching_input, x0, horizon).states
         hits = {None, 0, 1, chunk - 1, chunk, chunk + 1, 73, 120, horizon - 1,
                 horizon}
         hits = [h for h in hits if h is None or h <= horizon]
@@ -709,15 +729,15 @@ def test_evolve_to_commit_matches_full_horizon(switching_system, switching_input
 def bisect_full_horizon(system, seq, lo, hi, horizon, max_iters=80,
                         cluster_tol=1e-3, target_width=1e-12):
     """separatrix_bisect with every midpoint evolved over the full horizon."""
-    rep_a = index._solo_states(system, seq, lo, 0, horizon)
-    rep_b = index._solo_states(system, seq, hi, 0, horizon)
+    rep_a = orbit(system, seq, lo, horizon).states
+    rep_b = orbit(system, seq, hi, horizon).states
     a, b = lo.copy(), hi.copy()
     commit_times, trace, straddle, warning = {"a": None, "b": None}, [], None, None
     for _ in range(max_iters):
         if float(np.linalg.norm(b - a)) <= target_width:
             break
         mid = (a + b) / 2.0
-        states = index._solo_states(system, seq, mid, 0, horizon)
+        states = orbit(system, seq, mid, horizon).states
         side, t = index._commit_step(states, rep_a, rep_b, cluster_tol)
         if side is None:
             warning = "did not commit"
