@@ -160,13 +160,15 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True,
                    help="sequence CSV or generator-spec JSON")
-    p.add_argument("--ics", default="16,24,32")
-    p.add_argument("--transients", default="150,300,600")
-    p.add_argument("--horizon", type=int, default=120)
-    p.add_argument("--window", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-3)
+    ladder = IndexProtocol()
+    p.add_argument("--ics", default=",".join(map(str, ladder.ic_counts)))
+    p.add_argument("--transients", default=",".join(map(str, ladder.transients)))
+    p.add_argument("--horizon", type=int, default=ladder.horizon)
+    p.add_argument("--window", type=int, default=ladder.window)
+    p.add_argument("--tol", type=float, default=ladder.cluster_tol)
     p.add_argument("--anchor", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="IC sampling seed")
+    p.add_argument("--seed", type=int, default=ladder.ic_seed,
+                   help="IC sampling seed")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("certify", help="contraction certificates for a "

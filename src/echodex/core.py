@@ -284,6 +284,16 @@ class Trajectory:
         return self.states[j]
 
 
+def _require_input(system, input_seq, first, last):
+    """input_seq.require_window(first, last), after checking that an
+    RnnParams system takes as many input channels as the sequence has."""
+    if isinstance(system, RnnParams) and input_seq.n_i != system.n_i:
+        raise ConfigurationError(
+            f"input sequence has {input_seq.n_i} channels, the network "
+            f"takes n_i = {system.n_i}")
+    input_seq.require_window(first, last)
+
+
 def _matvec_rows(w):
     """x -> w @ v for every row v of x (..., n), one gemv per row; a
     1 x 1 w is one multiply, bound without a Python call per step."""
@@ -357,7 +367,7 @@ def orbit(system, input_seq, x0, n, anchor=0):
         raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
-    input_seq.require_window(anchor + 1, anchor + n)
+    _require_input(system, input_seq, anchor + 1, anchor + n)
     states = np.empty((1, 1, n + 1, d))
     _advance(system, [input_seq], x0[None, None], anchor, anchor + n, states,
              anchor)

@@ -65,6 +65,9 @@ class ExperimentResult:
 
 # Per-preset defaults; the benchmark constants live in presets.py, these
 # are the run-shape knobs.  Override keys must come from this table.
+# input_first fixes where a realization's stream starts; a run draws it
+# only as far as it reads (the ladder's IndexProtocol.reach, or further
+# for a longer orbit), so no knob sets the window's end.
 DEFAULTS = {
     "kloeden": {
         "a": 1.5, "ics": 11, "k_start": -10, "k_end": 25,
@@ -74,13 +77,12 @@ DEFAULTS = {
         "p": 0.5, "ic_count": 30, "transients": [200, 400],
         "horizon": 120, "window": 100, "cluster_tol": 1e-3,
         "mu": 0.999, "grid": 33, "fibre_depth": 80, "fibre_depth_deep": 200,
-        "sep_lo": [0.49, -0.2], "sep_hi": [0.49, 0.0], "sep_horizon": 600,
-        "input_first": -300, "input_last": 700,
+        "sep_horizon": 600, "input_first": -300,
     },
     "scalar_sweep": {
         "w_list": [0.0006, 0.01, 0.05], "n_seeds": 5, "ic_count": 30,
         "transients": [20000, 40000], "horizon": 120, "window": 100,
-        "cluster_tol": 1e-3, "input_first": -100, "input_last": 40400,
+        "cluster_tol": 1e-3, "input_first": -100,
         "sample_ics": 10, "sample_steps": 2000,
     },
     "fold_bisect": {
@@ -91,7 +93,7 @@ DEFAULTS = {
         "m_list": [5, 10, 20], "w": 0.0006, "half_width": 40,
         "epsilon": 1.0, "mu": 0.5, "ic_count": 30,
         "transients": [20000, 40000], "horizon": 120, "window": 100,
-        "cluster_tol": 1e-3, "input_first": -100, "input_last": 40400,
+        "cluster_tol": 1e-3, "input_first": -100,
     },
     "context_task": {
         "n_r": 200, "train_len": 6000, "test_len": 3000, "washout": 200,
@@ -251,15 +253,16 @@ def _run_switching2d(cfg, out):
     params = switching_params()
     u1, u2 = switching_inputs()
     seed = int(cfg["seed"])
-    seq = gen_two_symbol(u1, u2, float(cfg["p"]), int(cfg["input_first"]),
-                         int(cfg["input_last"]), seed)
     tol = float(cfg["cluster_tol"])
+    sep_horizon = int(cfg["sep_horizon"])
 
     protocol = IndexProtocol(
         ic_counts=(int(cfg["ic_count"]),) * 2,
         transients=tuple(int(t) for t in cfg["transients"]),
         horizon=int(cfg["horizon"]), window=int(cfg["window"]),
         cluster_tol=tol, ic_seed=seed)
+    seq = gen_two_symbol(u1, u2, float(cfg["p"]), int(cfg["input_first"]),
+                         max(protocol.reach, sep_horizon), seed)
     # with --out, ensemble.csv holds the tails of the ladder's first rung
     report = estimate_echo_index(params, seq, protocol,
                                  keep_rung=None if out is None else 0)
@@ -313,9 +316,15 @@ def _run_switching2d(cfg, out):
         trace_ok = False
         trace_detail = ["no definite index-2 report to compare against"]
 
-    sep = separatrix_bisect(params, seq, np.asarray(cfg["sep_lo"], float),
-                            np.asarray(cfg["sep_hi"], float),
-                            horizon=int(cfg["sep_horizon"]), cluster_tol=tol)
+    fixed_points = {"f1": _switching_fixed_points(params, u1),
+                    "f2": _switching_fixed_points(params, u2)}
+    x1_star = fixed_points["f1"][0]["x"][0]
+    saddles = [p for p in fixed_points["f1"] if p["kind"] == "saddle"]
+
+    # the map is diagonal, so the basin boundary's x2 does not depend on
+    # x1: bisect at the saddle's x1 from R-'s outer face to R+'s
+    sep = separatrix_bisect(params, seq, [x1_star, -1.0], [x1_star, 1.0],
+                            horizon=sep_horizon, cluster_tol=tol)
     # commit times are only guaranteed monotone once the bracket sits in
     # the linear neighbourhood of the boundary; coarse early brackets see
     # nonlinear transients, so filter to widths below 1e-2
@@ -328,16 +337,10 @@ def _run_switching2d(cfg, out):
     direction = np.array([0.0, 1.0])
     pa = sep.boundary - 5e-12 * direction
     pb = sep.boundary + 5e-12 * direction
-    sa, sb = (orbit(params, seq, p, int(cfg["sep_horizon"])).states
-              for p in (pa, pb))
+    sa, sb = (orbit(params, seq, p, sep_horizon).states for p in (pa, pb))
     div_step = _divergence_step(sa, sb, threshold=0.1)
     split_ok = (div_step is not None
                 and float(np.linalg.norm(sa[-1] - sb[-1])) > 0.5)
-
-    fixed_points = {"f1": _switching_fixed_points(params, u1),
-                    "f2": _switching_fixed_points(params, u2)}
-    x1_star = fixed_points["f1"][0]["x"][0]
-    saddles = [p for p in fixed_points["f1"] if p["kind"] == "saddle"]
 
     assertions = [
         Assertion("index-two", report.index == 2,
@@ -413,7 +416,7 @@ def _run_scalar_sweep(cfg, out):
     seed = int(cfg["seed"])
     w_list = [float(w) for w in cfg["w_list"]]
     n_seeds = int(cfg["n_seeds"])
-    first, last = int(cfg["input_first"]), int(cfg["input_last"])
+    first = int(cfg["input_first"])
     protocol_base = IndexProtocol(
         ic_counts=(int(cfg["ic_count"]),) * 2,
         transients=tuple(int(t) for t in cfg["transients"]),
@@ -421,7 +424,7 @@ def _run_scalar_sweep(cfg, out):
         cluster_tol=float(cfg["cluster_tol"]))
 
     gen_seeds = [seed + r for r in range(n_seeds)]
-    seqs = [gen_uniform_scaled(w, first, last, s)
+    seqs = [gen_uniform_scaled(w, first, protocol_base.reach, s)
             for w in w_list for s in gen_seeds]
     reports = estimate_echo_indices(params, seqs, protocol_base,
                                     ic_seeds=gen_seeds * len(w_list))
@@ -473,11 +476,11 @@ def _run_scalar_sweep(cfg, out):
         write_csv(path, ",".join(cols), "%g,%d,%s,%.17g,%.17g,%.17g,%d",
                   map(itemgetter(*cols), table))
         outputs["sweep_results"] = str(path)
+        steps = int(cfg["sample_steps"])
         for w in w_list:
-            seq = gen_uniform_scaled(w, first, last, seed)
+            seq = gen_uniform_scaled(w, first, steps, seed)
             run = run_ensemble(params, seq, int(cfg["sample_ics"]),
-                               transient=0, horizon=int(cfg["sample_steps"]),
-                               ic_seed=seed)
+                               transient=0, horizon=steps, ic_seed=seed)
             sample = out / f"sample_w{w:g}.csv"
             ensemble_to_csv(run, sample)
             outputs[f"sample_w{w:g}"] = str(sample)
@@ -544,13 +547,12 @@ def _run_splice_demo(cfg, out):
     params = scalar_params()
     seed = int(cfg["seed"])
     w = float(cfg["w"])
-    first, last = int(cfg["input_first"]), int(cfg["input_last"])
-    base = gen_uniform_scaled(w, first, last, seed)
     protocol = IndexProtocol(
         ic_counts=(int(cfg["ic_count"]),) * 2,
         transients=tuple(int(t) for t in cfg["transients"]),
         horizon=int(cfg["horizon"]), window=int(cfg["window"]),
         cluster_tol=float(cfg["cluster_tol"]), ic_seed=seed)
+    base = gen_uniform_scaled(w, int(cfg["input_first"]), protocol.reach, seed)
 
     admissible = large_input_radius(params, float(cfg["epsilon"]),
                                     float(cfg["mu"]))
@@ -566,8 +568,8 @@ def _run_splice_demo(cfg, out):
               "d_prod": d_prod(base, seq, half_width)}
              for m, seq, rep in zip(m_list, spliced, reports)]
 
-    identity = splice_large_input(base, max(abs(first), abs(last)) + 1, far,
-                                  admissible=admissible)
+    beyond = max(abs(base.first), abs(base.last)) + 1
+    identity = splice_large_input(base, beyond, far, admissible=admissible)
 
     ratios = []
     for prev, cur in zip(table, table[1:]):

@@ -44,8 +44,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
-from .core import (ConfigurationError, RnnParams, Trajectory, _advance, orbit,
-                   step_batch)
+from .core import (ConfigurationError, RnnParams, Trajectory, _advance,
+                   _require_input, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
 from .sequences import write_csv
@@ -115,7 +115,7 @@ def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
     if transient < 0 or horizon < 1:
         raise ConfigurationError("need transient >= 0 and horizon >= 1")
     for seq in seqs:
-        seq.require_window(anchor + 1, anchor + transient + horizon)
+        _require_input(system, seq, anchor + 1, anchor + transient + horizon)
     tail_t0 = anchor + transient
     tails = np.empty(ics.shape[:2] + (horizon + 1,) + ics.shape[2:])
     keep = 0
@@ -379,6 +379,14 @@ class IndexProtocol:
             raise ConfigurationError(
                 "protocol needs matching ic_counts/transients with >= 2 rungs")
 
+    @property
+    def reach(self):
+        """Last input time past the anchor that a ladder can read: its
+        longest rung, run at the shift check's anchor when that is later.
+        An input that ends at anchor + reach serves every rung and the
+        shift check; one step shorter can raise WindowExhausted."""
+        return max(0, self.shift_check) + max(self.transients) + self.horizon
+
 
 def _ladder_rung(system, seqs, seeds, protocol, r, anchor, prev=None):
     """Rung r of the protocol for every input, continuing `prev` (an
@@ -599,7 +607,7 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     else:
         rng = substream(cloud_seed, DOMAIN_FIBRE, 0)
         points = rng.uniform(box.lo, box.hi, size=(_FIBRE_CLOUD, d))
-    input_seq.require_window(n - depth + 1, n)
+    _require_input(system, input_seq, n - depth + 1, n)
     step = (partial(step_batch, system) if isinstance(system, RnnParams)
             else system.step_batch)
     diameters = np.empty(depth + 1)

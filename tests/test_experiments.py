@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echodex import (Assertion, ExperimentResult, RnnParams, TrainedModel,
-                     ensemble_to_csv, gen_two_symbol, resolve_config,
-                     run_ensemble, run_fold_bisect, run_from_manifest,
-                     run_kloeden, run_switching2d, save_model, save_sequence,
-                     switching_inputs, switching_params)
+from echodex import (Assertion, ExperimentResult, IndexProtocol, RnnParams,
+                     TrainedModel, ensemble_to_csv, gen_two_symbol,
+                     resolve_config, run_ensemble, run_fold_bisect,
+                     run_from_manifest, run_kloeden, run_switching2d,
+                     save_model, save_sequence, switching_inputs,
+                     switching_params)
 from echodex import experiments
-from echodex.cli import main
+from echodex.cli import build_parser, main
 from echodex.experiments import DEFAULT_SEEDS, DEFAULTS
 
 KLOEDEN_ROOT = 0.41124501294634347
@@ -120,6 +121,45 @@ def test_switching2d_ensemble_csv_is_the_first_rung(tmp_path, monkeypatch):
                                  horizon=120, ic_seed=0), tmp_path / "fresh.csv")
     assert ((tmp_path / "out" / "ensemble.csv").read_bytes()
             == (tmp_path / "fresh.csv").read_bytes())
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7, 8])
+def test_switching2d_brackets_the_separatrix_on_every_seed(seed):
+    # a fixed x2 bracket of [-0.2, 0] missed the boundary on these seeds
+    result = run_switching2d(seed=seed)
+    assert result.ok, result.failures()
+    x1, x2 = result.summary["separatrix"]["boundary"]
+    assert x1 == result.summary["fixed_points"]["f1"][0]["x"][0]
+    assert -0.2 < x2 < 0.2
+
+
+def test_switching2d_input_window_follows_the_ladder():
+    # a longer final rung reads further into the input; no window knob
+    # has to grow with it
+    result = run_switching2d(transients=[200, 600])
+    assert result.ok, result.failures()
+    assert result.summary["index"] == "2"
+
+
+def test_removed_window_and_bracket_keys_are_rejected(capsys):
+    for preset, key in (("switching2d", "sep_lo"), ("switching2d", "sep_hi"),
+                        ("switching2d", "input_last"),
+                        ("scalar_sweep", "input_last"),
+                        ("splice_demo", "input_last")):
+        with pytest.raises(KeyError):
+            resolve_config(preset, overrides={key: 0})
+        code, doc = run_cli(capsys, [preset, "--set", f"{key}=0"])
+        assert code == 2 and key in doc["error"]
+
+
+def test_cli_index_defaults_are_the_protocol_defaults():
+    args = build_parser().parse_args(["index", "--model", "m.json",
+                                      "--input", "u.csv"])
+    ladder = IndexProtocol()
+    assert tuple(int(v) for v in args.ics.split(",")) == ladder.ic_counts
+    assert tuple(int(v) for v in args.transients.split(",")) == ladder.transients
+    assert (args.horizon, args.window, args.tol, args.seed) == (
+        ladder.horizon, ladder.window, ladder.cluster_tol, ladder.ic_seed)
 
 
 def test_cli_preset_pass_and_fail(tmp_path, capsys):

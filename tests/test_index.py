@@ -508,6 +508,43 @@ def test_protocol_validation():
         IndexProtocol(ic_counts=(16, 24), transients=(100,))
 
 
+@pytest.mark.parametrize("shift_check", [13, 0, -7])
+def test_protocol_reach_is_the_last_input_a_ladder_reads(shift_check):
+    # x' = tanh(2x) under zero input is index 2 at both rungs, so the
+    # ladder runs every rung and then the shift check
+    params = bistable_driven()
+    protocol = IndexProtocol(ic_counts=(8, 12), transients=(40, 60), horizon=30,
+                             window=20, shift_check=shift_check)
+    assert protocol.reach == max(0, shift_check) + 60 + 30
+    anchor = 5
+    rep = estimate_echo_index(params, const_seq(0.0, anchor - 20,
+                                                anchor + protocol.reach),
+                              protocol, anchor=anchor)
+    assert rep.index == 2
+    assert len(rep.diagnostics["rungs"]) == 2
+    assert rep.diagnostics["shift_check"] == "agree"
+    with pytest.raises(WindowExhausted):
+        estimate_echo_index(params, const_seq(0.0, anchor - 20,
+                                              anchor + protocol.reach - 1),
+                            protocol, anchor=anchor)
+
+
+@pytest.mark.parametrize("n_r,n_i,width", [(2, 2, 1), (1, 1, 2)])
+def test_input_width_must_match_the_network(n_r, n_i, width):
+    params = RnnParams(alpha=0.5, w_r=0.5 * np.eye(n_r),
+                       w_in=np.ones((n_r, n_i)))
+    seq = const_seq(np.zeros(width), -50, 200)
+    widths = f"{width} channels, the network takes n_i = {n_i}"
+    with pytest.raises(ConfigurationError, match=widths):
+        orbit(params, seq, np.zeros(n_r), 10)
+    with pytest.raises(ConfigurationError, match=widths):
+        run_ensemble(params, seq, 4, transient=10, horizon=5)
+    with pytest.raises(ConfigurationError, match=widths):
+        estimate_echo_index(params, seq, SHORT_LADDER)
+    with pytest.raises(ConfigurationError, match=widths):
+        pullback_fibre(params, seq, n=0, depth=10)
+
+
 def test_kloeden_past_fibre_shrinks_monotonically():
     system = KloedenSystem(a=1.5)
     seq = system.arrival_sequence(-80, 0)
