@@ -10,6 +10,7 @@ stored models and inputs; `rerun` replays a manifest.
 
 import argparse
 import ast
+from itertools import product
 import json
 import sys
 
@@ -92,10 +93,7 @@ def _cmd_index(args):
 
 
 def _box_corners(lo, hi):
-    corners = [np.array([], dtype=float)]
-    for j in range(lo.shape[0]):
-        corners = [np.append(c, v) for c in corners for v in (lo[j], hi[j])]
-    return corners
+    return [np.array(c, dtype=float) for c in product(*zip(lo, hi))]
 
 
 def _cmd_certify(args):
@@ -109,10 +107,9 @@ def _cmd_certify(args):
     doc = {"model": args.model, "mu": args.mu}
     if args.region is None:
         report = global_esp_check(params, args.mu)
-        doc["check"] = "global"
-        doc["certified"] = report.certified
-        doc["worst_norm"] = report.worst_norm
-        doc["effective_rate"] = report.effective_rate
+        doc.update(check="global", certified=report.certified,
+                   worst_norm=report.worst_norm,
+                   effective_rate=report.effective_rate)
         ok = report.certified
     else:
         region = _parse_region(args.region)
@@ -120,14 +117,11 @@ def _cmd_certify(args):
                                                   grid=args.grid)
         con = region_contraction_check(params, region, u_samples, args.mu,
                                        grid=args.grid)
-        doc["check"] = "region"
-        doc["invariant"] = inv_ok
-        doc["witness"] = (None if witness is None
-                          else [witness[0].tolist(), witness[1].tolist()])
-        doc["certified"] = con.certified
-        doc["worst_norm"] = con.worst_norm
-        doc["margin"] = con.margin
-        doc["input_samples"] = len(u_samples)
+        doc.update(check="region", invariant=inv_ok,
+                   witness=None if witness is None
+                   else [witness[0].tolist(), witness[1].tolist()],
+                   certified=con.certified, worst_norm=con.worst_norm,
+                   margin=con.margin, input_samples=len(u_samples))
         ok = inv_ok and con.certified
     return _emit(doc, 0 if ok else 1)
 

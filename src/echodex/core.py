@@ -10,10 +10,13 @@ configured.  The affine form is always evaluated in the fixed order
 W_r x, then + W_in u, then + W_fb z, so that repeated runs are
 bit-identical and the cocycle identity holds exactly.
 
-One kernel, _advance, evolves every orbit of every system: (inputs,
-members, d) states in lockstep, each input's rows under its own drive.
-orbit is its one-member case and the index module's ensembles its
-many-member case, so ensemble rows equal solo orbits by construction.
+One kernel, _advance, evolves (inputs, members, d) states of any system
+in lockstep, each input's rows under its own drive.  orbit is its
+one-member case and the index module's ensembles its many-member case,
+so ensemble rows equal solo orbits by construction.  Only two loops
+evolve states apart from it: training.teacher_forced_states, whose
+feedback is the target, and experiments._escapes_basin, fold_bisect's
+scalar orbit, which stops at its first escape.
 numpy must only compute each stacked row on its own (stacked matmul
 runs one gemv per row).  step, built on the same _preactivation, is
 the per-step public reference the test suite checks orbit against.

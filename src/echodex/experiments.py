@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass, replace
 import json
 import math
+import numbers
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
@@ -133,8 +133,17 @@ def _jsonable(v):
     return v
 
 
+def _kind(value):
+    """'list' (of numbers), 'number' or None: the kinds of config values."""
+    if isinstance(value, (list, tuple)):
+        return "list" if all(_kind(v) == "number" for v in value) else None
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return "number" if real else None
+
+
 def resolve_config(preset, seed=None, overrides=None):
-    """Merge defaults with overrides; unknown keys or presets are errors."""
+    """Merge defaults with overrides; unknown keys or presets are errors,
+    and so is an override of another _kind than its default's."""
     if preset not in DEFAULTS:
         raise KeyError(f"unknown preset {preset!r}; choose from "
                        f"{sorted(DEFAULTS)}")
@@ -143,6 +152,9 @@ def resolve_config(preset, seed=None, overrides=None):
         if key not in cfg:
             raise KeyError(f"unknown config key {key!r} for preset {preset!r}; "
                            f"valid keys: {sorted(cfg)}")
+        if _kind(value) != _kind(cfg[key]):
+            raise ValueError(f"config key {key!r} of preset {preset!r} takes "
+                             f"a {_kind(cfg[key])}, got {value!r}")
         cfg[key] = value
     cfg["seed"] = int(DEFAULT_SEEDS[preset] if seed is None else seed)
     return _jsonable(cfg)
@@ -153,14 +165,29 @@ def _write_json(doc, path):
                           + "\n")
 
 
+def _bisect(on_hi_side, lo, hi, tol=0.0):
+    """Halve [lo, hi] (on_hi_side false at lo, true at hi) until it is at
+    most tol wide or its ends are adjacent floats; returns (lo, hi)."""
+    while hi - lo > tol and lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if on_hi_side(mid) else (mid, hi)
+    return lo, hi
+
+
+def _root(fn, lo, hi):
+    """A float within one ulp of a sign change of fn in [lo, hi]."""
+    up = fn(hi) > 0
+    if (fn(lo) > 0) == up:
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
+    return _bisect(lambda x: (fn(x) > 0) == up, lo, hi)[1]
+
+
 def _scan_roots(fn, lo=-0.9999, hi=0.9999, samples=4001):
-    """All simple roots of fn on [lo, hi] via sign changes + brentq."""
+    """All simple roots of fn on [lo, hi] via sign changes + bisection."""
     xs = np.linspace(lo, hi, samples)
     vals = np.array([fn(x) for x in xs])
-    roots = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        roots.append(float(brentq(fn, xs[i], xs[i + 1], xtol=1e-14)))
-    return roots
+    return [_root(fn, float(xs[i]), float(xs[i + 1]))
+            for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +201,7 @@ def _run_kloeden(cfg, out):
     ics = np.linspace(-1.0, 1.0, int(cfg["ics"]))
 
     runs = np.stack([system.run(x0, k0, k1) for x0 in ics])
-    root = float(brentq(lambda x: x - math.tanh(a * x / (1.0 + abs(x))),
-                        0.1, 0.9999, xtol=1e-14))
+    root = _root(lambda x: x - math.tanh(a * x / (1.0 + abs(x))), 0.1, 0.9999)
 
     # zero is a fixed point of every component map, so it must hold exactly
     zero_rows = np.flatnonzero(ics == 0.0)
@@ -249,6 +275,15 @@ def _switching_fixed_points(params, u):
     return pts
 
 
+def _protocol(cfg, ic_seed=0):
+    """Two-rung IndexProtocol from a preset's ladder keys."""
+    return IndexProtocol(
+        ic_counts=(int(cfg["ic_count"]),) * 2,
+        transients=tuple(int(t) for t in cfg["transients"]),
+        horizon=int(cfg["horizon"]), window=int(cfg["window"]),
+        cluster_tol=float(cfg["cluster_tol"]), ic_seed=ic_seed)
+
+
 def _run_switching2d(cfg, out):
     params = switching_params()
     u1, u2 = switching_inputs()
@@ -256,11 +291,7 @@ def _run_switching2d(cfg, out):
     tol = float(cfg["cluster_tol"])
     sep_horizon = int(cfg["sep_horizon"])
 
-    protocol = IndexProtocol(
-        ic_counts=(int(cfg["ic_count"]),) * 2,
-        transients=tuple(int(t) for t in cfg["transients"]),
-        horizon=int(cfg["horizon"]), window=int(cfg["window"]),
-        cluster_tol=tol, ic_seed=seed)
+    protocol = _protocol(cfg, ic_seed=seed)
     seq = gen_two_symbol(u1, u2, float(cfg["p"]), int(cfg["input_first"]),
                          max(protocol.reach, sep_horizon), seed)
     # with --out, ensemble.csv holds the tails of the ladder's first rung
@@ -273,7 +304,8 @@ def _run_switching2d(cfg, out):
     r_plus = Region(lo=[-1.0, 0.55], hi=[1.0, 1.0])
     r_minus = Region(lo=[-1.0, -1.0], hi=[1.0, -0.55])
     mu, grid = float(cfg["mu"]), int(cfg["grid"])
-    certs = {}
+    depth, deep = int(cfg["fibre_depth"]), int(cfg["fibre_depth_deep"])
+    certs, fibres = {}, {}
     for name, region in (("R+", r_plus), ("R-", r_minus)):
         inv_ok, witness = region_invariance_check(params, region, [u1, u2],
                                                   grid=grid)
@@ -283,10 +315,6 @@ def _run_switching2d(cfg, out):
                        else [witness[0].tolist(), witness[1].tolist()],
                        "worst_norm": con.worst_norm, "margin": con.margin,
                        "certified": con.certified}
-
-    depth, deep = int(cfg["fibre_depth"]), int(cfg["fibre_depth_deep"])
-    fibres = {}
-    for name, region in (("R+", r_plus), ("R-", r_minus)):
         fb = pullback_fibre(params, seq, n=0, depth=depth, region=region)
         fb_deep = pullback_fibre(params, seq, n=0, depth=deep, region=region)
         fibres[name] = {"diameter": fb.final_diameter,
@@ -417,11 +445,7 @@ def _run_scalar_sweep(cfg, out):
     w_list = [float(w) for w in cfg["w_list"]]
     n_seeds = int(cfg["n_seeds"])
     first = int(cfg["input_first"])
-    protocol_base = IndexProtocol(
-        ic_counts=(int(cfg["ic_count"]),) * 2,
-        transients=tuple(int(t) for t in cfg["transients"]),
-        horizon=int(cfg["horizon"]), window=int(cfg["window"]),
-        cluster_tol=float(cfg["cluster_tol"]))
+    protocol_base = _protocol(cfg)
 
     gen_seeds = [seed + r for r in range(n_seeds)]
     seqs = [gen_uniform_scaled(w, first, protocol_base.reach, s)
@@ -430,12 +454,9 @@ def _run_scalar_sweep(cfg, out):
                                     ic_seeds=gen_seeds * len(w_list))
     del seqs  # release the inputs before the CSV stage allocates its rows
 
-    table = []
-    majorities = []
-    switching_votes = []
+    table, majorities, switching_votes = [], [], []
     for wi, w in enumerate(w_list):
-        verdicts = []
-        switch = 0
+        verdicts, switch = [], 0
         for r in range(n_seeds):
             rep = reports[wi * n_seeds + r]
             verdicts.append(rep.index)
@@ -515,17 +536,11 @@ def _escapes_basin(w, max_steps, threshold):
 def _run_fold_bisect(cfg, out):
     x_star, c_star = _fold_analytic()
     tol = float(cfg["tolerance"])
-    cap = int(cfg["max_steps"])
-    thresh = float(cfg["escape_threshold"])
+    cap, thresh = int(cfg["max_steps"]), float(cfg["escape_threshold"])
     lo, hi = float(cfg["w_lo"]), float(cfg["w_hi"])
     if _escapes_basin(lo, cap, thresh) or not _escapes_basin(hi, cap, thresh):
         raise ValueError("bisection bracket does not straddle the fold")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if _escapes_basin(mid, cap, thresh):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda w: _escapes_basin(w, cap, thresh), lo, hi, tol)
     estimate = (lo + hi) / 2.0
 
     assertions = [
@@ -547,11 +562,7 @@ def _run_splice_demo(cfg, out):
     params = scalar_params()
     seed = int(cfg["seed"])
     w = float(cfg["w"])
-    protocol = IndexProtocol(
-        ic_counts=(int(cfg["ic_count"]),) * 2,
-        transients=tuple(int(t) for t in cfg["transients"]),
-        horizon=int(cfg["horizon"]), window=int(cfg["window"]),
-        cluster_tol=float(cfg["cluster_tol"]), ic_seed=seed)
+    protocol = _protocol(cfg, ic_seed=seed)
     base = gen_uniform_scaled(w, int(cfg["input_first"]), protocol.reach, seed)
 
     admissible = large_input_radius(params, float(cfg["epsilon"]),
@@ -767,25 +778,18 @@ def run_from_manifest(path, out_dir=None):
                       overrides=doc.get("overrides") or {})
 
 
-def run_kloeden(seed=None, out_dir=None, **overrides):
-    return run_preset("kloeden", seed, out_dir, overrides)
+def _preset_runner(preset):
+    """run_<preset>(seed=None, out_dir=None, **overrides): run_preset with
+    the overrides as keywords."""
+    def run(seed=None, out_dir=None, **overrides):
+        return run_preset(preset, seed, out_dir, overrides)
+    run.__name__ = run.__qualname__ = f"run_{preset}"
+    return run
 
 
-def run_switching2d(seed=None, out_dir=None, **overrides):
-    return run_preset("switching2d", seed, out_dir, overrides)
-
-
-def run_scalar_sweep(seed=None, out_dir=None, **overrides):
-    return run_preset("scalar_sweep", seed, out_dir, overrides)
-
-
-def run_fold_bisect(seed=None, out_dir=None, **overrides):
-    return run_preset("fold_bisect", seed, out_dir, overrides)
-
-
-def run_splice_demo(seed=None, out_dir=None, **overrides):
-    return run_preset("splice_demo", seed, out_dir, overrides)
-
-
-def run_context_task(seed=None, out_dir=None, **overrides):
-    return run_preset("context_task", seed, out_dir, overrides)
+run_kloeden = _preset_runner("kloeden")
+run_switching2d = _preset_runner("switching2d")
+run_scalar_sweep = _preset_runner("scalar_sweep")
+run_fold_bisect = _preset_runner("fold_bisect")
+run_splice_demo = _preset_runner("splice_demo")
+run_context_task = _preset_runner("context_task")

@@ -33,16 +33,15 @@ A caller that also needs a rung's ensemble (to write it out) passes
 estimate_echo_indices' keep_rung; each report then holds that rung's
 EnsembleRun in report.ensemble, so no ensemble is evolved twice.
 Clustering keeps its pair differences in one scratch block of about
-512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size.
+512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size, and so do
+fibre diameters: max sqrt(sum_k (p_k - q_k)**2) over pairs of points,
+the squares summed in coordinate order (see pullback_fibre).
 """
 
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist
 
 from .core import (ConfigurationError, RnnParams, Trajectory, _advance,
                    _require_input, orbit, step_batch)
@@ -239,12 +238,18 @@ class EchoIndexReport:
 
 
 def _component_labels(adj):
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
-    return n_comp, labels
+    """(count, labels) of a symmetric boolean adjacency's components,
+    numbered by smallest member; each pass lowers every label to its
+    neighbours' smallest until none moves."""
+    labels, low = None, np.arange(adj.shape[0])
+    while not np.array_equal(low, labels):
+        labels, low = low, np.minimum(low, np.where(adj, low, low.size).min(axis=1))
+    roots, labels = np.unique(labels, return_inverse=True)
+    return roots.size, labels
 
 
-# bytes of pair differences _pair_distances holds at once: bounds its
-# scratch at one block of rows instead of (m - 1) x W x d
+# bytes of pair scratch _pair_distances and _max_pair_distance hold at
+# once: one block of rows instead of every pair
 _PAIR_BLOCK_BYTES = 512 * 1024
 
 
@@ -558,23 +563,41 @@ _FIBRE_CLOUD = 1000
 _PRUNE_FLOOR = 1e-140
 
 
+def _max_pair_distance(xs):
+    """Largest sqrt(sum_k (xs[i, k] - xs[j, k])**2) over pairs i != j, the
+    squares summed in coordinate order (nan if any is nan), in blocks of
+    rows whose two scratch arrays fit _PAIR_BLOCK_BYTES."""
+    n = xs.shape[0]
+    block, xt = max(1, _PAIR_BLOCK_BYTES // (16 * n)), np.ascontiguousarray(xs.T)
+    scratch, best = np.empty(2 * min(block, n - 1) * (n - 1)), np.float64(0.0)
+    for i0 in range(0, n - 1, block):
+        i1 = min(i0 + block, n - 1)
+        acc, diff = scratch[:2 * (i1 - i0) * (n - 1 - i0)].reshape(2, i1 - i0, -1)
+        acc.fill(0.0)
+        for rows, cols in zip(xt[:, i0:i1, None], xt[:, None, i0 + 1:]):
+            acc += np.square(np.subtract(rows, cols, out=diff), out=diff)
+        np.fill_diagonal(acc[1:], 0.0)  # i = j, nan if row i holds an inf
+        best = np.maximum(best, acc.max())
+    return np.sqrt(best)
+
+
 def _fibre_diameter(xs):
-    """pdist(xs).max() bit for bit, 0.0 below two points; see pullback_fibre."""
+    """_max_pair_distance(xs), 0.0 below two points; see pullback_fibre."""
     if xs.shape[0] < 2:
         return 0.0
     r = np.linalg.norm(xs - xs.mean(axis=0), axis=1)
     big = r.max()
     if not np.isfinite(big):
-        return pdist(xs).max()
+        return _max_pair_distance(xs)
     if (xs == xs[0]).all():
         return 0.0
     far = int(np.argmax(r))
     ends = [*xs.argmin(axis=0), *xs.argmax(axis=0), far,
             np.argmax(np.linalg.norm(xs - xs[far], axis=1))]
-    lower = pdist(xs[np.unique(ends)]).max()
+    lower = _max_pair_distance(xs[np.unique(ends)])
     if not _PRUNE_FLOOR <= lower < np.inf:
-        return pdist(xs).max()
-    return pdist(xs[r + big >= lower * (1 - 1e-9)]).max()
+        return _max_pair_distance(xs)
+    return _max_pair_distance(xs[r + big >= lower * (1 - 1e-9)])
 
 
 def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
@@ -586,13 +609,14 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     diameter at every step.  In certified contraction regions the trace
     shrinks at least like mu^depth.
 
-    Each diameter is pdist(points).max() bit for bit, from only the
-    points that can lie on a maximal pair (p, q).  With r the distance
-    from the centroid and R = max r, D <= r_p + r_q <= r_p + R; D >= L,
-    the pdist maximum over the axis extremes and a farthest pair; so p
-    is kept if r_p + R >= L (1 - 1e-9), the slack covering the rounding
-    of r and pdist.  If L < 1e-140 (squares may underflow) or on
-    overflow, pdist runs over every point.
+    Each diameter D is max sqrt(sum_k (p_k - q_k)**2) over pairs (p, q),
+    squares summed in coordinate order (tests check it against scipy's
+    pdist), over only the points that can lie on a maximal pair.  With r
+    the distance from the centroid and R = max r, D <= r_p + r_q <= r_p
+    + R and D >= L, the same maximum over the axis extremes and a
+    farthest pair, so p is kept if r_p + R >= L (1 - 1e-9), the slack
+    covering the rounding.  If L < 1e-140 (squares may underflow) or on
+    overflow, all pairs count.
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
@@ -707,9 +731,7 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
         raise ConfigurationError("lo and hi converge to the same basin")
     a, b = lo.copy(), hi.copy()
     commit_times = {"a": None, "b": None}
-    trace = []
-    straddle = None
-    warning = None
+    trace, straddle, warning = [], None, None
     for _ in range(max_iters):
         width = float(np.linalg.norm(b - a))
         if width <= target_width:
@@ -721,10 +743,7 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
             warning = ("midpoint did not commit within the horizon; "
                        "returning the best bracket")
             break
-        if side == "a":
-            a = mid
-        else:
-            b = mid
+        a, b = (mid, b) if side == "a" else (a, mid)
         commit_times[side] = t
         known = [v for v in commit_times.values() if v is not None]
         trace.append((float(np.linalg.norm(b - a)), min(known)))

@@ -1,8 +1,13 @@
 import json
+import math
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from echodex import (Assertion, ExperimentResult, IndexProtocol, RnnParams,
                      TrainedModel, ensemble_to_csv, gen_two_symbol,
@@ -183,6 +188,88 @@ def test_cli_bad_arguments_exit_two(capsys):
     assert code == 2
     code, doc = run_cli(capsys, ["rerun", "--manifest", "/no/such/file.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("preset, pair, key", [
+    ("switching2d", "transients=200", "transients"),
+    ("kloeden", "ics=None", "ics"),
+    ("scalar_sweep", "w_list=0.01", "w_list"),
+])
+def test_cli_override_of_the_wrong_kind_exits_two(capsys, preset, pair, key):
+    code, doc = run_cli(capsys, [preset, "--set", pair])
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
+
+
+def test_override_kinds_are_list_and_number():
+    assert resolve_config("kloeden", overrides={"a": 2})["a"] == 2
+    assert resolve_config("kloeden", overrides={"ics": 7.0})["ics"] == 7.0
+    assert resolve_config("switching2d", overrides={
+        "transients": (200, 300)})["transients"] == [200, 300]
+    for key, value in (("a", "1.5"), ("a", True), ("a", [1.5]),
+                       ("fibre_depth", None)):
+        with pytest.raises(ValueError, match=repr(key)):
+            resolve_config("kloeden", overrides={key: value})
+    for value in (400, [200, None], [[200], [400]], "200,400"):
+        with pytest.raises(ValueError, match="'transients'"):
+            resolve_config("switching2d", overrides={"transients": value})
+
+
+def test_presets_run_without_scipy(tmp_path):
+    # an import of any scipy module fails in the child process
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from echodex.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for preset in ("kloeden", "switching2d"):
+        proc = subprocess.run([sys.executable, "-c", code, preset, "--out",
+                               str(tmp_path / preset)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["ok"] is True
+        assert (tmp_path / preset / "report.json").exists()
+
+
+def within_one_ulp_of_a_sign_change(fn, x):
+    signs = [np.sign(fn(v)) for v in (np.nextafter(x, -np.inf), x,
+                                      np.nextafter(x, np.inf))]
+    return signs[1] == 0 or signs[0] != signs[1] or signs[1] != signs[2]
+
+
+def test_bisection_roots_sit_on_a_sign_change():
+    params = switching_params()
+    maps = []
+    for u in switching_inputs():
+        maps.append(experiments._coordinate_map(params.alpha, 0.5, u[0]))
+        maps.append(experiments._coordinate_map(params.alpha, 1.5, u[1]))
+    counts = []
+    for fn in maps:
+        roots = experiments._scan_roots(fn)
+        counts.append(len(roots))
+        for root in roots:
+            assert within_one_ulp_of_a_sign_change(fn, root), root
+            ref = brentq(fn, root - 1e-3, root + 1e-3, xtol=1e-15)
+            assert abs(root - ref) <= 1e-14
+    # x1 has one fixed point under each symbol, x2 three (node, saddle, node)
+    assert counts == [1, 3, 1, 3]
+    a = 1.5
+    kloeden = lambda x: x - math.tanh(a * x / (1.0 + abs(x)))
+    root = experiments._root(kloeden, 0.1, 0.9999)
+    assert within_one_ulp_of_a_sign_change(kloeden, root)
+    assert abs(root - KLOEDEN_ROOT) <= 1e-14
+    with pytest.raises(ValueError):
+        experiments._root(kloeden, 0.5, 0.9999)
+
+
+def test_bisect_stops_at_tolerance_or_float_resolution():
+    assert experiments._bisect(lambda x: x > 0.3, 0.0, 1.0, 0.25) == (0.25, 0.5)
+    lo, hi = experiments._bisect(lambda x: x > 0.3, 0.0, 1.0)
+    assert lo <= 0.3 < hi and hi == np.nextafter(lo, 1.0)
+    # a zero tolerance ends at adjacent floats instead of looping forever
+    lo, hi = experiments._bisect(lambda x: x >= 1e-300, -1.0, 1.0, tol=0.0)
+    assert hi == np.nextafter(lo, 1.0)
 
 
 def contracting_model(tmp_path):

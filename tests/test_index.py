@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
 from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
@@ -265,6 +267,61 @@ def test_pair_distances_scratch_is_bounded():
     # six (m, m) arrays are filled, six more are their symmetric sums
     results = 12 * m * m * 8
     assert peak - results < 1.5 * 2**20
+
+
+def test_component_labels_match_scipy():
+    def check(adj):
+        want = connected_components(csr_matrix(adj), directed=False)
+        count, labels = index._component_labels(adj)
+        assert count == want[0]
+        assert labels.tolist() == want[1].tolist()
+
+    rng = np.random.default_rng(3)
+    check(np.ones((1, 1), dtype=bool))
+    check(np.zeros((1, 1), dtype=bool))
+    check(np.eye(7, dtype=bool))  # isolated nodes only
+    for m in (2, 5, 30, 100):
+        for density in (0.0, 0.01, 0.05, 0.2, 0.8):
+            upper = np.triu(rng.random((m, m)) < density, 1)
+            check(upper | upper.T | np.eye(m, dtype=bool))
+    # a path is the slowest case: the smallest label walks every edge
+    path = np.eye(100, dtype=bool) | np.eye(100, k=1, dtype=bool)
+    path |= path.T
+    check(path)
+    order = rng.permutation(100)
+    check(path[np.ix_(order, order)])
+    # the clustering matrix: d_max <= tol, whose diagonal is zero
+    tails = np.where(rng.random(40) < 0.5, -0.6, 0.6)[:, None, None] + \
+        1e-4 * rng.standard_normal((40, 20, 2))
+    check(index._pair_distances(tails)[0] <= 1e-3)
+
+
+def test_max_pair_distance_propagates_nan_across_blocks():
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1, 1, (1500, 3))
+    block = index._PAIR_BLOCK_BYTES // (16 * xs.shape[0])
+    assert block < xs.shape[0] - 1
+    assert index._max_pair_distance(xs) == pdist(xs).max()
+    for row in (0, block - 1, block, xs.shape[0] - 1):
+        bad = xs.copy()
+        bad[row, 1] = np.nan
+        assert np.isnan(index._max_pair_distance(bad)), row
+
+
+def test_max_pair_distance_scratch_is_bounded():
+    n, d = 3000, 3
+    xs = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        got = index._max_pair_distance(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pdist(xs).max()
+    # all pairs at once would take 36 MB.  Beyond the block: the
+    # coordinate-major copy of xs, and the buffer of up to 128 KiB that
+    # numpy's ufuncs use for short broadcast loops
+    assert peak <= index._PAIR_BLOCK_BYTES + xs.nbytes + 160 * 1024
 
 
 def test_estimate_echo_index_switching(switching_system, switching_input):
