@@ -13,13 +13,15 @@ bit-identical and the cocycle identity holds exactly.
 One kernel, _advance, evolves (inputs, members, d) states of any system
 in lockstep, each input's rows under its own drive.  orbit is its
 one-member case and the index module's ensembles its many-member case,
-so ensemble rows equal solo orbits by construction.  Only two loops
-evolve states apart from it: training.teacher_forced_states, whose
-feedback is the target, and experiments._escapes_basin, fold_bisect's
-scalar orbit, which stops at its first escape.
-numpy must only compute each stacked row on its own (stacked matmul
-runs one gemv per row).  step, built on the same _preactivation, is
-the per-step public reference the test suite checks orbit against.
+so ensemble rows equal solo orbits by construction.  Three loops
+evolve states apart from it: training.teacher_forced_states, which adds
+the target as feedback to the open-loop network's _preactivation;
+index.pullback_fibre's step_batch point cloud; and
+experiments._escapes_basin, fold_bisect's scalar orbit, which stops at
+its first escape.  numpy must only compute each stacked row on its own
+(stacked matmul runs one gemv per row).  step, built on the same
+_preactivation, is the per-step public reference the test suite checks
+orbit against.
 
 All floats are 64-bit.  Parameter objects are frozen and their arrays
 read-only; step / jacobian / orbit are pure functions safe to call from

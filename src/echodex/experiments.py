@@ -99,9 +99,8 @@ DEFAULTS = {
         "n_r": 200, "train_len": 6000, "test_len": 3000, "washout": 200,
         "pulse_prob": 0.01, "noise_std": 0.05, "ridge_lambda": 0.7,
         "spectral_radius": 0.9, "sparsity": 0.95, "weight_range": 1.0,
-        "exclusion": 20, "accuracy_min": 0.95, "pca_min": 0.9,
-        "ens_ics": 100, "ens_transients": [400, 800], "ens_horizon": 120,
-        "ens_window": 100, "cluster_tol": 1e-3,
+        "exclusion": 20, "ic_count": 100, "transients": [400, 800],
+        "horizon": 120, "window": 100, "cluster_tol": 1e-3,
     },
 }
 
@@ -143,7 +142,8 @@ def _kind(value):
 
 def resolve_config(preset, seed=None, overrides=None):
     """Merge defaults with overrides; unknown keys or presets are errors,
-    and so is an override of another _kind than its default's."""
+    and so is an override of another _kind than its default's, or a
+    non-integral number for an int (or list-of-int) key."""
     if preset not in DEFAULTS:
         raise KeyError(f"unknown preset {preset!r}; choose from "
                        f"{sorted(DEFAULTS)}")
@@ -155,6 +155,10 @@ def resolve_config(preset, seed=None, overrides=None):
         if _kind(value) != _kind(cfg[key]):
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
                              f"a {_kind(cfg[key])}, got {value!r}")
+        if (np.asarray(cfg[key]).dtype.kind == "i"
+                and not np.all(np.mod(value, 1) == 0)):
+            raise ValueError(f"config key {key!r} of preset {preset!r} takes "
+                             f"integers, got {value!r}")
         cfg[key] = value
     cfg["seed"] = int(DEFAULT_SEEDS[preset] if seed is None else seed)
     return _jsonable(cfg)
@@ -619,35 +623,32 @@ def _run_splice_demo(cfg, out):
 
 def _run_context_task(cfg, out):
     seed = int(cfg["seed"])
+    protocol = _protocol(cfg, ic_seed=seed)
     train_len, test_len = int(cfg["train_len"]), int(cfg["test_len"])
     total = train_len + test_len
     washout = int(cfg["washout"])
     task = gen_context_task(0, total, float(cfg["pulse_prob"]), seed)
+    inputs = task.full_input()
 
-    rc = ReservoirConfig(n_r=int(cfg["n_r"]), sparsity=float(cfg["sparsity"]),
-                         spectral_radius_target=float(cfg["spectral_radius"]),
-                         weight_range=float(cfg["weight_range"]),
-                         noise_std=float(cfg["noise_std"]),
-                         ridge_lambda=float(cfg["ridge_lambda"]), seed=seed)
-    params0 = context_reservoir(rc)
+    params0 = context_reservoir(ReservoirConfig(
+        n_r=int(cfg["n_r"]), sparsity=float(cfg["sparsity"]),
+        spectral_radius_target=float(cfg["spectral_radius"]),
+        weight_range=float(cfg["weight_range"]), seed=seed))
 
-    drive_train = task.drive.slice(0, train_len)
-    pulses_train = task.pulses[: train_len + 1]
     targets_train = task.targets[: train_len + 1]
-    states = teacher_forced_states(params0, drive_train, pulses_train,
-                                   targets_train[:, 0], rc.noise_std, seed)
+    states = teacher_forced_states(params0, inputs.slice(0, train_len),
+                                   targets_train[:, 0], float(cfg["noise_std"]),
+                                   seed)
     w_out = ridge_readout(states[washout:], targets_train[washout:],
-                          rc.ridge_lambda)
+                          float(cfg["ridge_lambda"]))
     params = replace(params0, w_out=w_out)
     train_err = nrmse(states[washout:] @ w_out.T, targets_train[washout:])
 
-    drive_test = task.drive.slice(train_len, total)
-    pulses_test = task.pulses[train_len:]
     targets_test = task.targets[train_len:]
     model = TrainedModel(params=params, train_error=train_err,
                          metadata={"seed": seed, "train_len": train_len,
                                    "test_len": test_len, "washout": washout})
-    outputs_ts, traj = closed_loop_eval(model, drive_test, pulses_test,
+    outputs_ts, traj = closed_loop_eval(model, inputs.slice(train_len, total),
                                         x0=states[-1])
     test_err = nrmse(outputs_ts[1:], targets_test[1:])
     model = replace(model, test_error=test_err)
@@ -663,27 +664,21 @@ def _run_context_task(cfg, out):
     accuracy = float(np.mean(pred_sign[scored] == true_sign[scored]))
 
     projections, cumvar = pca_project(traj.states, 2)
-    del states, traj  # not read again; frees them before the ensemble ladder
+    # not read again; frees them before the ensemble ladder
+    del states, traj, inputs
 
-    inputs_off = task.pulses_off_input()
-    ens_protocol = IndexProtocol(
-        ic_counts=(int(cfg["ens_ics"]),) * 2,
-        transients=tuple(int(t) for t in cfg["ens_transients"]),
-        horizon=int(cfg["ens_horizon"]), window=int(cfg["ens_window"]),
-        cluster_tol=float(cfg["cluster_tol"]), ic_seed=seed)
     # with --out, ensemble_z1.csv holds the tails of the ladder's final rung
-    ens_report = estimate_echo_index(params, inputs_off, ens_protocol,
+    ens_report = estimate_echo_index(params, task.pulses_off_input(), protocol,
                                      keep_rung=None if out is None else -1)
 
     assertions = [
-        Assertion("context-accuracy",
-                  accuracy >= float(cfg["accuracy_min"]),
+        Assertion("context-accuracy", accuracy >= 0.95,
                   f"z1 sign accuracy {accuracy:.4f} on {int(scored.sum())} "
-                  f"scored steps (>= {cfg['accuracy_min']})"),
-        Assertion("pca-cumvar", cumvar >= float(cfg["pca_min"]),
+                  f"scored steps (>= 0.95)"),
+        Assertion("pca-cumvar", cumvar >= 0.9,
                   f"two-component cumulative variance {cumvar:.4f}"),
         Assertion("pulse-off-index-two", ens_report.index == 2,
-                  f"{cfg['ens_ics']}-IC pulse-off verdict {ens_report.verdict()}"),
+                  f"{cfg['ic_count']}-IC pulse-off verdict {ens_report.verdict()}"),
     ]
     summary = {
         "accuracy": accuracy, "scored_steps": int(scored.sum()),

@@ -368,7 +368,8 @@ class IndexProtocol:
     min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
     transients[r + 1] >= transients[r], those members continue from rung
     r's final states (bit-exact by the cocycle identity); otherwise rung
-    r + 1 starts every member afresh at the anchor.
+    r + 1 starts every member afresh at the anchor.  Clustering reads
+    the last window of horizon + 1 states: window is in [10, horizon + 1].
     """
 
     ic_counts: tuple = (16, 24, 32)
@@ -383,6 +384,10 @@ class IndexProtocol:
         if len(self.ic_counts) != len(self.transients) or len(self.ic_counts) < 2:
             raise ConfigurationError(
                 "protocol needs matching ic_counts/transients with >= 2 rungs")
+        if not 10 <= self.window <= self.horizon + 1:
+            raise ConfigurationError(
+                f"window must lie in [10, horizon + 1 = {self.horizon + 1}], "
+                f"got {self.window}")
 
     @property
     def reach(self):

@@ -237,19 +237,19 @@ class ContextTask:
     pulses: np.ndarray
     targets: np.ndarray
 
-    def full_input(self):
-        """Four-channel sequence [u1, u2, u3, u4] on the same window."""
-        vals = np.column_stack([self.drive.values, self.pulses])
-        return InputSequence(anchor=self.drive.anchor, values=vals,
+    def _stacked(self, pulses):
+        return InputSequence(anchor=self.drive.anchor,
+                             values=np.column_stack([self.drive.values, pulses]),
                              lo=np.zeros(4), hi=np.ones(4),
                              provenance=self.drive.provenance)
 
+    def full_input(self):
+        """Four-channel sequence [u1, u2, u3, u4] on the same window."""
+        return self._stacked(self.pulses)
+
     def pulses_off_input(self):
         """Same drive but with both pulse channels identically zero."""
-        vals = np.column_stack([self.drive.values, np.zeros_like(self.pulses)])
-        return InputSequence(anchor=self.drive.anchor, values=vals,
-                             lo=np.zeros(4), hi=np.ones(4),
-                             provenance=self.drive.provenance)
+        return self._stacked(np.zeros_like(self.pulses))
 
 
 def gen_context_task(first, last, pulse_prob, seed):

@@ -5,6 +5,8 @@ spectral radius, harvest states by teacher forcing (the feedback input
 is the target output, with Gaussian noise injected inside the
 activation), solve the readout by ridge regression, then close the
 loop for evaluation.  Only the first output channel may feed back.
+Both take one stacked InputSequence; teacher forcing steps core's
+_preactivation, closed-loop evaluation is core's orbit.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, RnnParams, orbit
+from .core import (ConfigurationError, RnnParams, _preactivation,
+                   _require_input, orbit)
 from .rng import DOMAIN_NOISE, DOMAIN_WEIGHTS, substream
-from .sequences import InputSequence
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,6 @@ class ReservoirConfig:
     sparsity: float = 0.95
     spectral_radius_target: float = 0.9
     weight_range: float = 1.0
-    noise_std: float = 0.05
-    ridge_lambda: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
@@ -77,45 +77,32 @@ def init_reservoir(cfg, n_i, n_o):
                      w_out=np.zeros((n_o, cfg.n_r)))
 
 
-def _stacked_input(drive, pulses):
-    pulses = np.asarray(pulses, dtype=float)
-    if pulses.ndim != 2 or pulses.shape[0] != drive.length:
-        raise ConfigurationError("drive and pulses must have equal lengths")
-    vals = np.column_stack([drive.values, pulses])
-    lo = np.concatenate([drive.lo, np.zeros(pulses.shape[1])])
-    hi = np.concatenate([drive.hi, np.ones(pulses.shape[1])])
-    return InputSequence(anchor=drive.anchor, values=vals, lo=lo, hi=hi,
-                         provenance=drive.provenance)
-
-
-def teacher_forced_states(params, drive, pulses, target_z1, noise_std, seed):
+def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
     """Harvest states with the target fed back instead of the readout.
 
-    The transition into time k consumes the stacked input row at k and
-    the target z1 at k - 1 through the first feedback column (all other
-    feedback columns must be zero).  Gaussian noise of the given
-    standard deviation is added inside the activation, one committed
-    substream, one draw per transition.  Starts from the origin at the
-    drive's anchor; returns (T, n_r) states aligned with the window.
+    The transition into time k consumes the input row at k through
+    core._preactivation of the open-loop network (W_r, W_in, no
+    readout), then the target z1 at k - 1 through the first feedback
+    column (all other feedback columns must be zero), then Gaussian
+    noise of the given standard deviation: one committed substream, one
+    draw per transition.  With a zero target and no noise this is
+    exactly an orbit.  Starts from the origin at the input's anchor;
+    returns (T, n_r) states aligned with the input window.
     """
-    full = _stacked_input(drive, pulses)
     target_z1 = np.asarray(target_z1, dtype=float)
-    if target_z1.shape != (full.length,):
-        raise ConfigurationError("target_z1 length must match the drive window")
-    if full.n_i != params.n_i:
-        raise ConfigurationError(
-            f"stacked input has {full.n_i} channels, model expects {params.n_i}")
+    if target_z1.shape != (input_seq.length,):
+        raise ConfigurationError("target_z1 length must match the input window")
+    _require_input(params, input_seq, input_seq.first, input_seq.last)
     if params.n_o >= 2 and np.any(params.w_fb[:, 1:] != 0.0):
         raise ConfigurationError(
             "only the first output channel may feed back during teacher forcing")
+    open_loop = RnnParams(alpha=params.alpha, w_r=params.w_r, w_in=params.w_in)
     noise = substream(seed, DOMAIN_NOISE, 0)
     fb_col = params.w_fb[:, 0] if params.n_o else np.zeros(params.n_r)
-    states = np.zeros((full.length, params.n_r))
+    states = np.zeros((input_seq.length, params.n_r))
     x = states[0]
-    for j in range(1, full.length):
-        # core._preactivation's order, but the feedback is the target
-        pre = params.w_r @ x
-        pre = pre + params.w_in @ full.values[j]
+    for j in range(1, input_seq.length):
+        pre = _preactivation(open_loop, input_seq.values[j], x)
         pre = pre + fb_col * target_z1[j - 1]
         if noise_std > 0.0:
             pre = pre + noise.normal(0.0, noise_std, size=params.n_r)
@@ -190,18 +177,20 @@ def load_model(path):
     return TrainedModel(params=RnnParams.from_dict(doc), train_error=np.zeros(0))
 
 
-def closed_loop_eval(model, drive, pulses, x0=None):
+def closed_loop_eval(model, input_seq, x0=None):
     """Run the trained network with its own readout fed back.
 
-    No teacher, no noise: this is a plain orbit of the parameters, since
-    the feedback wiring is part of the state map.  Returns the (T, n_o)
-    outputs and the state Trajectory over the drive window.
+    No teacher, no noise: this is a plain orbit of the parameters over
+    the input window, since the feedback wiring is part of the state
+    map.  Returns the (T, n_o) outputs and the state Trajectory.
     """
     params = model.params
-    full = _stacked_input(drive, pulses)
+    if params.w_out is None:
+        raise ConfigurationError("the model has no readout to close the loop")
     if x0 is None:
         x0 = np.zeros(params.n_r)
-    traj = orbit(params, full, x0, full.length - 1, anchor=full.anchor)
+    traj = orbit(params, input_seq, x0, input_seq.length - 1,
+                 anchor=input_seq.anchor)
     outputs = traj.states @ params.w_out.T
     return outputs, traj
 

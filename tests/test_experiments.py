@@ -150,7 +150,13 @@ def test_removed_window_and_bracket_keys_are_rejected(capsys):
     for preset, key in (("switching2d", "sep_lo"), ("switching2d", "sep_hi"),
                         ("switching2d", "input_last"),
                         ("scalar_sweep", "input_last"),
-                        ("splice_demo", "input_last")):
+                        ("splice_demo", "input_last"),
+                        ("context_task", "ens_ics"),
+                        ("context_task", "ens_transients"),
+                        ("context_task", "ens_horizon"),
+                        ("context_task", "ens_window"),
+                        ("context_task", "accuracy_min"),
+                        ("context_task", "pca_min")):
         with pytest.raises(KeyError):
             resolve_config(preset, overrides={key: 0})
         code, doc = run_cli(capsys, [preset, "--set", f"{key}=0"])
@@ -194,11 +200,21 @@ def test_cli_bad_arguments_exit_two(capsys):
     ("switching2d", "transients=200", "transients"),
     ("kloeden", "ics=None", "ics"),
     ("scalar_sweep", "w_list=0.01", "w_list"),
+    ("kloeden", "ics=7.5", "ics"),
+    ("switching2d", "transients=[200.5,400]", "transients"),
+    ("scalar_sweep", "n_seeds=2.9", "n_seeds"),
 ])
 def test_cli_override_of_the_wrong_kind_exits_two(capsys, preset, pair, key):
     code, doc = run_cli(capsys, [preset, "--set", pair])
     assert code == 2 and doc["ok"] is False
     assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
+
+
+def test_context_task_refuses_a_window_beyond_its_horizon_before_training(
+        capsys):
+    # the ladder is built before the reservoir, so this costs no training
+    code, doc = run_cli(capsys, ["context_task", "--set", "window=500"])
+    assert code == 2 and "window must lie in [10, horizon + 1 = 121]" in doc["error"]
 
 
 def test_override_kinds_are_list_and_number():

@@ -432,7 +432,8 @@ def test_continued_rung_is_bit_exact_on_a_reservoir_with_feedback(monkeypatch):
                        w_fb=rng.uniform(-0.5, 0.5, (n_r, 1)),
                        w_out=rng.uniform(-0.2, 0.2, (1, n_r)))
     seq = InputSequence(anchor=0, values=rng.uniform(-1, 1, (400, 2)))
-    proto = IndexProtocol(ic_counts=(5, 5), transients=(50, 150), horizon=40)
+    proto = IndexProtocol(ic_counts=(5, 5), transients=(50, 150), horizon=40,
+                          window=30)
     steps = count_advanced_steps(monkeypatch)
     tails = continued_rung(params, [seq], [7], proto, 1)[0]
     # rung 2 continues all five members for 100 steps, no restart
@@ -563,6 +564,12 @@ def test_protocol_validation():
         IndexProtocol(ic_counts=(16,), transients=(100,))
     with pytest.raises(ConfigurationError):
         IndexProtocol(ic_counts=(16, 24), transients=(100,))
+    # clustering reads the last `window` of horizon + 1 retained states
+    for horizon, window in ((120, 200), (120, 122), (120, 9), (30, 100)):
+        with pytest.raises(ConfigurationError, match="window"):
+            IndexProtocol(horizon=horizon, window=window)
+    for window in (10, 121):
+        assert IndexProtocol(horizon=120, window=window).window == window
 
 
 @pytest.mark.parametrize("shift_check", [13, 0, -7])

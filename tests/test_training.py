@@ -4,13 +4,14 @@ import pytest
 from echodex import (ConfigurationError, ReservoirConfig, RnnParams,
                      TrainedModel, closed_loop_eval, context_reservoir,
                      init_reservoir, load_model, nrmse, orbit, pca_project,
-                     ridge_readout, save_model, teacher_forced_states)
+                     ridge_readout, save_model, save_params,
+                     teacher_forced_states)
 from echodex.sequences import InputSequence
 
 
 def small_cfg(**kw):
     base = dict(n_r=60, sparsity=0.9, spectral_radius_target=0.9,
-                weight_range=1.0, noise_std=0.05, ridge_lambda=0.7, seed=0)
+                weight_range=1.0, seed=0)
     base.update(kw)
     return ReservoirConfig(**base)
 
@@ -60,15 +61,13 @@ def test_context_reservoir_silences_second_feedback_column():
 def test_teacher_forcing_with_silent_feedback_matches_orbit():
     """With zero targets and zero noise the harvest is a plain orbit."""
     rng = np.random.default_rng(2)
-    params = init_reservoir(small_cfg(n_r=30), 3, 1)
-    drive = small_drive(rng, n=50, n_ch=2)
-    pulses = (rng.random((50, 1)) < 0.05).astype(float)
-    states = teacher_forced_states(params, drive, pulses, np.zeros(50),
-                                   noise_std=0.0, seed=0)
-    full_vals = np.column_stack([drive.values, pulses])
-    full = InputSequence(anchor=0, values=full_vals)
-    ref = orbit(params, full, np.zeros(30), 49).states
-    assert np.allclose(states, ref, rtol=0, atol=1e-14)
+    for seed in range(5):
+        params = init_reservoir(small_cfg(n_r=30, seed=seed), 3, 1)
+        drive = small_drive(rng, n=50, n_ch=3)
+        states = teacher_forced_states(params, drive, np.zeros(50),
+                                       noise_std=0.0, seed=0)
+        ref = orbit(params, drive, np.zeros(30), 49).states
+        assert np.array_equal(states, ref)
 
 
 def test_teacher_forcing_feeds_previous_target():
@@ -77,8 +76,7 @@ def test_teacher_forcing_feeds_previous_target():
                        w_fb=[[1.0]], w_out=[[0.0]])
     drive = InputSequence(anchor=0, values=np.array([[0.1], [0.2], [0.3]]))
     z1 = np.array([1.0, -1.0, 1.0])
-    states = teacher_forced_states(params, drive, np.zeros((3, 0)), z1,
-                                   noise_std=0.0, seed=0)
+    states = teacher_forced_states(params, drive, z1, noise_std=0.0, seed=0)
     assert states[0, 0] == 0.0
     assert np.isclose(states[1, 0], np.tanh(0.2 + z1[0]))
     assert np.isclose(states[2, 0], np.tanh(0.3 + z1[1]))
@@ -87,12 +85,11 @@ def test_teacher_forcing_feeds_previous_target():
 def test_teacher_forcing_noise_is_seeded():
     rng = np.random.default_rng(3)
     params = init_reservoir(small_cfg(n_r=20), 2, 1)
-    drive = small_drive(rng, n=40, n_ch=1)
-    pulses = np.zeros((40, 1))
+    drive = small_drive(rng, n=40, n_ch=2)
     z1 = np.ones(40)
-    a = teacher_forced_states(params, drive, pulses, z1, noise_std=0.05, seed=7)
-    b = teacher_forced_states(params, drive, pulses, z1, noise_std=0.05, seed=7)
-    c = teacher_forced_states(params, drive, pulses, z1, noise_std=0.05, seed=8)
+    a = teacher_forced_states(params, drive, z1, noise_std=0.05, seed=7)
+    b = teacher_forced_states(params, drive, z1, noise_std=0.05, seed=7)
+    c = teacher_forced_states(params, drive, z1, noise_std=0.05, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -100,11 +97,10 @@ def test_teacher_forcing_noise_is_seeded():
 def test_teacher_forcing_validation():
     rng = np.random.default_rng(4)
     params = init_reservoir(small_cfg(n_r=20), 2, 2)
-    drive = small_drive(rng, n=30, n_ch=1)
-    pulses = np.zeros((30, 1))
+    drive = small_drive(rng, n=30, n_ch=2)
     with pytest.raises(ConfigurationError):
         # second feedback column carries weight: rejected
-        teacher_forced_states(params, drive, pulses, np.zeros(30),
+        teacher_forced_states(params, drive, np.zeros(30),
                               noise_std=0.0, seed=0)
     silenced = params.to_dict()
     fb = np.asarray(silenced["w_fb"])
@@ -112,10 +108,12 @@ def test_teacher_forcing_validation():
     silenced["w_fb"] = fb.tolist()
     params = RnnParams.from_dict(silenced)
     with pytest.raises(ConfigurationError):
-        teacher_forced_states(params, drive, pulses, np.zeros(29),
+        teacher_forced_states(params, drive, np.zeros(29),
                               noise_std=0.0, seed=0)
-    with pytest.raises(ConfigurationError):
-        teacher_forced_states(params, drive, np.zeros((29, 1)), np.zeros(30),
+    narrow = small_drive(rng, n=30, n_ch=1)
+    with pytest.raises(ConfigurationError, match="input sequence has 1 "
+                       "channels, the network takes n_i = 2"):
+        teacher_forced_states(params, narrow, np.zeros(30),
                               noise_std=0.0, seed=0)
 
 
@@ -166,7 +164,6 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(back.test_error, model.test_error)
     assert back.metadata == {"note": "fixture"}
     # a bare parameter document also loads
-    from echodex import save_params
     bare = tmp_path / "bare.json"
     save_params(params, bare)
     loaded = load_model(bare)
@@ -180,15 +177,25 @@ def test_closed_loop_outputs_are_readout_of_states():
     from dataclasses import replace
     params = replace(params, w_out=w_out)
     model = TrainedModel(params=params, train_error=np.zeros(1))
-    drive = small_drive(rng, n=40, n_ch=2)
-    pulses = np.zeros((40, 1))
-    outputs, traj = closed_loop_eval(model, drive, pulses)
+    drive = small_drive(rng, n=40, n_ch=3)
+    outputs, traj = closed_loop_eval(model, drive)
     assert outputs.shape == (40, 1)
     assert np.array_equal(outputs, traj.states @ w_out.T)
     x0 = rng.uniform(-1, 1, 25)
-    outputs2, traj2 = closed_loop_eval(model, drive, pulses, x0=x0)
+    outputs2, traj2 = closed_loop_eval(model, drive, x0=x0)
     assert np.array_equal(traj2.states[0], x0)
     assert not np.array_equal(outputs, outputs2)
+
+
+def test_closed_loop_eval_without_readout_is_a_configuration_error(tmp_path):
+    # a bare parameter document with no readout loads as a model
+    path = tmp_path / "bare.json"
+    save_params(RnnParams(alpha=1.0, w_r=0.5 * np.eye(3), w_in=np.ones((3, 1))),
+                path)
+    model = load_model(path)
+    drive = small_drive(np.random.default_rng(9), n=10, n_ch=1)
+    with pytest.raises(ConfigurationError, match="readout"):
+        closed_loop_eval(model, drive)
 
 
 def test_pca_matches_svd_oracle():
