@@ -40,9 +40,8 @@ def _parse_overrides(pairs):
 
 
 def _parse_region(text):
-    """Region syntax lo1,lo2,...:hi1,hi2,... (also accepts '..')."""
-    sep = ":" if ":" in text else ".."
-    parts = text.split(sep)
+    """Region syntax lo1,lo2,...:hi1,hi2,..."""
+    parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"region must look like lo1,lo2:hi1,hi2, got {text!r}")
     lo = [float(v) for v in parts[0].split(",")]

@@ -268,11 +268,12 @@ def _switching_fixed_points(params, u):
     middle x2 root has a > 1 slope in x2, making it the saddle row.
     """
     alpha = params.alpha
+    w1, w2 = (float(w) for w in np.diag(params.w_r))
     pts = []
-    roots1 = _scan_roots(_coordinate_map(alpha, 0.5, u[0]))
-    roots2 = _scan_roots(_coordinate_map(alpha, 1.5, u[1]))
+    roots1 = _scan_roots(_coordinate_map(alpha, w1, u[0]))
+    roots2 = _scan_roots(_coordinate_map(alpha, w2, u[1]))
     for r2 in sorted(roots2):
-        slope2 = 1.0 - alpha + alpha * 1.5 * (1.0 - math.tanh(1.5 * r2 + u[1]) ** 2)
+        slope2 = 1.0 - alpha + alpha * w2 * (1.0 - math.tanh(w2 * r2 + u[1]) ** 2)
         for r1 in roots1:
             pts.append({"x": [r1, r2],
                         "kind": "saddle" if slope2 > 1.0 else "node"})

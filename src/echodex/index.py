@@ -33,9 +33,9 @@ A caller that also needs a rung's ensemble (to write it out) passes
 estimate_echo_indices' keep_rung; each report then holds that rung's
 EnsembleRun in report.ensemble, so no ensemble is evolved twice.
 Clustering keeps its pair differences in one scratch block of about
-512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size, and so do
-fibre diameters: max sqrt(sum_k (p_k - q_k)**2) over pairs of points,
-the squares summed in coordinate order (see pullback_fibre).
+512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size, and so does
+a pullback fibre's one diameter, measured on its final points (see
+pullback_fibre).
 """
 
 from dataclasses import dataclass, field, replace
@@ -248,8 +248,9 @@ def _component_labels(adj):
     return roots.size, labels
 
 
-# bytes of pair scratch _pair_distances and _max_pair_distance hold at
-# once: one block of rows instead of every pair
+# bytes of pair scratch that clustering (_pair_distances) and a fibre's
+# diameter (_max_pair_distance) hold at once: one block of rows instead
+# of every pair
 _PAIR_BLOCK_BYTES = 512 * 1024
 
 
@@ -384,6 +385,10 @@ class IndexProtocol:
         if len(self.ic_counts) != len(self.transients) or len(self.ic_counts) < 2:
             raise ConfigurationError(
                 "protocol needs matching ic_counts/transients with >= 2 rungs")
+        if min(self.ic_counts) < 1 or min(self.transients) < 0:
+            raise ConfigurationError(
+                "protocol needs ic_counts >= 1 and transients >= 0, got "
+                f"{tuple(self.ic_counts)} and {tuple(self.transients)}")
         if not 10 <= self.window <= self.horizon + 1:
             raise ConfigurationError(
                 f"window must lie in [10, horizon + 1 = {self.horizon + 1}], "
@@ -549,29 +554,24 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
 
 @dataclass(frozen=True)
 class PullbackFibre:
-    """Image of the state box pushed from time n - depth up to time n."""
+    """Image of the state box pushed from time n - depth up to time n,
+    and its diameter (see pullback_fibre)."""
 
     time: int
     depth: int
     points: np.ndarray = field(repr=False)
-    diameters: np.ndarray
-
-    @property
-    def final_diameter(self):
-        return float(self.diameters[-1])
+    final_diameter: float
 
 
 # pullback fibre seeds: grid points per axis (dimension <= 2), else a cloud
 _FIBRE_GRID = 33
 _FIBRE_CLOUD = 1000
-# diameter bound below which squares may underflow: no pruning there
-_PRUNE_FLOOR = 1e-140
 
 
 def _max_pair_distance(xs):
     """Largest sqrt(sum_k (xs[i, k] - xs[j, k])**2) over pairs i != j, the
-    squares summed in coordinate order (nan if any is nan), in blocks of
-    rows whose two scratch arrays fit _PAIR_BLOCK_BYTES."""
+    squares summed in coordinate order (nan if any is nan; 0.0 for one
+    row), in blocks of rows whose two scratch arrays fit _PAIR_BLOCK_BYTES."""
     n = xs.shape[0]
     block, xt = max(1, _PAIR_BLOCK_BYTES // (16 * n)), np.ascontiguousarray(xs.T)
     scratch, best = np.empty(2 * min(block, n - 1) * (n - 1)), np.float64(0.0)
@@ -586,42 +586,16 @@ def _max_pair_distance(xs):
     return np.sqrt(best)
 
 
-def _fibre_diameter(xs):
-    """_max_pair_distance(xs), 0.0 below two points; see pullback_fibre."""
-    if xs.shape[0] < 2:
-        return 0.0
-    r = np.linalg.norm(xs - xs.mean(axis=0), axis=1)
-    big = r.max()
-    if not np.isfinite(big):
-        return _max_pair_distance(xs)
-    if (xs == xs[0]).all():
-        return 0.0
-    far = int(np.argmax(r))
-    ends = [*xs.argmin(axis=0), *xs.argmax(axis=0), far,
-            np.argmax(np.linalg.norm(xs - xs[far], axis=1))]
-    lower = _max_pair_distance(xs[np.unique(ends)])
-    if not _PRUNE_FLOOR <= lower < np.inf:
-        return _max_pair_distance(xs)
-    return _max_pair_distance(xs[r + big >= lower * (1 - 1e-9)])
-
-
 def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     """Approximate the natural-association fibre at time n.
 
     Seeds a deterministic grid over the state box (33 per axis for
     dimension <= 2) or a fixed-seed 1000-point cloud (higher dimension),
-    evolves it from time n - depth to n, and records the exact pairwise
-    diameter at every step.  In certified contraction regions the trace
-    shrinks at least like mu^depth.
-
-    Each diameter D is max sqrt(sum_k (p_k - q_k)**2) over pairs (p, q),
-    squares summed in coordinate order (tests check it against scipy's
-    pdist), over only the points that can lie on a maximal pair.  With r
-    the distance from the centroid and R = max r, D <= r_p + r_q <= r_p
-    + R and D >= L, the same maximum over the axis extremes and a
-    farthest pair, so p is kept if r_p + R >= L (1 - 1e-9), the slack
-    covering the rounding.  If L < 1e-140 (squares may underflow) or on
-    overflow, all pairs count.
+    evolves it from time n - depth to n, and measures the final points'
+    diameter: max sqrt(sum_k (p_k - q_k)**2) over pairs (p, q), squares
+    summed in coordinate order, so it equals scipy's pdist(points).max()
+    bit for bit (0.0 for a single point).  In certified contraction
+    regions it shrinks at least like mu^depth.
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
@@ -632,21 +606,17 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     if box.dim != d:
         raise ConfigurationError("region dimension does not match the state")
     if d <= 2:
-        points, _ = box.grid(_FIBRE_GRID)
+        xs, _ = box.grid(_FIBRE_GRID)
     else:
         rng = substream(cloud_seed, DOMAIN_FIBRE, 0)
-        points = rng.uniform(box.lo, box.hi, size=(_FIBRE_CLOUD, d))
+        xs = rng.uniform(box.lo, box.hi, size=(_FIBRE_CLOUD, d))
     _require_input(system, input_seq, n - depth + 1, n)
     step = (partial(step_batch, system) if isinstance(system, RnnParams)
             else system.step_batch)
-    diameters = np.empty(depth + 1)
-    xs = points
-    diameters[0] = _fibre_diameter(xs)
-    for j, k in enumerate(range(n - depth + 1, n + 1), start=1):
+    for k in range(n - depth + 1, n + 1):
         xs = step(input_seq.at(k), xs)
-        diameters[j] = _fibre_diameter(xs)
     return PullbackFibre(time=int(n), depth=int(depth), points=xs,
-                         diameters=diameters)
+                         final_diameter=float(_max_pair_distance(xs)))
 
 
 # ----------------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_context_task_refuses_a_window_beyond_its_horizon_before_training(
     # the ladder is built before the reservoir, so this costs no training
     code, doc = run_cli(capsys, ["context_task", "--set", "window=500"])
     assert code == 2 and "window must lie in [10, horizon + 1 = 121]" in doc["error"]
+    for pair in ("ic_count=0", "transients=[-5,10]"):
+        code, doc = run_cli(capsys, ["context_task", "--set", pair])
+        assert code == 2 and "ic_counts >= 1 and transients >= 0" in doc["error"]
 
 
 def test_override_kinds_are_list_and_number():
@@ -372,9 +375,12 @@ def test_cli_certify_region(tmp_path, capsys):
 
 def test_cli_certify_bad_region_string(tmp_path, capsys):
     model = contracting_model(tmp_path)
-    code, doc = run_cli(capsys, ["certify", "--model", str(model),
-                                 "--mu", "0.9", "--region", "0,0"])
-    assert code == 2
+    # lo and hi are split by ':' only
+    for region in ("0,0", "0,0..1,1"):
+        code, doc = run_cli(capsys, ["certify", "--model", str(model),
+                                     "--mu", "0.9", "--region", region])
+        assert code == 2, region
+        assert "region must look like lo1,lo2:hi1,hi2" in doc["error"]
 
 
 def test_cli_rerun(tmp_path, capsys):

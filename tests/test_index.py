@@ -564,6 +564,12 @@ def test_protocol_validation():
         IndexProtocol(ic_counts=(16,), transients=(100,))
     with pytest.raises(ConfigurationError):
         IndexProtocol(ic_counts=(16, 24), transients=(100,))
+    # refused when built, not once a rung starts
+    for ics, transients in (((0, 24), (100, 200)), ((16, -1), (100, 200)),
+                            ((16, 24), (-5, 10)), ((16, 24), (100, -1))):
+        with pytest.raises(ConfigurationError, match="ic_counts >= 1"):
+            IndexProtocol(ic_counts=ics, transients=transients)
+    assert IndexProtocol(ic_counts=(1, 1), transients=(0, 0)).transients == (0, 0)
     # clustering reads the last `window` of horizon + 1 retained states
     for horizon, window in ((120, 200), (120, 122), (120, 9), (30, 100)):
         with pytest.raises(ConfigurationError, match="window"):
@@ -613,12 +619,15 @@ def test_kloeden_past_fibre_shrinks_monotonically():
     system = KloedenSystem(a=1.5)
     seq = system.arrival_sequence(-80, 0)
     # fibre at time -1 sees only the contracting past drive
-    past = pullback_fibre(system, seq, n=-1, depth=60)
-    assert past.final_diameter < 1e-8
-    assert np.all(np.diff(past.diameters) <= 0.0)
+    # the past drive is constant, so depth j at time -1 is the state box
+    # pushed j steps: its diameters shrink with the depth
+    past = [pullback_fibre(system, seq, n=-1, depth=j).final_diameter
+            for j in range(61)]
+    assert past[-1] < 1e-8
+    assert np.all(np.diff(past) <= 0.0)
+    assert pullback_fibre(system, seq, n=0, depth=0).final_diameter == 2.0
     # criterion depth at time 0 (one expanding arrival at k = 0)
     fib = pullback_fibre(system, seq, n=0, depth=35)
-    assert fib.diameters[0] == 2.0
     assert fib.final_diameter < 1e-6
     assert fib.points.shape[1] == 1
 
@@ -641,7 +650,7 @@ def test_fibre_cloud_path_for_higher_dimensions():
 def test_fibre_diameter_equals_pdist_max(switching_system, switching_input):
     def check(xs):
         ref = pdist(xs).max() if xs.shape[0] > 1 else 0.0
-        got = index._fibre_diameter(xs)
+        got = index._max_pair_distance(xs)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes(), xs.shape
 
     rng = np.random.default_rng(21)
@@ -672,16 +681,18 @@ def test_fibre_diameter_equals_pdist_max(switching_system, switching_input):
         check(0.2 + t * rng.uniform(-1, 1, d))
     angles = rng.uniform(0, 2 * np.pi, 500)
     check(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    # every fibre diameter against the plain pdist loop
+    # a fibre's points against the plain step_batch loop, its diameter
+    # against pdist
     r_plus = Region(lo=np.array([-1.0, 0.55]), hi=np.array([1.0, 1.0]))
-    fib = pullback_fibre(switching_system, switching_input, n=0, depth=80,
-                         region=r_plus)
-    xs = r_plus.grid(33)[0]
-    ref = [pdist(xs).max()]
-    for k in range(-79, 1):
-        xs = step_batch(switching_system, switching_input.at(k), xs)
-        ref.append(pdist(xs).max())
-    assert fib.diameters.tobytes() == np.array(ref).tobytes()
+    for depth in (0, 1, 80):
+        fib = pullback_fibre(switching_system, switching_input, n=0,
+                             depth=depth, region=r_plus)
+        xs = r_plus.grid(33)[0]
+        for k in range(1 - depth, 1):
+            xs = step_batch(switching_system, switching_input.at(k), xs)
+        assert fib.points.tobytes() == xs.tobytes(), depth
+        assert (np.float64(fib.final_diameter).tobytes()
+                == pdist(xs).max().tobytes()), depth
 
 
 def test_fibre_respects_region_and_window(switching_system, switching_input):
@@ -689,7 +700,7 @@ def test_fibre_respects_region_and_window(switching_system, switching_input):
     fib = pullback_fibre(switching_system, switching_input, n=0, depth=80,
                          region=r_plus)
     assert fib.final_diameter < 1e-4
-    assert fib.diameters.shape == (81,)
+    assert fib.points.shape == (33 * 33, 2)
     deep = pullback_fibre(switching_system, switching_input, n=0, depth=200,
                           region=r_plus)
     assert deep.final_diameter < 1e-10
@@ -700,9 +711,6 @@ def test_fibre_respects_region_and_window(switching_system, switching_input):
     with pytest.raises(ConfigurationError):
         pullback_fibre(switching_system, switching_input, n=0, depth=10,
                        region=Region(lo=[0.0], hi=[1.0]))
-    solo = pullback_fibre(switching_system, switching_input, n=0, depth=0,
-                          region=r_plus)
-    assert solo.diameters.shape == (1,)
 
 
 def bistable_scalar():
