@@ -13,11 +13,10 @@ exposed through the `echodex` command.
 from .core import (ConfigurationError, RnnParams, Trajectory, jacobian,
                    jacobian_batch, load_params, orbit, save_params,
                    spectral_norm, step, step_batch)
-from .sequences import (ContextTask, GeneratorSpec, InputSequence,
-                        WindowExhausted, d_prod, d_unif, gen_context_task,
-                        gen_two_symbol, gen_uniform_scaled, load_input,
-                        load_sequence, realize, save_sequence, shift,
-                        splice_large_input)
+from .sequences import (ContextTask, InputSequence, WindowExhausted, d_prod,
+                        d_unif, gen_context_task, gen_two_symbol,
+                        gen_uniform_scaled, load_input, load_sequence,
+                        save_sequence, shift, splice_large_input)
 from .contraction import (ContractionReport, LargeInputSpec, Region,
                           absorbing_entry_bound, global_esp_check,
                           large_input_radius, local_contraction_norm,
@@ -45,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assertion", "Cluster", "ConfigurationError", "ContextTask",
     "ContractionReport", "EchoIndexReport", "EnsembleRun",
-    "ExperimentResult", "GeneratorSpec", "IndexProtocol", "InputSequence",
+    "ExperimentResult", "IndexProtocol", "InputSequence",
     "KloedenSystem", "LargeInputSpec", "PullbackFibre", "Region",
     "ReservoirConfig", "RnnParams", "SeparatrixResult", "TrainedModel",
     "Trajectory", "WindowExhausted",
@@ -56,7 +55,7 @@ __all__ = [
     "hausdorff_semidistance", "init_reservoir", "jacobian", "jacobian_batch",
     "large_input_radius", "load_input", "load_model", "load_params",
     "load_sequence", "local_contraction_norm", "nrmse", "orbit",
-    "pair_divergence_step", "pca_project", "pullback_fibre", "realize",
+    "pair_divergence_step", "pca_project", "pullback_fibre",
     "region_contraction_check", "region_invariance_check", "resolve_config",
     "ridge_readout", "run_context_task", "run_ensemble", "run_fold_bisect",
     "run_from_manifest", "run_kloeden", "run_preset", "run_scalar_sweep",

@@ -51,16 +51,14 @@ class Region:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def grid(self, counts):
-        """Regular grid including the faces; counts is an int or per-axis list.
+    def grid(self, count):
+        """Regular grid including the faces, `count` points per axis.
 
         Degenerate axes (lo == hi) contribute a single coordinate.  The
         returned array is in C order of the axes, so 'lowest linear
         index' tie-breaking is well defined.
         """
-        if np.isscalar(counts):
-            counts = [int(counts)] * self.dim
-        counts = [1 if self.hi[i] == self.lo[i] else max(2, int(counts[i]))
+        counts = [1 if self.hi[i] == self.lo[i] else max(2, int(count))
                   for i in range(self.dim)]
         axes = [np.linspace(self.lo[i], self.hi[i], counts[i]) for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -124,6 +122,8 @@ def region_contraction_check(params, region, u_samples, mu, grid=33):
     mu-contraction set, not a proof: the sup over a continuum is
     under-approximated, and the report's margin quantifies the slack.
     """
+    if not 0.0 < mu < 1.0:
+        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
     if len(u_samples) == 0:
         raise ConfigurationError("u_samples must not be empty")
     if region.dim != params.n_r:

@@ -389,6 +389,9 @@ class IndexProtocol:
             raise ConfigurationError(
                 "protocol needs ic_counts >= 1 and transients >= 0, got "
                 f"{tuple(self.ic_counts)} and {tuple(self.transients)}")
+        if not 0.0 < self.cluster_tol < np.inf:
+            raise ConfigurationError("cluster_tol must be positive and finite, "
+                                     f"got {self.cluster_tol}")
         if not 10 <= self.window <= self.horizon + 1:
             raise ConfigurationError(
                 f"window must lie in [10, horizon + 1 = {self.horizon + 1}], "

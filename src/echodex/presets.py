@@ -27,15 +27,13 @@ def switching_inputs():
     return u1, -u1
 
 
-def scalar_params(input_weight=1.0):
-    """One-neuron system x' = tanh(1.01 x + input_weight * u).
+def scalar_params():
+    """One-neuron system x' = tanh(1.01 x + u).
 
     The slope 1.01 makes the autonomous map bistable; uniform inputs are
-    scaled in the generator, so the default keeps W_in = 1.
+    scaled in the generator, so W_in = 1.
     """
-    return RnnParams(alpha=1.0,
-                     w_r=np.array([[1.01]]),
-                     w_in=np.array([[float(input_weight)]]))
+    return RnnParams(alpha=1.0, w_r=np.array([[1.01]]), w_in=np.array([[1.0]]))
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ class KloedenSystem:
         vals = np.where(ks >= 0, self.a, 1.0 / self.a)[:, None]
         return InputSequence(anchor=first, values=vals,
                              lo=np.array([min(self.a, 1.0 / self.a)]),
-                             hi=np.array([max(self.a, 1.0 / self.a)]),
-                             provenance="kloeden-drive")
+                             hi=np.array([max(self.a, 1.0 / self.a)]))
 
     def run(self, x0, k_start, k_end):
         """States at times k_start..k_end from x0 under the canonical drive."""

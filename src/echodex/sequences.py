@@ -6,7 +6,7 @@ coverage they need and underflow raises WindowExhausted; silent
 truncation would corrupt pullback computations, so it does not exist.
 
 Every generator draws from the committed substream rule in `rng`, one
-substream per channel, so the same GeneratorSpec and seed reproduce the
+substream per channel, so the same parameters and seed reproduce the
 same sequence bit-exactly regardless of thread count or platform.
 """
 
@@ -29,22 +29,6 @@ class WindowExhausted(LookupError):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe that produced a sequence; serializable for manifests."""
-
-    kind: str
-    params: dict
-    seed: int
-
-    def to_dict(self):
-        return {"kind": self.kind, "params": self.params, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(kind=doc["kind"], params=dict(doc["params"]), seed=int(doc["seed"]))
-
-
-@dataclass(frozen=True)
 class InputSequence:
     """Window of a bi-infinite input sequence with declared value box.
 
@@ -56,7 +40,6 @@ class InputSequence:
     values: np.ndarray = field(repr=False)
     lo: np.ndarray = None
     hi: np.ndarray = None
-    provenance: object = "explicit"
 
     def __post_init__(self):
         # reuse an already-frozen buffer (shift() relies on this being
@@ -124,7 +107,7 @@ class InputSequence:
         self.require_window(first, last)
         a, b = first - self.anchor, last - self.anchor + 1
         return InputSequence(anchor=first, values=self.values[a:b].copy(),
-                             lo=self.lo, hi=self.hi, provenance=self.provenance)
+                             lo=self.lo, hi=self.hi)
 
 
 def shift(seq, n):
@@ -134,7 +117,7 @@ def shift(seq, n):
     this is zero-copy.  shift(u, 0) == u and shifts compose additively.
     """
     return InputSequence(anchor=seq.anchor - n, values=seq.values,
-                         lo=seq.lo, hi=seq.hi, provenance=seq.provenance)
+                         lo=seq.lo, hi=seq.hi)
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +173,7 @@ def gen_two_symbol(u1, u2, p, first, last, seed):
     vals = np.where((draws < p)[:, None], u1[None, :], u2[None, :])
     lo = np.minimum(u1, u2)
     hi = np.maximum(u1, u2)
-    spec = GeneratorSpec("two_symbol", {"u1": u1.tolist(), "u2": u2.tolist(),
-                                        "p": p, "first": first, "last": last}, seed)
-    return InputSequence(anchor=first, values=vals, lo=lo, hi=hi, provenance=spec)
+    return InputSequence(anchor=first, values=vals, lo=lo, hi=hi)
 
 
 def gen_uniform_scaled(w, first, last, seed):
@@ -205,9 +186,8 @@ def gen_uniform_scaled(w, first, last, seed):
     vals = substream(seed, DOMAIN_CHANNEL, 0).uniform(-1.0, 1.0, size=(n, 1))
     vals *= w
     vals.setflags(write=False)  # handed over: InputSequence keeps it uncopied
-    spec = GeneratorSpec("uniform_scaled", {"w": w, "first": first, "last": last}, seed)
     return InputSequence(anchor=first, values=vals,
-                         lo=np.array([-w]), hi=np.array([w]), provenance=spec)
+                         lo=np.array([-w]), hi=np.array([w]))
 
 
 # Exponential filter taps: g(s) = exp(-s/50), truncated where g < 1e-6.
@@ -240,8 +220,7 @@ class ContextTask:
     def _stacked(self, pulses):
         return InputSequence(anchor=self.drive.anchor,
                              values=np.column_stack([self.drive.values, pulses]),
-                             lo=np.zeros(4), hi=np.ones(4),
-                             provenance=self.drive.provenance)
+                             lo=np.zeros(4), hi=np.ones(4))
 
     def full_input(self):
         """Four-channel sequence [u1, u2, u3, u4] on the same window."""
@@ -293,10 +272,8 @@ def gen_context_task(first, last, pulse_prob, seed):
         z1[t] = state
     z2 = np.where(z1 > 0, smooth[:, 0], smooth[:, 1])
     targets = np.column_stack([z1, z2])
-    spec = GeneratorSpec("context_task", {"pulse_prob": pulse_prob,
-                                          "first": first, "last": last}, seed)
     drive = InputSequence(anchor=first, values=smooth,
-                          lo=np.zeros(2), hi=np.ones(2), provenance=spec)
+                          lo=np.zeros(2), hi=np.ones(2))
     return ContextTask(drive=drive, pulses=pulses, targets=targets)
 
 
@@ -319,10 +296,7 @@ def splice_large_input(u, m, far_value, admissible=None):
     vals[np.abs(ks) > m] = far
     lo = np.minimum(u.lo, far)
     hi = np.maximum(u.hi, far)
-    prov = u.provenance.to_dict() if isinstance(u.provenance, GeneratorSpec) else str(u.provenance)
-    spec = GeneratorSpec("splice", {"m": int(m), "far_value": far.tolist(),
-                                    "base": prov}, 0)
-    return InputSequence(anchor=u.anchor, values=vals, lo=lo, hi=hi, provenance=spec)
+    return InputSequence(anchor=u.anchor, values=vals, lo=lo, hi=hi)
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +337,7 @@ def load_sequence(path, lo=None, hi=None):
         raise ValueError(f"{path}: empty sequence")
     if np.any(np.diff(ks) != 1):
         raise ValueError(f"{path}: time indices must be consecutive")
-    return InputSequence(anchor=int(ks[0]), values=np.asarray(rows), lo=lo, hi=hi,
-                         provenance="explicit")
+    return InputSequence(anchor=int(ks[0]), values=np.asarray(rows), lo=lo, hi=hi)
 
 
 _GENERATORS = {
@@ -375,18 +348,15 @@ _GENERATORS = {
 }
 
 
-def realize(spec):
-    """Re-run a GeneratorSpec (two_symbol / uniform_scaled) from its recipe."""
-    try:
-        maker = _GENERATORS[spec.kind]
-    except KeyError:
-        raise ValueError(f"cannot realize generator kind {spec.kind!r}") from None
-    return maker(spec.params, spec.seed)
-
-
 def load_input(path):
-    """Load an input from CSV or from a GeneratorSpec JSON document."""
+    """Load an input from CSV or from a generator-spec JSON document
+    {"kind", "params", "seed"} whose kind is a key of _GENERATORS."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        return realize(GeneratorSpec.from_dict(json.loads(path.read_text())))
-    return load_sequence(path)
+    if path.suffix.lower() != ".json":
+        return load_sequence(path)
+    doc = json.loads(path.read_text())
+    kind, params, seed = doc["kind"], doc["params"], int(doc["seed"])
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}; "
+                         f"known: {', '.join(_GENERATORS)}")
+    return _GENERATORS[kind](params, seed)

@@ -99,6 +99,18 @@ def test_region_contraction_certifies_r_plus(switching_system):
     assert tighter.margin < 0.0
 
 
+def test_region_contraction_refuses_mu_outside_the_unit_interval():
+    # x -> tanh(2x) is bistable on [-1, 1]; its worst norm 2 sits below
+    # 2.5, so a mu >= 1 would "certify" a box holding two fixed points
+    params = RnnParams(alpha=1.0, w_r=[[2.0]], w_in=[[0.0]])
+    region = Region(lo=[-1.0], hi=[1.0])
+    for mu in (2.5, 1.0, 0.0, -0.5, math.nan):
+        with pytest.raises(ConfigurationError, match="mu must lie in"):
+            region_contraction_check(params, region, [np.zeros(1)], mu)
+    assert not region_contraction_check(params, region, [np.zeros(1)],
+                                        0.99).certified
+
+
 def test_contraction_evidence_is_monotone_in_sampling():
     """More inputs or a finer nested grid can only raise the observed sup."""
     rng = np.random.default_rng(21)

@@ -373,6 +373,32 @@ def test_cli_certify_region(tmp_path, capsys):
     assert doc["invariant"] is False and doc["witness"] is not None
 
 
+def test_cli_certify_refuses_mu_outside_the_unit_interval(tmp_path, capsys):
+    bistable = tmp_path / "bistable.json"
+    save_model(TrainedModel(params=RnnParams(alpha=1.0, w_r=[[2.0]],
+                                             w_in=[[0.0]]),
+                            train_error=np.zeros(1)), bistable)
+    code, doc = run_cli(capsys, ["certify", "--model", str(bistable),
+                                 "--mu", "2.5", "--region=-1:1"])
+    assert code == 2 and "mu must lie in (0, 1)" in doc["error"]
+    code, doc = run_cli(capsys, ["switching2d", "--set", "mu=1.5"])
+    assert code == 2 and "mu must lie in (0, 1)" in doc["error"]
+
+
+def test_cli_refuses_a_cluster_tol_that_is_not_positive(tmp_path, capsys):
+    model = contracting_model(tmp_path)
+    spec_path = tmp_path / "input.json"
+    spec_path.write_text(json.dumps({
+        "kind": "uniform_scaled",
+        "params": {"w": 0.1, "first": 0, "last": 1000}, "seed": 0}))
+    code, doc = run_cli(capsys, ["index", "--model", str(model),
+                                 "--input", str(spec_path), "--tol", "0"])
+    assert code == 2 and "cluster_tol" in doc["error"]
+    for preset in ("switching2d", "context_task"):
+        code, doc = run_cli(capsys, [preset, "--set", "cluster_tol=-1"])
+        assert code == 2 and "cluster_tol" in doc["error"]
+
+
 def test_cli_certify_bad_region_string(tmp_path, capsys):
     model = contracting_model(tmp_path)
     # lo and hi are split by ':' only

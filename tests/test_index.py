@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 import tracemalloc
 
 import numpy as np
@@ -576,6 +577,12 @@ def test_protocol_validation():
             IndexProtocol(horizon=horizon, window=window)
     for window in (10, 121):
         assert IndexProtocol(horizon=120, window=window).window == window
+    # a tolerance that is not a positive finite number would make every
+    # verdict indefinite without saying why
+    for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="cluster_tol"):
+            IndexProtocol(cluster_tol=tol)
+    assert IndexProtocol(cluster_tol=1e-12).cluster_tol == 1e-12
 
 
 @pytest.mark.parametrize("shift_check", [13, 0, -7])

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from echodex import (GeneratorSpec, InputSequence, WindowExhausted, d_prod,
-                     d_unif, gen_context_task, gen_two_symbol,
-                     gen_uniform_scaled, load_input, load_sequence, realize,
-                     save_sequence, shift, splice_large_input)
+from echodex import (InputSequence, WindowExhausted, d_prod, d_unif,
+                     gen_context_task, gen_two_symbol, gen_uniform_scaled,
+                     load_input, load_sequence, save_sequence, shift,
+                     splice_large_input)
 from echodex.sequences import write_csv
 
 
@@ -256,22 +256,27 @@ def test_write_csv_formats_every_column_kind(tmp_path):
     assert path.read_bytes() == b"k\n"
 
 
-def test_realize_reproduces_from_provenance(tmp_path):
-    seq = gen_two_symbol(np.array([0.25, 0.15]), np.array([-0.25, -0.15]),
-                         0.5, -50, 150, seed=4)
-    again = realize(seq.provenance)
-    assert np.array_equal(again.values, seq.values)
-    assert again.anchor == seq.anchor
+def test_generator_spec_json_loads_to_the_generators_sequence(tmp_path):
     spec_path = tmp_path / "gen.json"
-    spec_path.write_text(json.dumps(seq.provenance.to_dict()))
-    loaded = load_input(spec_path)
-    assert np.array_equal(loaded.values, seq.values)
-    with pytest.raises(ValueError):
-        realize(GeneratorSpec("mystery", {}, 0))
-
-
-def test_generator_spec_roundtrip():
-    spec = GeneratorSpec("uniform_scaled", {"w": 0.01, "first": 0, "last": 5}, 7)
-    back = GeneratorSpec.from_dict(spec.to_dict())
-    assert back == spec
-    assert np.array_equal(realize(back).values, realize(spec).values)
+    for doc, want in (
+            ({"kind": "two_symbol", "seed": 4,
+              "params": {"u1": [0.25, 0.15], "u2": [-0.25, -0.15], "p": 0.5,
+                         "first": -50, "last": 150}},
+             gen_two_symbol(np.array([0.25, 0.15]), np.array([-0.25, -0.15]),
+                            0.5, -50, 150, seed=4)),
+            ({"kind": "uniform_scaled", "seed": 7,
+              "params": {"w": 0.01, "first": 0, "last": 5}},
+             gen_uniform_scaled(0.01, 0, 5, seed=7))):
+        spec_path.write_text(json.dumps(doc))
+        loaded = load_input(spec_path)
+        assert loaded.anchor == want.anchor
+        assert loaded.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(loaded.lo, want.lo)
+        assert np.array_equal(loaded.hi, want.hi)
+    spec_path.write_text(json.dumps({"kind": "mystery", "params": {}, "seed": 0}))
+    with pytest.raises(ValueError, match="mystery"):
+        load_input(spec_path)
+    spec_path.write_text(json.dumps({"kind": "uniform_scaled",
+                                     "params": {"w": 0.01, "first": 0, "last": 5}}))
+    with pytest.raises(KeyError, match="seed"):
+        load_input(spec_path)
