@@ -13,7 +13,10 @@ bit-identical and the cocycle identity holds exactly.
 One kernel, _advance, evolves (inputs, members, d) states of any system
 in lockstep, each input's rows under its own drive.  orbit is its
 one-member case and the index module's ensembles its many-member case,
-so ensemble rows equal solo orbits by construction.  Three loops
+so ensemble rows equal solo orbits by construction.  It copies the
+states it is given once and steps the copy in place, so its xs
+argument is never modified, and it reads the drive in chunks of about
+_DRIVE_BYTES (64 KiB), however many inputs and steps it runs.  Three loops
 evolve states apart from it: training.teacher_forced_states, which adds
 the target as feedback to the open-loop network's _preactivation;
 index.pullback_fibre's step_batch point cloud; and
@@ -300,50 +303,67 @@ def _require_input(system, input_seq, first, last):
 
 
 def _matvec_rows(w):
-    """x -> w @ v for every row v of x (..., n), one gemv per row; a
-    1 x 1 w is one multiply, bound without a Python call per step."""
+    """(x, out=None) -> w @ v for every row v of x (..., n), one gemv per
+    row, written to `out` when given; a 1 x 1 w is one multiply, bound
+    without a Python call per step."""
     if w.shape == (1, 1):
         return partial(np.multiply, w[0, 0])
-    return lambda x: np.matmul(w, x[..., None])[..., 0]
+    return lambda x, out=None: np.matmul(
+        w, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
-# input steps the lockstep loop reads at once: bounds the drive buffer
-# at (chunk x inputs x n_r) instead of (steps x inputs x n_r)
-_DRIVE_CHUNK = 1024
+# bytes of drive one lockstep chunk reads at once: _advance holds at
+# most this many bytes of input values, and as many again once they are
+# mapped through W_in, whatever the lane count and the run length
+_DRIVE_BYTES = 64 * 1024
 
 
 def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
     """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
     time t0 to t1 in lockstep and return their states at t1, writing the
-    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  RnnParams
+    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  xs is not
+    modified: the states are copied once and stepped in place.  RnnParams
     rows follow _preactivation's arithmetic and order; other systems step
     each input's rows through step_batch."""
     if xs.shape[1] == 0:
         return xs
     rnn = isinstance(system, RnnParams)
+    x = xs.copy()
+    if t0 >= tail_t0:
+        tails[:, :, t0 - tail_t0] = x
+    n_i, d = seqs[0].n_i, x.shape[2]
+    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * max(n_i, d))))
+    raw = np.empty((chunk, len(seqs), n_i))
+    drive = raw
     if rnn:
         w_r, w_in = _matvec_rows(system.w_r), _matvec_rows(system.w_in)
         feedback = system.w_out is not None
         if feedback:
             w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
+            fb = np.empty_like(x)
         alpha, om = system.alpha, 1.0 - system.alpha
-    x = xs
-    if t0 >= tail_t0:
-        tails[:, :, t0 - tail_t0] = x
-    for c0 in range(t0 + 1, t1 + 1, _DRIVE_CHUNK):
-        c1 = min(c0 + _DRIVE_CHUNK, t1 + 1)
-        drive = np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs],
-                         axis=1)
+        pre = np.empty_like(x)
+        drive = np.empty((chunk, len(seqs), 1, d))
+    for c0 in range(t0 + 1, t1 + 1, chunk):
+        c1 = min(c0 + chunk, t1 + 1)
+        n = c1 - c0
+        np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs], axis=1,
+                 out=raw[:n])
         if rnn:
-            drive = w_in(drive)[:, :, None]
-        for t, u in zip(range(c0, c1), drive):
+            w_in(raw[:n], out=drive[:n, :, 0])
+        for t, u in zip(range(c0, c1), drive[:n]):
             if rnn:
-                # _preactivation's order, inlined with bound row maps: a
-                # Python call per step slows the n_r = 1 loop by 7-8 %
-                pre = w_r(x) + u
+                # _preactivation's order, inlined with bound row maps and
+                # stepped in place: a Python call per step slows the
+                # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
+                w_r(x, out=pre)
+                pre += u
                 if feedback:
-                    pre = pre + w_fb(w_out(x))
-                x = om * x + alpha * np.tanh(pre)
+                    pre += w_fb(w_out(x), out=fb)
+                np.tanh(pre, out=pre)
+                pre *= alpha
+                x *= om
+                x += pre
             else:
                 x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
             if t >= tail_t0:

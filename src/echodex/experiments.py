@@ -671,6 +671,13 @@ def _run_context_task(cfg, out):
     # with --out, ensemble_z1.csv holds the tails of the ladder's final rung
     ens_report = estimate_echo_index(params, task.pulses_off_input(), protocol,
                                      keep_rung=None if out is None else -1)
+    if out is not None:
+        # read z1 now and drop the kept rung, whose arrays also hold the
+        # shift check's lane, before the outputs are written
+        run = ens_report.ensemble
+        z1_ks = range(run.tail_anchor, run.tail_anchor + run.horizon + 1)
+        z1 = np.stack([tail @ params.w_out[0] for tail in run.trajectories])
+        ens_report, run = replace(ens_report, ensemble=None), None
 
     assertions = [
         Assertion("context-accuracy", accuracy >= 0.95,
@@ -712,12 +719,10 @@ def _run_context_task(cfg, out):
                       *projections.T.tolist(), targets_test[:, 0].tolist()))
         outputs["pca"] = str(pca_path)
 
-        run = ens_report.ensemble
         z1_path = out / "ensemble_z1.csv"
-        ks = range(run.tail_anchor, run.tail_anchor + run.horizon + 1)
-        z1 = [(tail @ params.w_out[0]).tolist() for tail in run.trajectories]
         write_csv(z1_path, "ic_id,k,z1", "%d,%d,%.17g",
-                  ((i, k, z) for i, row in enumerate(z1) for k, z in zip(ks, row)))
+                  ((i, k, z) for i, row in enumerate(z1.tolist())
+                   for k, z in zip(z1_ks, row)))
         outputs["ensemble_z1"] = str(z1_path)
     return summary, assertions, outputs
 

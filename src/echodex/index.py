@@ -17,11 +17,14 @@ each row's result depends on that row alone.
 Every orbit here, ensemble member or solo (separatrix, pair
 divergence), is evolved by core._advance under two bit-exact contracts:
 
-- Lockstep batching.  The members of every input in one ladder rung
-  form one (inputs, members, d) array, each row under its own input's
-  drive.  `orbit` is the kernel's one-member case, so each row is its
-  solo orbit by construction; numpy must only compute each stacked row
-  on its own, a property of numpy/OpenBLAS (see core), not of the paper.
+- Lockstep batching.  The members of every lane in one ladder rung
+  form one (lanes, members, d) array, each row under its own lane's
+  drive.  An input's lanes are its own and its shift lane, the input
+  shifted by the protocol's shift_check, whose tails are the shift
+  check's ensemble.  `orbit` is the kernel's one-member case, so each
+  row is its solo orbit by construction; numpy must only compute each
+  stacked row on its own, a property of numpy/OpenBLAS (see core), not
+  of the paper.
 - Continuation.  A ladder rung whose transient does not shrink
   continues the members it shares with the previous rung from their
   final states instead of restarting them at the anchor.  By the
@@ -47,7 +50,7 @@ from .core import (ConfigurationError, RnnParams, Trajectory, _advance,
                    _require_input, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
-from .sequences import write_csv
+from .sequences import shift, write_csv
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +88,9 @@ class EnsembleRun:
 
 @dataclass(frozen=True)
 class _Rung:
-    """Members of one ladder rung for several inputs at one anchor.
+    """Members of one ladder rung for several lanes at one anchor.
 
-    ics is (inputs, m, d); tails (inputs, m, n, d) holds the last n
+    ics is (lanes, m, d); tails (lanes, m, n, d) holds the last n
     states of each member, ending at anchor + transient + horizon.
     """
 
@@ -364,7 +367,8 @@ class IndexProtocol:
     is its solo orbit: both come from core._advance) after transients[r]
     discarded steps;
     the estimate is accepted once two consecutive rungs give the same
-    definite index, then spot-checked at a shifted anchor.
+    definite index, then spot-checked at the anchor shifted by
+    shift_check, whose ensemble evolves alongside in the same rungs.
     IC i is drawn from its own substream, so rung r + 1 shares its first
     min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
     transients[r + 1] >= transients[r], those members continue from rung
@@ -402,28 +406,32 @@ class IndexProtocol:
         """Last input time past the anchor that a ladder can read: its
         longest rung, run at the shift check's anchor when that is later.
         An input that ends at anchor + reach serves every rung and the
-        shift check; one step shorter can raise WindowExhausted."""
+        shift check; one step shorter can raise WindowExhausted.  Every
+        rung an input reaches also reads its shift check's window."""
         return max(0, self.shift_check) + max(self.transients) + self.horizon
 
 
 def _ladder_rung(system, seqs, seeds, protocol, r, anchor, prev=None):
-    """Rung r of the protocol for every input, continuing `prev` (an
-    earlier rung of the same inputs) where the protocol allows."""
+    """Rung r of the protocol for every lane, continuing `prev` (an
+    earlier rung of the same lanes) where the protocol allows.  Each
+    distinct IC seed's ICs are drawn once, however many lanes share it."""
     count, transient = protocol.ic_counts[r], protocol.transients[r]
-    ics = np.stack([_draw_ics(system, seed, count) for seed in seeds])
+    drawn = {seed: _draw_ics(system, seed, count) for seed in set(seeds)}
+    ics = np.stack([drawn[seed] for seed in seeds])
     return _Rung(ics, _evolve(system, seqs, ics, transient, protocol.horizon,
                               anchor, prev), int(transient))
 
 
-def _rung_runs(system, seqs, seeds, protocol, rung, anchor, own=False):
-    """EnsembleRun of each input's members in a rung: views of the rung's
-    arrays, or with `own` copies that do not hold the whole rung alive."""
-    return [EnsembleRun(system=system, input_seq=seq,
-                        initial_conditions=rung.ics[i].copy() if own else rung.ics[i],
+def _rung_runs(system, seqs, seeds, protocol, rung, anchor, rows, own=False):
+    """EnsembleRun of the members of each lane in `rows` of a rung
+    (seqs[k] and seeds[k] are lane k's): views of the rung's arrays, or
+    with `own` copies that do not hold the whole rung alive."""
+    return [EnsembleRun(system=system, input_seq=seqs[k],
+                        initial_conditions=rung.ics[k].copy() if own else rung.ics[k],
                         transient=rung.transient, horizon=int(protocol.horizon),
-                        anchor=int(anchor), ic_seed=seed,
-                        trajectories=rung.tails[i].copy() if own else rung.tails[i])
-            for i, (seq, seed) in enumerate(zip(seqs, seeds))]
+                        anchor=int(anchor), ic_seed=seeds[k],
+                        trajectories=rung.tails[k].copy() if own else rung.tails[k])
+            for k in rows]
 
 
 def _cluster_runs(runs, protocol):
@@ -431,12 +439,14 @@ def _cluster_runs(runs, protocol):
                                 window=protocol.window) for run in runs]
 
 
-def _final_report(reports, stable_at, shifted, protocol, anchor):
+def _final_report(reports, shifted, protocol, anchor):
+    """The last rung's report with the ladder's verdict; shifted is the
+    shift check's report, None if the input never stabilised."""
     final = reports[-1]
     diagnostics = dict(final.diagnostics)
     diagnostics["rungs"] = [(int(c), int(t), rep.verdict()) for c, t, rep in
                             zip(protocol.ic_counts, protocol.transients, reports)]
-    if stable_at is None:
+    if shifted is None:
         diagnostics["stabilized"] = False
         return replace(final, index=None, diagnostics=diagnostics)
     diagnostics["stabilized"] = True
@@ -454,20 +464,25 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     """Echo index estimates for many inputs from one lockstep ladder.
 
     Each report equals what estimate_echo_index gives for that input
-    alone (with ic_seed = ic_seeds[i], default protocol.ic_seed).  Every
-    rung evolves the inputs still open as one batch, continuing the
-    previous rung's members where the protocol allows; the shift checks
-    of all inputs that stabilised at the same rung run as one batch.
+    alone (with ic_seed = ic_seeds[i], default protocol.ic_seed).  Input
+    i runs as two lanes of every rung it reaches: its own, and its shift
+    lane, shift(seq_i, protocol.shift_check) at `anchor` with the same
+    ICs, which is seq_i's ensemble at anchor + shift_check.  Every rung
+    evolves the lanes of the inputs still open as one batch, continuing
+    the previous rung's members where the protocol allows.  An input
+    that stabilises at a rung has its shift lane clustered there as the
+    shift check and leaves the ladder with both lanes; an input that
+    never stabilises evolves its shift lane through every rung too.
 
     keep_rung (a protocol rung index, negative from the end) makes each
     report carry that rung's ensemble at `anchor` in report.ensemble,
     bit-identical to run_ensemble(system, seq, ic_counts[r],
     transients[r], horizon, anchor, ic_seed), or None if the ladder
     stopped before that rung.  It is built from the rung's own arrays
-    (views for one input, a copy per input for several), so keeping a
-    rung evolves nothing more.  Beyond the rungs' tails, clustering
-    needs only (m, m) results and one pair scratch block of about
-    512 KiB (_pair_distances).
+    (views for one input, which hold its shift lane too, and a copy per
+    input for several), so keeping a rung evolves nothing more.  Beyond
+    the rungs' tails, clustering needs only (m, m) results and one pair
+    scratch block of about 512 KiB (_pair_distances).
     """
     protocol = protocol or IndexProtocol()
     seqs = list(input_seqs)
@@ -482,54 +497,47 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
             raise ConfigurationError(
                 f"keep_rung {keep_rung} outside a {n_rungs}-rung protocol")
         keep_rung %= n_rungs
+    n = len(seqs)
+    shifted_seqs = [shift(seq, protocol.shift_check) for seq in seqs]
     history = [[] for _ in seqs]
-    kept = [None] * len(seqs)
-    stable_at = [None] * len(seqs)
-    open_, prev = list(range(len(seqs))), None
+    kept, shifted = [None] * n, [None] * n
+    open_, prev = list(range(n)), None
     for r in range(n_rungs):
         if not open_:
             break
-        open_seqs = [seqs[i] for i in open_]
-        open_seeds = [seeds[i] for i in open_]
-        rung = _ladder_rung(system, open_seqs, open_seeds, protocol, r, anchor,
+        # lane row is input open_[row], lane m + row its shift lane
+        m = len(open_)
+        rung_seqs = [seqs[i] for i in open_] + [shifted_seqs[i] for i in open_]
+        rung_seeds = [seeds[i] for i in open_] * 2
+        rung = _ladder_rung(system, rung_seqs, rung_seeds, protocol, r, anchor,
                             prev)
         prev = None  # the carried states are not needed while clustering
-        runs = _rung_runs(system, open_seqs, open_seeds, protocol, rung, anchor,
-                          own=r == keep_rung and len(open_) > 1)
+        runs = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
+                          range(m), own=r == keep_rung and m > 1)
         if r == keep_rung:
             for i, run in zip(open_, runs):
                 kept[i] = run
-        reports = _cluster_runs(runs, protocol)
-        rows = []
-        for row, (i, rep) in enumerate(zip(open_, reports)):
+        rows, stable = [], []
+        for row, (i, rep) in enumerate(zip(open_, _cluster_runs(runs, protocol))):
             history[i].append(rep)
             if (len(history[i]) >= 2 and rep.is_definite
                     and history[i][-2].index == rep.index):
-                stable_at[i] = r
+                stable.append(row)
             else:
                 rows.append(row)
-        if r + 1 < len(protocol.transients):
-            prev = rung.carry(rows, protocol.transients[r + 1], protocol.horizon)
+        checks = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
+                            [m + row for row in stable])
+        for row, rep in zip(stable, _cluster_runs(checks, protocol)):
+            shifted[open_[row]] = rep
+        if r + 1 < n_rungs:
+            prev = rung.carry(rows + [m + row for row in rows],
+                              protocol.transients[r + 1], protocol.horizon)
         # free the full tails before the next rung allocates its own
-        rung = runs = None
+        rung = runs = checks = None
         open_ = [open_[row] for row in rows]
-
-    shifted = [None] * len(seqs)
-    shift_anchor = anchor + protocol.shift_check
-    for r in sorted({s for s in stable_at if s is not None}):
-        group = [i for i, s in enumerate(stable_at) if s == r]
-        group_seqs = [seqs[i] for i in group]
-        group_seeds = [seeds[i] for i in group]
-        rung = _ladder_rung(system, group_seqs, group_seeds, protocol, r,
-                            shift_anchor)
-        runs = _rung_runs(system, group_seqs, group_seeds, protocol, rung,
-                          shift_anchor)
-        for i, rep in zip(group, _cluster_runs(runs, protocol)):
-            shifted[i] = rep
-        rung = runs = None
-    return [replace(_final_report(history[i], stable_at[i], shifted[i], protocol,
-                                  anchor), ensemble=kept[i])
-            for i in range(len(seqs))]
+    return [replace(_final_report(history[i], shifted[i], protocol, anchor),
+                    ensemble=kept[i])
+            for i in range(n)]
 
 
 def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
@@ -540,12 +548,13 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
     agree on a definite index, then requires the same index at a second
     anchor (shift invariance); any disagreement or exhaustion of the
     ladder yields "indefinite".  This is the one-input case of
-    estimate_echo_indices.  Its tails are bit-identical to fresh
-    run_ensemble calls and to solo orbits: all of them are core._advance
-    runs, whose rows are computed on their own (one gemv per reservoir
-    row, step_batch rowwise otherwise), and a rung that continues the
-    previous one is exact by the cocycle identity.  keep_rung is
-    estimate_echo_indices'.
+    estimate_echo_indices, whose shift lane evolves the second anchor's
+    ensemble in the same rungs.  Its tails, the shift lane's included,
+    are bit-identical to fresh run_ensemble calls and to solo orbits:
+    all of them are core._advance runs, whose rows are computed on their
+    own (one gemv per reservoir row, step_batch rowwise otherwise), and
+    a rung that continues the previous one is exact by the cocycle
+    identity.  keep_rung is estimate_echo_indices'.
     """
     return estimate_echo_indices(system, [input_seq], protocol, anchor,
                                  keep_rung=keep_rung)[0]

@@ -348,15 +348,53 @@ _GENERATORS = {
 }
 
 
+# generator-spec params that may be a list of numbers, one per channel
+_CHANNEL_PARAMS = ("u1", "u2")
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v):
+    return _is_number(v) and isinstance(v, int)
+
+
+def _check_params(params):
+    """Raise ValueError naming the first spec param of the wrong type:
+    params is an object, first and last integers, u1 and u2 numbers or
+    lists of numbers, and every other value a number."""
+    if not isinstance(params, dict):
+        raise ValueError(f"generator params must be an object, got {params!r}")
+    for key, value in params.items():
+        if key in ("first", "last"):
+            ok, want = _is_integer(value), "an integer"
+        elif key in _CHANNEL_PARAMS:
+            ok = _is_number(value) or (isinstance(value, list)
+                                       and all(map(_is_number, value)))
+            want = "a number or a list of numbers"
+        else:
+            ok, want = _is_number(value), "a number"
+        if not ok:
+            raise ValueError(f"generator param {key!r} must be {want}, "
+                             f"got {value!r}")
+
+
 def load_input(path):
     """Load an input from CSV or from a generator-spec JSON document
-    {"kind", "params", "seed"} whose kind is a key of _GENERATORS."""
+    {"kind", "params", "seed"} whose kind is a key of _GENERATORS; a
+    field or param of the wrong type raises ValueError naming it."""
     path = Path(path)
     if path.suffix.lower() != ".json":
         return load_sequence(path)
     doc = json.loads(path.read_text())
-    kind, params, seed = doc["kind"], doc["params"], int(doc["seed"])
-    if kind not in _GENERATORS:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a generator spec must be an object, got {doc!r}")
+    kind, params, seed = doc["kind"], doc["params"], doc["seed"]
+    if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}; "
                          f"known: {', '.join(_GENERATORS)}")
+    if not _is_integer(seed):
+        raise ValueError(f"generator seed must be an integer, got {seed!r}")
+    _check_params(params)
     return _GENERATORS[kind](params, seed)

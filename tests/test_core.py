@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from echodex import (ConfigurationError, KloedenSystem, RnnParams,
                      WindowExhausted, jacobian, jacobian_batch, load_params,
                      orbit, save_params, shift, spectral_norm, step, step_batch)
+from echodex import core
 from echodex.sequences import InputSequence
 
 from conftest import lockstep_reservoir, random_params
@@ -211,7 +213,8 @@ def test_orbit_consumes_inputs_at_arrival_times():
         x = step(params, seq.at(k), x)
     assert np.array_equal(traj.final, x)
     # orbit runs the lockstep kernel; step is the per-step reference
-    # beside it.  2100 steps cross two of the kernel's drive-chunk seams.
+    # beside it.  2100 steps cross the kernel's drive-chunk seams wherever
+    # a chunk of _DRIVE_BYTES holds fewer steps (n_r >= 30, or n_i = 4).
     n = 2100
     for n_r in (1, 2, 30, 200):
         for wiring in ("none", "feedback", "context"):
@@ -233,6 +236,55 @@ def test_orbit_consumes_inputs_at_arrival_times():
         ref.append(x)
     run = system.run(0.3, -40, n - 40)
     assert run.tobytes() == np.array(ref)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("drive_bytes", [core._DRIVE_BYTES, 200])
+@pytest.mark.parametrize("n_r,wiring", [(1, "none"), (30, "feedback")])
+def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
+        n_r, wiring, drive_bytes, monkeypatch):
+    # the n_r = 1 multiply path and the gemv path step their own copy of
+    # xs in place; a 200-byte drive bound puts a chunk seam every few steps
+    monkeypatch.setattr(core, "_DRIVE_BYTES", drive_bytes)
+    rng = np.random.default_rng(67)
+    params = lockstep_reservoir(rng, n_r, wiring)
+    n = 300
+    seqs = [make_seq(rng, params.n_i, -1, n) for _ in range(3)]
+    xs = rng.uniform(-1, 1, (3, 4, n_r))
+    before = xs.copy()
+    tails = np.empty((3, 4, 11, n_r))
+    final = core._advance(params, seqs, xs, 0, n, tails, n - 10)
+    assert xs.tobytes() == before.tobytes()
+    assert not np.shares_memory(final, xs)
+    for i, seq in enumerate(seqs):
+        for k in range(4):
+            x = xs[i, k]
+            for t in range(1, n + 1):
+                x = step(params, seq.at(t), x)
+                if t >= n - 10:
+                    assert tails[i, k, t - n + 10].tobytes() == x.tobytes()
+            assert final[i, k].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("inputs,members,n_r,steps",
+                         [(30, 30, 1, 20000), (2, 100, 200, 300)])
+def test_advance_scratch_is_bounded(inputs, members, n_r, steps):
+    # the scalar sweep's rung with shift lanes, and the context task's
+    rng = np.random.default_rng(71)
+    params = lockstep_reservoir(rng, n_r, "none")
+    seqs = [make_seq(rng, params.n_i, 0, steps) for _ in range(inputs)]
+    xs = rng.uniform(-1, 1, (inputs, members, n_r))
+    tails = np.empty((inputs, members, 10, n_r))
+    tracemalloc.start()
+    try:
+        core._advance(params, seqs, xs, 0, steps, tails, steps - 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the tails and two state-sized arrays (the stepped copy and
+    # its pre-activation), the raw and the W_in-mapped drive hold up to
+    # _DRIVE_BYTES each, whatever the inputs and steps; 32 KiB is left for
+    # per-chunk views and numpy's own loop buffers
+    assert peak - 2 * xs.nbytes < 2 * core._DRIVE_BYTES + 32 * 1024
 
 
 def power_iteration_norm(a, iters=2000):

@@ -399,6 +399,24 @@ def test_cli_refuses_a_cluster_tol_that_is_not_positive(tmp_path, capsys):
         assert code == 2 and "cluster_tol" in doc["error"]
 
 
+@pytest.mark.parametrize("params,key", [
+    ({"w": 0.01, "first": 0.5, "last": 800}, "first"),
+    ({"w": 0.01, "first": 0, "last": 800.0}, "last"),
+    ({"w": "0.01", "first": 0, "last": 800}, "w"),
+    (["x"], "params"),
+])
+def test_cli_index_refuses_generator_params_of_the_wrong_type(
+        tmp_path, capsys, params, key):
+    model = contracting_model(tmp_path)
+    spec_path = tmp_path / "input.json"
+    spec_path.write_text(json.dumps({"kind": "uniform_scaled",
+                                     "params": params, "seed": 1}))
+    code, doc = run_cli(capsys, ["index", "--model", str(model),
+                                 "--input", str(spec_path)])
+    assert code == 2
+    assert doc["error"].startswith("ValueError") and key in doc["error"]
+
+
 def test_cli_certify_bad_region_string(tmp_path, capsys):
     model = contracting_model(tmp_path)
     # lo and hi are split by ':' only

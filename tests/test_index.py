@@ -375,14 +375,91 @@ def test_many_input_ladder_matches_one_input_ladders():
         assert rep.min_separation == solo.min_separation
         assert rep.max_diameter == solo.max_diameter
         assert rep.diagnostics == solo.diagnostics
-    # 2 and 1 stable at the second rung, 1 stable at the third (a second
-    # shift-check batch), never stable, and a shift-check disagreement
+    # 2 and 1 stable at the second rung, 1 stable at the third (its shift
+    # lane checked a rung later), never stable, and a shift-check
+    # disagreement
     assert [r.verdict() for r in many] == ["2", "1", "1", "indefinite", "indefinite"]
     assert [len(r.diagnostics["rungs"]) for r in many] == [2, 2, 3, 3, 2]
     assert not many[3].diagnostics["stabilized"]
     assert many[4].diagnostics["shift_check"].startswith("disagreement")
     with pytest.raises(ConfigurationError):
         estimate_echo_indices(params, seqs, SHORT_LADDER, ic_seeds=[0])
+
+
+def two_phase_ladder(system, seq, protocol, seed, anchor):
+    """The ladder's report for one input the two-phase way: fresh
+    ensembles rung by rung until two agree, then a separate shift-check
+    ensemble at anchor + shift_check."""
+    history, stable = [], False
+    for count, transient in zip(protocol.ic_counts, protocol.transients):
+        run = run_ensemble(system, seq, count, transient, protocol.horizon,
+                           anchor=anchor, ic_seed=seed)
+        rep = cluster_asymptotics(run, protocol.cluster_tol, protocol.window)
+        history.append(rep)
+        if len(history) >= 2 and rep.is_definite and history[-2].index == rep.index:
+            stable = True
+            break
+    diagnostics = dict(rep.diagnostics, stabilized=stable)
+    diagnostics["rungs"] = [(c, t, h.verdict()) for c, t, h in
+                            zip(protocol.ic_counts, protocol.transients, history)]
+    if not stable:
+        return replace(rep, index=None, diagnostics=diagnostics)
+    shifted = cluster_asymptotics(
+        run_ensemble(system, seq, count, transient, protocol.horizon,
+                     anchor=anchor + protocol.shift_check, ic_seed=seed),
+        protocol.cluster_tol, protocol.window)
+    if shifted.index != rep.index:
+        diagnostics["shift_check"] = (
+            f"disagreement at anchor {anchor + protocol.shift_check}: "
+            f"{shifted.verdict()} vs {rep.verdict()}")
+        return replace(rep, index=None, diagnostics=diagnostics)
+    diagnostics["shift_check"] = "agree"
+    return replace(rep, diagnostics=diagnostics)
+
+
+# anchors at which the fifth input's shift check disagrees unless the
+# shift is 0
+@pytest.mark.parametrize("shift_check,anchor", [(13, 4), (0, 4), (-7, 11)])
+def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
+                                                    monkeypatch):
+    params = bistable_driven()
+    seqs = [const_seq(0.0, -5, 394), const_seq(1.0, -5, 394),
+            gen_uniform_scaled(1.0, -5, 400, seed=6), const_seq(0.533, -5, 394),
+            gen_uniform_scaled(1.1, -5, 400, seed=1)]
+    seeds = [3, 1, 0, 2, 0]
+    protocol = replace(SHORT_LADDER, shift_check=shift_check)
+    rungs, outside = [], []
+    ladder_rung, advance = index._ladder_rung, index._advance
+
+    def counting_rung(*args, **kwargs):
+        rungs.append(True)
+        try:
+            return ladder_rung(*args, **kwargs)
+        finally:
+            rungs[-1] = False
+
+    def checking_advance(*args):
+        outside.append(not (rungs and rungs[-1]))
+        return advance(*args)
+    monkeypatch.setattr(index, "_ladder_rung", counting_rung)
+    monkeypatch.setattr(index, "_advance", checking_advance)
+    many = estimate_echo_indices(params, seqs, protocol, anchor=anchor,
+                                 ic_seeds=seeds)
+    # one evolution per rung, each inside a rung; no second pass
+    assert len(rungs) == max(len(r.diagnostics["rungs"]) for r in many) == 3
+    assert not any(outside)
+    monkeypatch.undo()
+    for seq, seed, rep in zip(seqs, seeds, many):
+        assert rep.summary_dict() == two_phase_ladder(
+            params, seq, protocol, seed, anchor).summary_dict()
+    # inputs leave at rungs 1 and 2, one never stabilises, and a shift
+    # check away from the anchor disagrees
+    assert [len(r.diagnostics["rungs"]) for r in many] == [2, 2, 3, 3, 2]
+    assert [r.diagnostics["stabilized"] for r in many] == [True] * 3 + [False, True]
+    assert "shift_check" not in many[3].diagnostics
+    assert [r.diagnostics["shift_check"] == "agree" for r in many[:3]] == [True] * 3
+    assert many[4].diagnostics["shift_check"].startswith(
+        "agree" if shift_check == 0 else "disagreement")
 
 
 def continued_rung(system, seqs, seeds, protocol, r):

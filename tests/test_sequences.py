@@ -280,3 +280,36 @@ def test_generator_spec_json_loads_to_the_generators_sequence(tmp_path):
                                      "params": {"w": 0.01, "first": 0, "last": 5}}))
     with pytest.raises(KeyError, match="seed"):
         load_input(spec_path)
+
+
+def test_generator_spec_params_of_the_wrong_type_name_their_key(tmp_path):
+    spec_path = tmp_path / "gen.json"
+    two = {"u1": [0.25, 0.15], "u2": [-0.25, -0.15], "p": 0.5,
+           "first": -50, "last": 150}
+    for kind, params, key in (
+            ("uniform_scaled", {"w": 0.01, "first": 0.5, "last": 800}, "'first'"),
+            ("uniform_scaled", {"w": 0.01, "first": 0, "last": True}, "'last'"),
+            ("uniform_scaled", {"w": [0.01], "first": 0, "last": 8}, "'w'"),
+            ("uniform_scaled", {"w": None, "first": 0, "last": 8}, "'w'"),
+            ("two_symbol", dict(two, u1=["a", 0.15]), "'u1'"),
+            ("two_symbol", dict(two, u2={"x": 1}), "'u2'"),
+            ("two_symbol", dict(two, p="half"), "'p'"),
+            ("uniform_scaled", ["x"], "params must be an object"),
+            ("uniform_scaled", 3, "params must be an object")):
+        spec_path.write_text(json.dumps({"kind": kind, "params": params,
+                                         "seed": 1}))
+        with pytest.raises(ValueError, match=key):
+            load_input(spec_path)
+    # the document's own fields
+    good = {"kind": "uniform_scaled", "params": {"w": 0.01, "first": 0, "last": 8}}
+    for doc, match in ((["x"], "spec must be an object"),
+                       (dict(good, seed=[1]), "seed must be an integer"),
+                       (dict(good, seed=1.5), "seed must be an integer"),
+                       (dict(good, seed=1, kind=["x"]), "unknown generator kind")):
+        spec_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_input(spec_path)
+    # numbers and per-channel lists of numbers still load
+    spec_path.write_text(json.dumps({"kind": "two_symbol", "seed": 0,
+                                     "params": dict(two, u1=0.3, u2=-0.3)}))
+    assert load_input(spec_path).n_i == 1
