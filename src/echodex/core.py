@@ -8,7 +8,10 @@ The state update is
 with phi = tanh.  The feedback term is omitted when no readout is
 configured.  The affine form is always evaluated in the fixed order
 W_r x, then + W_in u, then + W_fb z, so that repeated runs are
-bit-identical and the cocycle identity holds exactly.
+bit-identical and the cocycle identity holds exactly.  A leak-free
+network (alpha = 1) steps as x[k+1] = phi(...) alone: the leak terms
+would only multiply by 1 and add 0 * x[k], which changes nothing but
+the sign of a zero state.
 
 One kernel, _advance, evolves (inputs, members, d) states of any system
 in lockstep, each input's rows under its own drive.  orbit is its
@@ -23,17 +26,27 @@ index.pullback_fibre's step_batch point cloud; and
 experiments._escapes_basin, fold_bisect's scalar orbit, which stops at
 its first escape.  numpy must only compute each stacked row on its own
 (stacked matmul runs one gemv per row).  step, built on the same
-_preactivation, is the per-step public reference the test suite checks
-orbit against.
+_preactivation with the kernel's row maps and the same update, is the
+per-step public reference the test suite checks orbit against: their
+states agree byte for byte, signs of zero included.
+
+Orbits depend only on parameter values, never on how the caller laid
+them out in memory.  RnnParams stores every matrix C-contiguous from a
+64-byte boundary, and _advance steps its states in arrays aligned the
+same way: BLAS takes another summation path for a Fortran-ordered
+matrix, so its bits would differ, and a gemv over a matrix placed off
+a 64-byte boundary runs up to ~40 % slower.
 
 All floats are 64-bit.  Parameter objects are frozen and their arrays
 read-only; step / jacobian / orbit are pure functions safe to call from
 many threads.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import partial
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +62,24 @@ class ConfigurationError(ValueError):
 
 def _frozen_array(a, dtype=float):
     out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _aligned_empty(shape):
+    """Uninitialised C-contiguous float64 array starting on a 64-byte
+    boundary (a cache line, and the widest vector load BLAS issues)."""
+    size = math.prod(shape)
+    buf = np.empty(size + 7)
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
+    return buf[start:start + size].reshape(shape)
+
+
+def _frozen_matrix(a):
+    """Read-only float64 copy of a in an _aligned_empty array."""
+    a = np.asarray(a, dtype=float)
+    out = _aligned_empty(a.shape)
+    out[...] = a
     out.setflags(write=False)
     return out
 
@@ -70,8 +101,8 @@ class RnnParams:
     w_out: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w_r", _frozen_array(self.w_r))
-        object.__setattr__(self, "w_in", _frozen_array(self.w_in))
+        object.__setattr__(self, "w_r", _frozen_matrix(self.w_r))
+        object.__setattr__(self, "w_in", _frozen_matrix(self.w_in))
         if self.w_r.ndim != 2 or self.w_r.shape[0] != self.w_r.shape[1]:
             raise ConfigurationError(f"w_r must be square, got {self.w_r.shape}")
         n_r = self.w_r.shape[0]
@@ -79,15 +110,15 @@ class RnnParams:
             raise ConfigurationError(
                 f"w_in must be ({n_r}, n_i), got {self.w_in.shape}")
         if self.w_fb is None:
-            object.__setattr__(self, "w_fb", _frozen_array(np.zeros((n_r, 0))))
+            object.__setattr__(self, "w_fb", _frozen_matrix(np.zeros((n_r, 0))))
         else:
-            object.__setattr__(self, "w_fb", _frozen_array(self.w_fb))
+            object.__setattr__(self, "w_fb", _frozen_matrix(self.w_fb))
         if self.w_fb.ndim != 2 or self.w_fb.shape[0] != n_r:
             raise ConfigurationError(
                 f"w_fb must be ({n_r}, n_o), got {self.w_fb.shape}")
         n_o = self.w_fb.shape[1]
         if self.w_out is not None:
-            object.__setattr__(self, "w_out", _frozen_array(self.w_out))
+            object.__setattr__(self, "w_out", _frozen_matrix(self.w_out))
             if self.w_out.shape != (n_o, n_r):
                 raise ConfigurationError(
                     f"w_out must be ({n_o}, {n_r}), got {self.w_out.shape}")
@@ -105,7 +136,7 @@ class RnnParams:
             m = self.w_r + self.w_fb @ self.w_out
         else:
             m = self.w_r.copy()
-        object.__setattr__(self, "_m", _frozen_array(m))
+        object.__setattr__(self, "_m", _frozen_matrix(m))
 
     # -- shape helpers -------------------------------------------------
 
@@ -189,21 +220,43 @@ def load_params(path):
 # the map and its Jacobian
 # ----------------------------------------------------------------------
 
-def _preactivation(params, u, x, matvec=np.matmul):
+def _matvec_rows(w):
+    """(x, out=None) -> w @ v for every row v of x (..., n), one gemv per
+    row, written to `out` when given; a 1 x 1 w is one multiply, bound
+    without a Python call per step."""
+    if w.shape == (1, 1):
+        return partial(np.multiply, w[0, 0])
+    return lambda x, out=None: np.matmul(
+        w, x[..., None], out=None if out is None else out[..., None])[..., 0]
+
+
+def _rows_gemm(w):
+    """xs -> w @ v for every row v of xs (m, n) as one GEMM; a 1 x 1 w is
+    _matvec_rows' multiply, so that signs of zero agree with it."""
+    if w.shape == (1, 1):
+        return _matvec_rows(w)
+    return lambda xs: xs @ w.T
+
+
+def _preactivation(params, u, x, rows=_matvec_rows):
     """W_r x, then + W_in u, then + W_fb (W_o x): the one fixed order.
 
-    matvec(w, x) applies w to x; the batch maps pass _rows_gemm.
+    rows(w) maps every row of its argument through w: by default as
+    _advance does, the batch maps pass _rows_gemm.
     """
-    pre = matvec(params.w_r, x)
-    pre = pre + params.w_in @ u
+    pre = rows(params.w_r)(x)
+    pre = pre + rows(params.w_in)(u)
     if params.w_out is not None:
-        pre = pre + matvec(params.w_fb, matvec(params.w_out, x))
+        pre = pre + rows(params.w_fb)(rows(params.w_out)(x))
     return pre
 
 
-def _rows_gemm(w, xs):
-    """w applied to every row of xs (m, n) as one GEMM."""
-    return xs @ w.T
+def _update(alpha, x, pre):
+    """The state after x: tanh(pre) for alpha = 1, else (1 - alpha) x +
+    alpha tanh(pre), as _advance computes it in place."""
+    if alpha == 1.0:
+        return np.tanh(pre)
+    return (1.0 - alpha) * x + alpha * np.tanh(pre)
 
 
 def _check_uq(params, u, x):
@@ -219,8 +272,7 @@ def _check_uq(params, u, x):
 def step(params, u, x):
     """One application of the state-update map G(u, x)."""
     u, x = _check_uq(params, u, x)
-    return (1.0 - params.alpha) * x + params.alpha * np.tanh(
-        _preactivation(params, u, x))
+    return _update(params.alpha, x, _preactivation(params, u, x))
 
 
 def step_batch(params, u, xs):
@@ -234,8 +286,8 @@ def step_batch(params, u, xs):
     """
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    pre = _preactivation(params, u, xs, matvec=_rows_gemm)
-    return (1.0 - params.alpha) * xs + params.alpha * np.tanh(pre)
+    return _update(params.alpha, xs,
+                   _preactivation(params, u, xs, rows=_rows_gemm))
 
 
 def jacobian(params, u, x):
@@ -255,7 +307,7 @@ def jacobian_batch(params, u, xs):
     """Jacobians at every row of xs; returns (m, n_r, n_r)."""
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    s = 1.0 - np.tanh(_preactivation(params, u, xs, matvec=_rows_gemm)) ** 2
+    s = 1.0 - np.tanh(_preactivation(params, u, xs, rows=_rows_gemm)) ** 2
     eye = (1.0 - params.alpha) * np.eye(params.n_r)
     return eye[None, :, :] + params.alpha * (
         s[:, :, None] * params.effective_matrix[None, :, :])
@@ -302,16 +354,6 @@ def _require_input(system, input_seq, first, last):
     input_seq.require_window(first, last)
 
 
-def _matvec_rows(w):
-    """(x, out=None) -> w @ v for every row v of x (..., n), one gemv per
-    row, written to `out` when given; a 1 x 1 w is one multiply, bound
-    without a Python call per step."""
-    if w.shape == (1, 1):
-        return partial(np.multiply, w[0, 0])
-    return lambda x, out=None: np.matmul(
-        w, x[..., None], out=None if out is None else out[..., None])[..., 0]
-
-
 # bytes of drive one lockstep chunk reads at once: _advance holds at
 # most this many bytes of input values, and as many again once they are
 # mapped through W_in, whatever the lane count and the run length
@@ -323,12 +365,15 @@ def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
     time t0 to t1 in lockstep and return their states at t1, writing the
     state at each t >= tail_t0 to tails[i, k, t - tail_t0].  xs is not
     modified: the states are copied once and stepped in place.  RnnParams
-    rows follow _preactivation's arithmetic and order; other systems step
-    each input's rows through step_batch."""
+    rows follow _preactivation's and _update's arithmetic and order, in
+    _aligned_empty arrays; other systems step each input's rows through
+    step_batch."""
     if xs.shape[1] == 0:
         return xs
     rnn = isinstance(system, RnnParams)
-    x = xs.copy()
+    empty = _aligned_empty if rnn else np.empty
+    x = empty(xs.shape)
+    x[...] = xs
     if t0 >= tail_t0:
         tails[:, :, t0 - tail_t0] = x
     n_i, d = seqs[0].n_i, x.shape[2]
@@ -340,9 +385,10 @@ def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
         feedback = system.w_out is not None
         if feedback:
             w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
-            fb = np.empty_like(x)
+            fb = empty(x.shape)
         alpha, om = system.alpha, 1.0 - system.alpha
-        pre = np.empty_like(x)
+        leak_free = alpha == 1.0
+        pre = empty(x.shape)
         drive = np.empty((chunk, len(seqs), 1, d))
     for c0 in range(t0 + 1, t1 + 1, chunk):
         c1 = min(c0 + chunk, t1 + 1)
@@ -353,17 +399,21 @@ def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
             w_in(raw[:n], out=drive[:n, :, 0])
         for t, u in zip(range(c0, c1), drive[:n]):
             if rnn:
-                # _preactivation's order, inlined with bound row maps and
-                # stepped in place: a Python call per step slows the
-                # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
+                # _preactivation's order and _update's arithmetic, inlined
+                # with bound row maps and stepped in place: a Python call
+                # per step slows the n_r = 1 loop by 7-8 %, a new array
+                # per operation by 2-8 %
                 w_r(x, out=pre)
                 pre += u
                 if feedback:
                     pre += w_fb(w_out(x), out=fb)
-                np.tanh(pre, out=pre)
-                pre *= alpha
-                x *= om
-                x += pre
+                if leak_free:
+                    np.tanh(pre, out=x)
+                else:
+                    np.tanh(pre, out=pre)
+                    pre *= alpha
+                    x *= om
+                    x += pre
             else:
                 x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
             if t >= tail_t0:

@@ -12,6 +12,7 @@ readout rounds differently under another thread count.
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 import json
 import math
 import numbers
@@ -517,14 +518,15 @@ def _run_scalar_sweep(cfg, out):
 # fold bisect
 # ----------------------------------------------------------------------
 
-def _fold_analytic():
-    """Fold of x -> tanh(1.01 x + c): slope-1 point, then |c| there."""
-    x_star = math.sqrt(1.0 - 1.0 / 1.01)
-    return x_star, 1.01 * x_star - math.atanh(x_star)
+def _fold_analytic(slope):
+    """Fold of x -> tanh(slope x + c): slope-1 point, then |c| there."""
+    x_star = math.sqrt(1.0 - 1.0 / slope)
+    return x_star, slope * x_star - math.atanh(x_star)
 
 
-def _escapes_basin(w, max_steps, threshold):
-    """Constant input +w from x0 = -1: does the orbit cross to x > 0?
+def _escapes_basin(slope, w, max_steps, threshold):
+    """Constant input +w from x0 = -1: does the orbit of
+    x -> tanh(slope x + w) cross to x > 0?
 
     Below the fold value the negative attractor persists and the orbit
     stays negative; above it the orbit crawls through the ghost and
@@ -532,20 +534,22 @@ def _escapes_basin(w, max_steps, threshold):
     """
     x = -1.0
     for _ in range(max_steps):
-        x = math.tanh(1.01 * x + w)
+        x = math.tanh(slope * x + w)
         if x > threshold:
             return True
     return False
 
 
 def _run_fold_bisect(cfg, out):
-    x_star, c_star = _fold_analytic()
+    slope = float(scalar_params().w_r[0, 0])
+    x_star, c_star = _fold_analytic(slope)
     tol = float(cfg["tolerance"])
     cap, thresh = int(cfg["max_steps"]), float(cfg["escape_threshold"])
     lo, hi = float(cfg["w_lo"]), float(cfg["w_hi"])
-    if _escapes_basin(lo, cap, thresh) or not _escapes_basin(hi, cap, thresh):
+    escapes = partial(_escapes_basin, slope, max_steps=cap, threshold=thresh)
+    if escapes(lo) or not escapes(hi):
         raise ValueError("bisection bracket does not straddle the fold")
-    lo, hi = _bisect(lambda w: _escapes_basin(w, cap, thresh), lo, hi, tol)
+    lo, hi = _bisect(escapes, lo, hi, tol)
     estimate = (lo + hi) / 2.0
 
     assertions = [

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ConfigurationError, RnnParams, _preactivation,
-                   _require_input, orbit)
+                   _require_input, _update, orbit)
 from .rng import DOMAIN_NOISE, DOMAIN_WEIGHTS, substream
 
 
@@ -85,8 +85,8 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
     readout), then the target z1 at k - 1 through the first feedback
     column (all other feedback columns must be zero), then Gaussian
     noise of the given standard deviation: one committed substream, one
-    draw per transition.  With a zero target and no noise this is
-    exactly an orbit.  Starts from the origin at the input's anchor;
+    draw per transition; core._update makes the state.  With a zero
+    target and no noise this is exactly an orbit.  Starts from the origin at the input's anchor;
     returns (T, n_r) states aligned with the input window.
     """
     target_z1 = np.asarray(target_z1, dtype=float)
@@ -106,7 +106,7 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
         pre = pre + fb_col * target_z1[j - 1]
         if noise_std > 0.0:
             pre = pre + noise.normal(0.0, noise_std, size=params.n_r)
-        x = (1.0 - params.alpha) * x + params.alpha * np.tanh(pre)
+        x = _update(params.alpha, x, pre)
         states[j] = x
     return states
 

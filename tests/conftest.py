@@ -31,16 +31,16 @@ def random_params(rng, n_r=None, n_i=None, with_feedback=False, alpha=None):
     return RnnParams(alpha=alpha, w_r=w_r, w_in=w_in)
 
 
-def lockstep_reservoir(rng, n_r, wiring):
+def lockstep_reservoir(rng, n_r, wiring, alpha=0.7):
     """Random reservoir without readout, with one fed-back output, or
     with two outputs and the second feedback column zeroed (the context
     task's wiring)."""
     w_r = rng.uniform(-1, 1, (n_r, n_r))
     w_r = 0.9 * w_r / np.linalg.norm(w_r, 2)
     if wiring == "none":
-        return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 1)))
+        return RnnParams(alpha=alpha, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 1)))
     n_o = 1 if wiring == "feedback" else 2
     w_fb = rng.uniform(-0.5, 0.5, (n_r, n_o))
     w_fb[:, 1:] = 0.0
-    return RnnParams(alpha=0.7, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 4)),
+    return RnnParams(alpha=alpha, w_r=w_r, w_in=rng.uniform(-1, 1, (n_r, 4)),
                      w_fb=w_fb, w_out=rng.uniform(-0.2, 0.2, (n_o, n_r)))

@@ -59,7 +59,25 @@ def test_leak_one_is_pure_activation_update():
     u = rng.uniform(-1, 1, 2)
     x = rng.uniform(-1, 1, 4)
     want = np.tanh(params.w_r @ x + params.w_in @ u)
-    assert np.allclose(step(params, u, x), want, atol=1e-15)
+    assert step(params, u, x).tobytes() == want.tobytes()
+
+
+def test_leak_free_orbit_and_step_agree_on_the_sign_of_zero():
+    # tanh(-0.0) is -0.0, which the leaky form 0 * x + 1 * tanh(pre)
+    # would turn into +0.0: orbit, step and step_batch all keep it
+    params = RnnParams(alpha=1.0, w_r=[[-1.0]], w_in=[[-1.0]])
+    seq = InputSequence(anchor=0, values=np.zeros((6, 1)), lo=-np.ones(1),
+                        hi=np.ones(1))
+    states = orbit(params, seq, np.zeros(1), 5).states
+    x = np.zeros(1)
+    ref = [x]
+    for k in range(1, 6):
+        x = step(params, seq.at(k), x)
+        ref.append(x)
+    assert states.tobytes() == np.array(ref).tobytes()
+    assert np.signbit(states[1, 0])
+    batch = step_batch(params, np.zeros(1), np.zeros((1, 1)))
+    assert batch.tobytes() == states[1].tobytes()
 
 
 def test_feedback_enters_through_readout():
@@ -239,14 +257,19 @@ def test_orbit_consumes_inputs_at_arrival_times():
 
 
 @pytest.mark.parametrize("drive_bytes", [core._DRIVE_BYTES, 200])
-@pytest.mark.parametrize("n_r,wiring", [(1, "none"), (30, "feedback")])
+@pytest.mark.parametrize("n_r,wiring,alpha", [
+    pytest.param(n_r, wiring, alpha,
+                 id=f"{n_r}-{wiring}" + ("-leak-free" if alpha == 1.0 else ""))
+    for n_r, wiring in [(1, "none"), (30, "feedback"), (30, "context")]
+    for alpha in (0.7, 1.0)])
 def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
-        n_r, wiring, drive_bytes, monkeypatch):
-    # the n_r = 1 multiply path and the gemv path step their own copy of
-    # xs in place; a 200-byte drive bound puts a chunk seam every few steps
+        n_r, wiring, alpha, drive_bytes, monkeypatch):
+    # the n_r = 1 multiply path and the gemv path, leaky and leak-free,
+    # step their own copy of xs in place; a 200-byte drive bound puts a
+    # chunk seam every few steps
     monkeypatch.setattr(core, "_DRIVE_BYTES", drive_bytes)
     rng = np.random.default_rng(67)
-    params = lockstep_reservoir(rng, n_r, wiring)
+    params = lockstep_reservoir(rng, n_r, wiring, alpha)
     n = 300
     seqs = [make_seq(rng, params.n_i, -1, n) for _ in range(3)]
     xs = rng.uniform(-1, 1, (3, 4, n_r))
@@ -263,6 +286,70 @@ def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
                 if t >= n - 10:
                     assert tails[i, k, t - n + 10].tobytes() == x.tobytes()
             assert final[i, k].tobytes() == x.tobytes()
+
+
+def offset_copy(a, offset):
+    """Copy of a whose data starts `offset` bytes past a 64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (offset - buf.ctypes.data) % 64 // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("n_r,wiring,alpha", [(1, "none", 1.0), (30, "context", 0.7),
+                                              (200, "context", 1.0)])
+def test_advance_rows_do_not_depend_on_where_the_states_sit(n_r, wiring, alpha):
+    rng = np.random.default_rng(73)
+    params = lockstep_reservoir(rng, n_r, wiring, alpha)
+    n = 40
+    seqs = [make_seq(rng, params.n_i, 0, n) for _ in range(2)]
+    xs = rng.uniform(-1, 1, (2, 3, n_r))
+    runs = []
+    for offset in range(0, 64, 8):
+        tails = np.empty((2, 3, n + 1, n_r))
+        final = core._advance(params, seqs, offset_copy(xs, offset), 0, n,
+                              tails, 0)
+        runs.append(tails.tobytes() + final.tobytes())
+    assert len(set(runs)) == 1
+
+
+def test_params_store_matrices_c_contiguous_on_64_byte_boundaries():
+    rng = np.random.default_rng(79)
+    w_r = np.asfortranarray(rng.uniform(-0.1, 0.1, (7, 7)))
+    w_in = offset_copy(rng.uniform(-1, 1, (7, 3)), 16)
+    w_fb = np.asfortranarray(rng.uniform(-1, 1, (7, 2)))
+    w_out = rng.uniform(-1, 1, (7, 2)).T
+    for params in (RnnParams(alpha=0.5, w_r=w_r, w_in=w_in, w_fb=w_fb,
+                             w_out=w_out),
+                   RnnParams(alpha=1.0, w_r=w_r, w_in=w_in)):
+        for name in ("w_r", "w_in", "w_fb", "w_out"):
+            a = getattr(params, name)
+            if a is None:
+                continue
+            assert a.flags.c_contiguous and not a.flags.writeable, name
+            # an empty w_fb (no readout) has no data to place
+            assert a.size == 0 or a.ctypes.data % 64 == 0, name
+        m = params.effective_matrix
+        assert m.flags.c_contiguous and m.ctypes.data % 64 == 0
+    assert np.array_equal(params.w_r, w_r) and np.array_equal(params.w_in, w_in)
+
+
+def test_orbits_do_not_depend_on_the_memory_order_of_the_parameters():
+    # a ridge readout is a transposed solve, so a trained model's w_out
+    # arrives Fortran-ordered; its orbit must equal that of the same
+    # values read back from the model document
+    rng = np.random.default_rng(83)
+    values = lockstep_reservoir(rng, 200, "context", 1.0)
+    params = RnnParams(alpha=1.0, w_r=np.asfortranarray(values.w_r),
+                       w_in=values.w_in, w_fb=np.asfortranarray(values.w_fb),
+                       w_out=np.ascontiguousarray(values.w_out.T).T)
+    back = RnnParams.from_dict(params.to_dict())
+    seq = make_seq(rng, params.n_i, 0, 300)
+    x0 = rng.uniform(-1, 1, 200)
+    assert (orbit(params, seq, x0, 300).states.tobytes()
+            == orbit(back, seq, x0, 300).states.tobytes())
 
 
 @pytest.mark.parametrize("inputs,members,n_r,steps",
