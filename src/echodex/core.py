@@ -230,24 +230,30 @@ def _matvec_rows(w):
         w, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
-def _rows_gemm(w):
-    """xs -> w @ v for every row v of xs (m, n) as one GEMM; a 1 x 1 w is
-    _matvec_rows' multiply, so that signs of zero agree with it."""
+def _rows_gemv(w, x):
+    """w applied to every row of x through _matvec_rows, as _advance
+    applies it."""
+    return _matvec_rows(w)(x)
+
+
+def _rows_gemm(w, xs):
+    """w applied to every row of xs (m, n) as one GEMM; a 1 x 1 w is
+    _matvec_rows' one multiply, so that signs of zero agree with it."""
     if w.shape == (1, 1):
-        return _matvec_rows(w)
-    return lambda xs: xs @ w.T
+        return np.multiply(w[0, 0], xs)
+    return xs @ w.T
 
 
-def _preactivation(params, u, x, rows=_matvec_rows):
+def _preactivation(params, u, x, matvec=_rows_gemv):
     """W_r x, then + W_in u, then + W_fb (W_o x): the one fixed order.
 
-    rows(w) maps every row of its argument through w: by default as
-    _advance does, the batch maps pass _rows_gemm.
+    matvec(w, x) applies w to every row of x; the batch maps pass
+    _rows_gemm.
     """
-    pre = rows(params.w_r)(x)
-    pre = pre + rows(params.w_in)(u)
+    pre = matvec(params.w_r, x)
+    pre = pre + matvec(params.w_in, u)
     if params.w_out is not None:
-        pre = pre + rows(params.w_fb)(rows(params.w_out)(x))
+        pre = pre + matvec(params.w_fb, matvec(params.w_out, x))
     return pre
 
 
@@ -287,7 +293,7 @@ def step_batch(params, u, xs):
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
     return _update(params.alpha, xs,
-                   _preactivation(params, u, xs, rows=_rows_gemm))
+                   _preactivation(params, u, xs, matvec=_rows_gemm))
 
 
 def jacobian(params, u, x):
@@ -307,7 +313,7 @@ def jacobian_batch(params, u, xs):
     """Jacobians at every row of xs; returns (m, n_r, n_r)."""
     u = np.asarray(u, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    s = 1.0 - np.tanh(_preactivation(params, u, xs, rows=_rows_gemm)) ** 2
+    s = 1.0 - np.tanh(_preactivation(params, u, xs, matvec=_rows_gemm)) ** 2
     eye = (1.0 - params.alpha) * np.eye(params.n_r)
     return eye[None, :, :] + params.alpha * (
         s[:, :, None] * params.effective_matrix[None, :, :])
