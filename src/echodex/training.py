@@ -86,8 +86,9 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
     column (all other feedback columns must be zero), then Gaussian
     noise of the given standard deviation: one committed substream, one
     draw per transition; core._update makes the state.  With a zero
-    target and no noise this is exactly an orbit.  Starts from the origin at the input's anchor;
-    returns (T, n_r) states aligned with the input window.
+    target and no noise this is exactly an orbit.  Starts from the
+    origin at the input's anchor; returns (T, n_r) states aligned with
+    the input window.
     """
     target_z1 = np.asarray(target_z1, dtype=float)
     if target_z1.shape != (input_seq.length,):
