@@ -13,29 +13,29 @@ network (alpha = 1) steps as x[k+1] = phi(...) alone: the leak terms
 would only multiply by 1 and add 0 * x[k], which changes nothing but
 the sign of a zero state.
 
-One kernel, _advance, evolves (inputs, members, d) states of any system
-in lockstep, each input's rows under its own drive.  orbit is its
-one-member case and the index module's ensembles its many-member case,
-so ensemble rows equal solo orbits by construction.  It copies the
-states it is given once and steps the copy in place, so its xs
-argument is never modified, and it reads the drive in chunks of about
-_DRIVE_BYTES (64 KiB), however many inputs and steps it runs.  Three loops
-evolve states apart from it: training.teacher_forced_states, which adds
-the target as feedback to the open-loop network's _preactivation;
-index.pullback_fibre's step_batch point cloud; and
-experiments._escapes_basin, fold_bisect's scalar orbit, which stops at
-its first escape.  numpy must only compute each stacked row on its own
-(stacked matmul runs one gemv per row).  step, built on the same
-_preactivation with the kernel's row maps and the same update, is the
-per-step public reference the test suite checks orbit against: their
-states agree byte for byte, signs of zero included.
+One kernel, _advance, evolves (lanes, members, d) states of any system
+in lockstep, each lane under its own drive, one block row per step:
+W_in u[k] plus any state-independent terms for a network, u[k]
+otherwise.  _drive maps input sequences to blocks of about _DRIVE_BYTES
+(64 KiB), however many lanes and steps.  orbit is the kernel's
+one-member case, the index module's ensembles its many-member case (so
+ensemble rows equal solo orbits by construction), and
+training.teacher_forced_states one run under W_in u[k] plus the
+fed-back target plus noise.  _advance steps a copy of its states in
+place.  Two loops evolve states apart from it: index.pullback_fibre's
+step_batch point cloud, and experiments._escapes_basin, fold_bisect's
+scalar orbit, which stops at its first escape.  numpy must only compute
+each stacked row on its own (stacked matmul runs one gemv per row).
+step, built on the same _preactivation with the kernel's row maps and
+the same update, is the per-step public reference the test suite checks
+orbit against: their states agree byte for byte, signs of zero included.
 
 Orbits depend only on parameter values, never on how the caller laid
 them out in memory.  RnnParams stores every matrix C-contiguous from a
-64-byte boundary, and _advance steps its states in arrays aligned the
-same way: BLAS takes another summation path for a Fortran-ordered
-matrix, so its bits would differ, and a gemv over a matrix placed off
-a 64-byte boundary runs up to ~40 % slower.
+64-byte boundary, and _advance steps its states in parts of one buffer
+aligned the same way: BLAS takes another summation path for a
+Fortran-ordered matrix, so its bits would differ, and a gemv over a
+matrix placed off a 64-byte boundary runs up to ~40 % slower.
 
 All floats are 64-bit.  Parameter objects are frozen and their arrays
 read-only; step / jacobian / orbit are pure functions safe to call from
@@ -45,6 +45,7 @@ many threads.
 import ctypes
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 import json
 import math
 from pathlib import Path
@@ -66,19 +67,22 @@ def _frozen_array(a, dtype=float):
     return out
 
 
-def _aligned_empty(shape):
-    """Uninitialised C-contiguous float64 array starting on a 64-byte
-    boundary (a cache line, and the widest vector load BLAS issues)."""
+def _aligned_empty(shape, parts=1):
+    """A list of `parts` uninitialised C-contiguous float64 arrays of
+    `shape`, carved from one buffer, each starting on a 64-byte boundary
+    (a cache line, and the widest vector load BLAS issues)."""
     size = math.prod(shape)
-    buf = np.empty(size + 7)
+    stride = 8 * max(1, -(-size // 8))  # whole cache lines, at least one
+    buf = np.empty(parts * stride + 7)
     start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
-    return buf[start:start + size].reshape(shape)
+    return [buf[i:i + size].reshape(shape)
+            for i in range(start, start + parts * stride, stride)]
 
 
 def _frozen_matrix(a):
     """Read-only float64 copy of a in an _aligned_empty array."""
     a = np.asarray(a, dtype=float)
-    out = _aligned_empty(a.shape)
+    out, = _aligned_empty(a.shape)
     out[...] = a
     out.setflags(write=False)
     return out
@@ -360,55 +364,56 @@ def _require_input(system, input_seq, first, last):
     input_seq.require_window(first, last)
 
 
-# bytes of drive one lockstep chunk reads at once: _advance holds at
-# most this many bytes of input values, and as many again once they are
-# mapped through W_in, whatever the lane count and the run length
+# bytes of input values one _drive block holds, and as many again once
+# they are mapped through W_in, whatever the lane count and run length
 _DRIVE_BYTES = 64 * 1024
 
 
-def _advance(system, seqs, xs, t0, t1, tails, tail_t0):
-    """Evolve members xs[i, k] (inputs, members, d) under seqs[i] from
-    time t0 to t1 in lockstep and return their states at t1, writing the
-    state at each t >= tail_t0 to tails[i, k, t - tail_t0].  xs is not
-    modified: the states are copied once and stepped in place.  RnnParams
-    rows follow _preactivation's and _update's arithmetic and order, in
-    _aligned_empty arrays; other systems step each input's rows through
-    step_batch."""
+def _drive(system, seqs, t0, t1):
+    """Blocks of the drive into times t0 + 1 .. t1 of lanes seqs[i]:
+    row j of a block holds each lane's W_in u as (lanes, 1, n_r) for
+    RnnParams, its u as (lanes, n_i) for other systems.  Each block is
+    overwritten by the next."""
+    n_i, d = seqs[0].n_i, system.state_dim
+    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * max(n_i, d))))
+    raw, mapped = np.empty((chunk, len(seqs), n_i)), np.empty((chunk, len(seqs), d))
+    w_in = _matvec_rows(system.w_in) if isinstance(system, RnnParams) else None
+    for c0 in range(t0 + 1, t1 + 1, chunk):
+        n = min(chunk, t1 + 1 - c0)
+        np.stack([s.values[c0 - s.anchor:c0 - s.anchor + n] for s in seqs],
+                 axis=1, out=raw[:n])
+        yield raw[:n] if w_in is None else w_in(raw[:n], out=mapped[:n])[:, :, None]
+
+
+def _advance(system, drive, xs, t0, tails, tail_t0):
+    """Evolve members xs[i, k] (lanes, members, d) in lockstep from time
+    t0, a step per drive block row (see _drive), lane i's members under
+    row[i]; return their final states, writing the state at each
+    t >= tail_t0 to tails[i, k, t - tail_t0].  A network step is W_r x,
+    then + row, then + W_fb W_o x with a readout, then _update's
+    arithmetic; other systems step through step_batch(row[i], ...).  The
+    states are copied once into part 0 of one _aligned_empty buffer
+    (pre and fb are the others) and stepped in place."""
     if xs.shape[1] == 0:
         return xs
     rnn = isinstance(system, RnnParams)
-    empty = _aligned_empty if rnn else np.empty
-    x = empty(xs.shape)
+    feedback = rnn and system.w_out is not None
+    x, *scratch = _aligned_empty(xs.shape, 1 + rnn + feedback)
     x[...] = xs
     if t0 >= tail_t0:
         tails[:, :, t0 - tail_t0] = x
-    n_i, d = seqs[0].n_i, x.shape[2]
-    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * max(n_i, d))))
-    raw = np.empty((chunk, len(seqs), n_i))
-    drive = raw
     if rnn:
-        w_r, w_in = _matvec_rows(system.w_r), _matvec_rows(system.w_in)
-        feedback = system.w_out is not None
+        w_r, pre, alpha = _matvec_rows(system.w_r), scratch[0], system.alpha
+        om, leak_free = 1.0 - alpha, alpha == 1.0
         if feedback:
             w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
-            fb = empty(x.shape)
-        alpha, om = system.alpha, 1.0 - system.alpha
-        leak_free = alpha == 1.0
-        pre = empty(x.shape)
-        drive = np.empty((chunk, len(seqs), 1, d))
-    for c0 in range(t0 + 1, t1 + 1, chunk):
-        c1 = min(c0 + chunk, t1 + 1)
-        n = c1 - c0
-        np.stack([s.values[c0 - s.anchor:c1 - s.anchor] for s in seqs], axis=1,
-                 out=raw[:n])
-        if rnn:
-            w_in(raw[:n], out=drive[:n, :, 0])
-        for t, u in zip(range(c0, c1), drive[:n]):
+            fb = scratch[1]
+    steps = count(t0 + 1)
+    for block in drive:
+        for u, t in zip(block, steps):
             if rnn:
-                # _preactivation's order and _update's arithmetic, inlined
-                # with bound row maps and stepped in place: a Python call
-                # per step slows the n_r = 1 loop by 7-8 %, a new array
-                # per operation by 2-8 %
+                # inlined and in place: a Python call per step slows the
+                # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
                 w_r(x, out=pre)
                 pre += u
                 if feedback:
@@ -434,8 +439,7 @@ def orbit(system, input_seq, x0, n, anchor=0):
     rowwise step_batch (see the index module).  The step arriving at
     time k consumes input value u[k], so the input window must cover
     [anchor + 1, anchor + n].  Underflow raises the sequence's
-    window-exhausted error; there is no silent padding.  The orbit is
-    _advance's one-input, one-member case.
+    window-exhausted error; there is no silent padding.
 
     Returns
     -------
@@ -450,8 +454,8 @@ def orbit(system, input_seq, x0, n, anchor=0):
         raise ConfigurationError("n must be nonnegative")
     _require_input(system, input_seq, anchor + 1, anchor + n)
     states = np.empty((1, 1, n + 1, d))
-    _advance(system, [input_seq], x0[None, None], anchor, anchor + n, states,
-             anchor)
+    _advance(system, _drive(system, [input_seq], anchor, anchor + n),
+             x0[None, None], anchor, states, anchor)
     return Trajectory(anchor=anchor, states=states[0, 0])
 
 

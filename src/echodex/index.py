@@ -5,10 +5,10 @@ stable responses the driven network supports.  It is estimated here by
 evolving an ensemble of initial conditions under one fixed input
 realization, discarding a transient, and single-linkage clustering the
 retained tails in the max-over-window state metric.  The verdict is
-"indefinite" (index None) whenever the evidence is ambiguous: unstable
-cluster counts across subwindows, pairwise distances inside the
-ambiguity band around the clustering tolerance, or failure to
-stabilize under protocol escalation.
+"indefinite" (index None) whenever the evidence is ambiguous: pairwise
+distances inside the ambiguity band around the clustering tolerance,
+clusters that come within it at some step, or failure to stabilize
+under protocol escalation.
 
 Systems are either RnnParams or any object exposing `state_dim`,
 `state_bound` and `step_batch(u, xs)`, which must apply the map rowwise:
@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ConfigurationError, RnnParams, Trajectory, _advance,
+from .core import (ConfigurationError, RnnParams, _advance, _drive,
                    _require_input, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
@@ -81,9 +81,6 @@ class EnsembleRun:
     @property
     def tail_anchor(self):
         return self.anchor + self.transient
-
-    def trajectory(self, i):
-        return Trajectory(anchor=self.tail_anchor, states=self.trajectories[i])
 
 
 @dataclass(frozen=True)
@@ -125,15 +122,16 @@ def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
         keep = min(ics.shape[1], prev.ics.shape[1])
     if keep:
         join = anchor + prev.transient + horizon
-        xs = _advance(system, seqs, ics[:, keep:], anchor, join,
-                      tails[:, keep:], tail_t0)
+        xs = _advance(system, _drive(system, seqs, anchor, join), ics[:, keep:],
+                      anchor, tails[:, keep:], tail_t0)
         overlap = join - tail_t0 + 1
         if overlap > 0:
             tails[:, :keep, :overlap] = prev.tails[:, :keep, -overlap:]
         xs = np.concatenate([prev.tails[:, :keep, -1], xs], axis=1)
     else:
         join, xs = anchor, ics
-    _advance(system, seqs, xs, join, tail_t0 + horizon, tails, tail_t0)
+    _advance(system, _drive(system, seqs, join, tail_t0 + horizon), xs, join,
+             tails, tail_t0)
     return tails
 
 
@@ -204,9 +202,12 @@ class Cluster:
 class EchoIndexReport:
     """Clustering verdict; index None means "indefinite".
 
-    For a definite index, min_separation > cluster_tol > max_diameter
-    holds and the cluster count is identical across the last three
-    equal subwindows (both enforced before declaring definiteness).
+    An index is definite when no pair distance lies in the ambiguity
+    band [tol/4, 4 tol] and min_separation > cluster_tol.  These gates
+    imply the diagnostics' subwindow counts all equal the index (a
+    subwindow distance is at least the pair's min over the window) and
+    max_diameter < tol/4 (linkage edges are then below tol/4, and a
+    chain of them in the sup-metric cannot cross the band).
     min_separation is the smallest over-time gap between members of
     different clusters (inf over the window); max_diameter is the
     largest intra-cluster distance at the final retained step.
@@ -290,10 +291,9 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     """Cluster ensemble tails and derive the index verdict.
 
     Single linkage at `cluster_tol` in the max-over-window metric.  The
-    verdict degrades to indefinite when the cluster count changes across
-    the last three equal subwindows, when any pairwise distance falls in
-    the ambiguity band [tol/4, 4 tol], or when the separation/diameter
-    margins fail.
+    verdict degrades to indefinite when any pairwise distance falls in
+    the ambiguity band [tol/4, 4 tol] or two clusters come within tol
+    at some step (see EchoIndexReport).
     """
     tails_full = run.trajectories
     max_window = tails_full.shape[1]
@@ -343,10 +343,7 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
         "window": int(window),
     }
 
-    definite = (part_counts[0] == part_counts[1] == part_counts[2] == n_clusters
-                and ambiguous_pairs == 0
-                and min_separation > cluster_tol
-                and max_diameter < cluster_tol)
+    definite = ambiguous_pairs == 0 and min_separation > cluster_tol
     return EchoIndexReport(index=int(n_clusters) if definite else None,
                            clusters=clusters,
                            min_separation=min_separation,

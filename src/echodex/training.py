@@ -5,8 +5,8 @@ spectral radius, harvest states by teacher forcing (the feedback input
 is the target output, with Gaussian noise injected inside the
 activation), solve the readout by ridge regression, then close the
 loop for evaluation.  Only the first output channel may feed back.
-Both take one stacked InputSequence; teacher forcing steps core's
-_preactivation, closed-loop evaluation is core's orbit.
+Both take one stacked InputSequence and run core's kernel: teacher
+forcing is one core._advance run, closed-loop evaluation an orbit.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ConfigurationError, RnnParams, _preactivation,
-                   _require_input, _update, orbit)
+from .core import (ConfigurationError, RnnParams, _advance, _require_input,
+                   _rows_gemv, orbit)
 from .rng import DOMAIN_NOISE, DOMAIN_WEIGHTS, substream
 
 
@@ -80,15 +80,15 @@ def init_reservoir(cfg, n_i, n_o):
 def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
     """Harvest states with the target fed back instead of the readout.
 
-    The transition into time k consumes the input row at k through
-    core._preactivation of the open-loop network (W_r, W_in, no
-    readout), then the target z1 at k - 1 through the first feedback
-    column (all other feedback columns must be zero), then Gaussian
-    noise of the given standard deviation: one committed substream, one
-    draw per transition; core._update makes the state.  With a zero
-    target and no noise this is exactly an orbit.  Starts from the
-    origin at the input's anchor; returns (T, n_r) states aligned with
-    the input window.
+    One core._advance run of the open-loop network (W_r, W_in, no
+    readout) from the origin at the input's anchor.  Its drive into time
+    k is W_in u[k], plus the target z1 at k - 1 through the first
+    feedback column (all other feedback columns must be zero), plus
+    Gaussian noise of the given standard deviation from one committed
+    substream, drawn at once (the values of one draw per step).  So each
+    pre-activation is W_r x + ((W_in u + fb z1) + noise); with a zero
+    target and no noise the run is exactly an orbit.  Returns (T, n_r)
+    states aligned with the input window.
     """
     target_z1 = np.asarray(target_z1, dtype=float)
     if target_z1.shape != (input_seq.length,):
@@ -98,17 +98,15 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
         raise ConfigurationError(
             "only the first output channel may feed back during teacher forcing")
     open_loop = RnnParams(alpha=params.alpha, w_r=params.w_r, w_in=params.w_in)
-    noise = substream(seed, DOMAIN_NOISE, 0)
     fb_col = params.w_fb[:, 0] if params.n_o else np.zeros(params.n_r)
-    states = np.zeros((input_seq.length, params.n_r))
-    x = states[0]
-    for j in range(1, input_seq.length):
-        pre = _preactivation(open_loop, input_seq.values[j], x)
-        pre = pre + fb_col * target_z1[j - 1]
-        if noise_std > 0.0:
-            pre = pre + noise.normal(0.0, noise_std, size=params.n_r)
-        x = _update(params.alpha, x, pre)
-        states[j] = x
+    drive = _rows_gemv(open_loop.w_in, input_seq.values[1:, None, None])
+    drive += fb_col * target_z1[:-1, None, None, None]
+    if noise_std > 0.0:
+        drive += substream(seed, DOMAIN_NOISE, 0).normal(0.0, noise_std,
+                                                         size=drive.shape)
+    states = np.empty((input_seq.length, params.n_r))
+    _advance(open_loop, [drive], np.zeros((1, 1, params.n_r)), 0,
+             states[None, None], 0)
     return states
 
 

@@ -275,7 +275,8 @@ def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
     xs = rng.uniform(-1, 1, (3, 4, n_r))
     before = xs.copy()
     tails = np.empty((3, 4, 11, n_r))
-    final = core._advance(params, seqs, xs, 0, n, tails, n - 10)
+    final = core._advance(params, core._drive(params, seqs, 0, n), xs, 0, tails,
+                          n - 10)
     assert xs.tobytes() == before.tobytes()
     assert not np.shares_memory(final, xs)
     for i, seq in enumerate(seqs):
@@ -309,8 +310,8 @@ def test_advance_rows_do_not_depend_on_where_the_states_sit(n_r, wiring, alpha):
     runs = []
     for offset in range(0, 64, 8):
         tails = np.empty((2, 3, n + 1, n_r))
-        final = core._advance(params, seqs, offset_copy(xs, offset), 0, n,
-                              tails, 0)
+        final = core._advance(params, core._drive(params, seqs, 0, n),
+                              offset_copy(xs, offset), 0, tails, 0)
         runs.append(tails.tobytes() + final.tobytes())
     assert len(set(runs)) == 1
 
@@ -363,7 +364,8 @@ def test_advance_scratch_is_bounded(inputs, members, n_r, steps):
     tails = np.empty((inputs, members, 10, n_r))
     tracemalloc.start()
     try:
-        core._advance(params, seqs, xs, 0, steps, tails, steps - 9)
+        core._advance(params, core._drive(params, seqs, 0, steps), xs, 0, tails,
+                      steps - 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -65,8 +65,6 @@ def test_run_ensemble_duplicate_ics_identical():
     assert np.array_equal(run.trajectories[0], run.trajectories[2])
     assert run.count == 3
     assert run.tail_anchor == 20
-    traj = run.trajectory(1)
-    assert traj.anchor == 20 and traj.n_steps == 30
 
 
 def test_scalar_fast_path_matches_solo_orbits():
@@ -190,6 +188,64 @@ def test_mid_window_merge_degrades_to_indefinite():
     assert rep.index is None
     counts = rep.diagnostics["subwindow_counts"]
     assert len(set(counts)) > 1
+
+
+def test_cross_pair_within_tol_at_one_step_degrades_to_indefinite():
+    t = 30
+    a = np.zeros((t, 1))
+    b = np.ones((t, 1))
+    b[12] = 5e-4  # the clusters touch at one step of the middle third
+    rep = cluster_asymptotics(synthetic_run([a, b]), cluster_tol=1e-3)
+    # far apart over the window, so neither the band nor any subwindow
+    # count sees it: only the separation gate does
+    assert rep.index is None
+    assert rep.diagnostics["ambiguous_pairs"] == 0
+    assert rep.diagnostics["subwindow_counts"] == (2, 2, 2)
+    assert len(rep.clusters) == 2 and rep.min_separation == 5e-4
+
+
+@pytest.mark.parametrize("gap, index", [(0.2, 1), (0.3, None), (3.0, None),
+                                        (5.0, 2)])
+def test_band_edges_in_units_of_tol(gap, index):
+    t = 30
+    a = np.zeros((t, 1))
+    rep = cluster_asymptotics(synthetic_run([a, a + gap * 1e-3]),
+                              cluster_tol=1e-3)
+    assert rep.index == index
+    assert rep.diagnostics["ambiguous_pairs"] == (index is None)
+
+
+def test_representative_is_the_cluster_medoid():
+    t = 30
+    values = (2e-5, 0.0, 1e-5, 1.0)  # member 2 is central, not member 0
+    tails = [np.full((t, 1), v) for v in values]
+    rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
+    assert rep.index == 2
+    big = max(rep.clusters, key=lambda c: c.member_count)
+    assert big.member_count == 3 and big.representative_ic == 2
+    assert big.final_state.tobytes() == tails[2][-1].tobytes()
+
+
+def test_band_and_separation_imply_the_subwindow_and_diameter_gates():
+    # random ensembles on the tolerance's scale: members follow one of
+    # three drifting paths, spread by up to a few tol around it
+    rng = np.random.default_rng(11)
+    tol, t = 1e-3, 30
+    definite = 0
+    for _ in range(2000):
+        m, d = rng.integers(2, 7), rng.integers(1, 3)
+        steps = tol * 10 ** rng.uniform(-2, 0.5) * rng.standard_normal((3, t, d))
+        paths = tol * rng.uniform(-20, 20, (3, 1, d)) + np.cumsum(steps, axis=1)
+        spread = tol * 10 ** rng.uniform(-3, 0.5)
+        tails = (paths[rng.integers(0, 3, m)]
+                 + spread * rng.standard_normal((m, t, d)))
+        rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=tol)
+        if rep.index is None:
+            continue
+        definite += 1
+        assert rep.diagnostics["subwindow_counts"] == (rep.index,) * 3
+        assert rep.max_diameter < tol / 4
+    assert definite >= 500
 
 
 def test_wandering_tail_sets_switching_flag():
@@ -477,14 +533,20 @@ def fresh_rung(system, seq, seed, protocol, r):
 
 def count_advanced_steps(monkeypatch):
     """Records (members, steps) for every lockstep advance that moves a
-    member."""
+    member, counting the rows of its drive blocks as they pass."""
     steps = []
     advance = index._advance
 
-    def counting(system, seqs, xs, t0, t1, tails, tail_t0):
-        if xs.shape[1]:
-            steps.append((xs.shape[1], t1 - t0))
-        return advance(system, seqs, xs, t0, t1, tails, tail_t0)
+    def counting(system, drive, xs, t0, tails, tail_t0):
+        if not xs.shape[1]:
+            return advance(system, drive, xs, t0, tails, tail_t0)
+        steps.append((xs.shape[1], 0))
+
+        def counted():
+            for block in drive:
+                steps[-1] = (xs.shape[1], steps[-1][1] + len(block))
+                yield block
+        return advance(system, counted(), xs, t0, tails, tail_t0)
     monkeypatch.setattr(index, "_advance", counting)
     return steps
 

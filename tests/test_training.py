@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from echodex import (ConfigurationError, ReservoirConfig, RnnParams,
                      init_reservoir, load_model, nrmse, orbit, pca_project,
                      ridge_readout, save_model, save_params,
                      teacher_forced_states)
+from echodex.core import _rows_gemv
+from echodex.rng import DOMAIN_NOISE, substream
 from echodex.sequences import InputSequence
 
 
@@ -67,7 +71,34 @@ def test_teacher_forcing_with_silent_feedback_matches_orbit():
         states = teacher_forced_states(params, drive, np.zeros(50),
                                        noise_std=0.0, seed=0)
         ref = orbit(params, drive, np.zeros(30), 49).states
-        assert np.array_equal(states, ref)
+        assert states.tobytes() == ref.tobytes()
+
+
+def hand_teacher_forcing(params, drive, z1, noise_std, seed):
+    """tanh(W_r x + ((W_in u + fb z1) + noise)) step by step, leaky for
+    alpha < 1, with one noise draw per step."""
+    noise = substream(seed, DOMAIN_NOISE, 0)
+    alpha = params.alpha
+    x = np.zeros(params.n_r)
+    states = [x]
+    for j in range(1, drive.length):
+        forced = _rows_gemv(params.w_in, drive.values[j]) + params.w_fb[:, 0] * z1[j - 1]
+        forced = forced + noise.normal(0.0, noise_std, size=params.n_r)
+        pre = _rows_gemv(params.w_r, x) + forced
+        x = np.tanh(pre) if alpha == 1.0 else (1.0 - alpha) * x + alpha * np.tanh(pre)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_teacher_forcing_is_one_kernel_run_under_the_forced_drive(alpha):
+    rng = np.random.default_rng(5)
+    params = replace(init_reservoir(small_cfg(n_r=30), 3, 1), alpha=alpha)
+    drive = small_drive(rng, n=60, n_ch=3)
+    z1 = rng.uniform(-1, 1, 60)
+    states = teacher_forced_states(params, drive, z1, noise_std=0.05, seed=3)
+    ref = hand_teacher_forcing(params, drive, z1, 0.05, 3)
+    assert states.tobytes() == ref.tobytes()
 
 
 def test_teacher_forcing_feeds_previous_target():
