@@ -97,6 +97,21 @@ def local_contraction_norm(params, u, x):
     return spectral_norm(jacobian(params, u, x))
 
 
+def _region_inputs(params, region, u_samples):
+    """u_samples as float arrays, checked with the region against the
+    network's state and input dimensions."""
+    us = [np.asarray(u, dtype=float) for u in u_samples]
+    if not us:
+        raise ConfigurationError("u_samples must not be empty")
+    if region.dim != params.n_r:
+        raise ConfigurationError("region dimension does not match the state")
+    for u in us:
+        if u.shape != (params.n_i,):
+            raise ConfigurationError(f"input sample has shape {u.shape}, the "
+                                     f"network takes n_i = {params.n_i}")
+    return us
+
+
 def _norms_over_grid(params, points, u_samples):
     """Worst Jacobian norm over points x u_samples.
 
@@ -124,10 +139,7 @@ def region_contraction_check(params, region, u_samples, mu, grid=33):
     """
     if not 0.0 < mu < 1.0:
         raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
-    if len(u_samples) == 0:
-        raise ConfigurationError("u_samples must not be empty")
-    if region.dim != params.n_r:
-        raise ConfigurationError("region dimension does not match the state")
+    u_samples = _region_inputs(params, region, u_samples)
     points, counts = region.grid(grid)
     worst, worst_point = _norms_over_grid(params, points, u_samples)
     return ContractionReport(
@@ -141,13 +153,9 @@ def region_invariance_check(params, region, u_samples, grid=33):
 
     Returns (ok, witness) where witness is a failing (x, u) pair or None.
     """
-    if len(u_samples) == 0:
-        raise ConfigurationError("u_samples must not be empty")
-    if region.dim != params.n_r:
-        raise ConfigurationError("region dimension does not match the state")
+    u_samples = _region_inputs(params, region, u_samples)
     points, _ = region.grid(grid)
     for u in u_samples:
-        u = np.asarray(u, dtype=float)
         images = step_batch(params, u, points)
         inside = np.all((images >= region.lo[None, :]) &
                         (images <= region.hi[None, :]), axis=1)
@@ -240,9 +248,9 @@ class LargeInputSpec:
 def large_input_radius(params, epsilon, mu):
     """Per-row radii beyond which aligned inputs certify index 1.
 
-    sigma_j = sup_x |f_j(x)| with f_j(x) = (W_r)_j x + (W_fb)_j psi(x);
-    for a linear (or absent) readout this is L * ||M_j||_1 exactly, the
-    corner maximum over the state box, so no state grid is needed.  xi_bar
+    sigma_j = sup_x |f_j(x)| with f_j(x) = M_j x, the state's share of
+    the pre-activation M x + W_in u, is L * ||M_j||_1 exactly, the corner
+    maximum over the state box, so no state grid is needed.  xi_bar
     solves phi'(xi_bar) * sigma_tilde = mu for tanh (clamped to 0 when
     mu >= sigma_tilde), and R_j = (xi_bar + sigma_j) / (eps ||(W_in)_j||).
     """
@@ -274,7 +282,7 @@ def absorbing_entry_bound(params, x0, u_lo, u_hi):
     activation image over the ball ||x||_inf <= ||x0||_inf and inputs in
     the box [u_lo, u_hi]:
 
-        eta >= max ||phi(W_r x + W_in u + W_fb psi(x))||_inf,
+        eta >= max ||phi(M x + W_in u)||_inf,   M = W_r + W_fb W_o,
 
     computed row-wise as tanh(||M_j||_1 R + max_u |(W_in u)_j|), which is
     exact for the row maxima and strictly below L.  For alpha = 1 the

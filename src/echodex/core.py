@@ -6,12 +6,13 @@ The state update is
     z[k]   = W_o x[k]                      (linear readout, optional)
 
 with phi = tanh.  The feedback term is omitted when no readout is
-configured.  The affine form is always evaluated in the fixed order
-W_r x, then + W_in u, then + W_fb z, so that repeated runs are
-bit-identical and the cocycle identity holds exactly.  A leak-free
-network (alpha = 1) steps as x[k+1] = phi(...) alone: the leak terms
-would only multiply by 1 and add 0 * x[k], which changes nothing but
-the sign of a zero state.
+configured.  Every step evaluates the affine form in one fixed order,
+M x, then + W_in u, with M = W_r + W_fb W_o the effective matrix that
+RnnParams forms once (the Jacobian and the certifiers read the same M),
+so that repeated runs are bit-identical and the cocycle identity holds
+exactly.  A leak-free network (alpha = 1) steps as x[k+1] = phi(...)
+alone: the leak terms would only multiply by 1 and add 0 * x[k], which
+changes nothing but the sign of a zero state.
 
 One kernel, _advance, evolves (lanes, members, d) states of any system
 in lockstep, each lane under its own drive, one block row per step:
@@ -134,13 +135,11 @@ class RnnParams:
             a = getattr(self, name)
             if a is not None and not np.all(np.isfinite(a)):
                 raise ConfigurationError(f"{name} contains non-finite entries")
-        # effective recurrent matrix M = W_r + W_fb W_o (constant for a
-        # linear readout); cached because certifiers query it repeatedly
-        if self.readout == "linear":
-            m = self.w_r + self.w_fb @ self.w_out
-        else:
-            m = self.w_r.copy()
-        object.__setattr__(self, "_m", _frozen_matrix(m))
+        # effective recurrent matrix M = W_r + W_fb W_o (W_r itself
+        # without a readout), formed once: every step reads it
+        m = self.w_r if self.w_out is None else _frozen_matrix(
+            self.w_r + self.w_fb @ self.w_out)
+        object.__setattr__(self, "_m", m)
 
     # -- shape helpers -------------------------------------------------
 
@@ -162,7 +161,8 @@ class RnnParams:
 
     @property
     def effective_matrix(self):
-        """W_r + W_fb W_o, the matrix entering the state Jacobian."""
+        """M = W_r + W_fb W_o: each step's pre-activation is M x, then
+        + W_in u, and the state Jacobian is (1 - alpha) I + alpha S M."""
         return self._m
 
     # state space is the hypercube [-L, L]^{n_r}, L = 1 the tanh bound
@@ -249,16 +249,12 @@ def _rows_gemm(w, xs):
 
 
 def _preactivation(params, u, x, matvec=_rows_gemv):
-    """W_r x, then + W_in u, then + W_fb (W_o x): the one fixed order.
+    """M x, then + W_in u (M the effective matrix): the one fixed order.
 
     matvec(w, x) applies w to every row of x; the batch maps pass
     _rows_gemm.
     """
-    pre = matvec(params.w_r, x)
-    pre = pre + matvec(params.w_in, u)
-    if params.w_out is not None:
-        pre = pre + matvec(params.w_fb, matvec(params.w_out, x))
-    return pre
+    return matvec(params.effective_matrix, x) + matvec(params.w_in, u)
 
 
 def _update(alpha, x, pre):
@@ -389,35 +385,29 @@ def _advance(system, drive, xs, t0, tails, tail_t0):
     """Evolve members xs[i, k] (lanes, members, d) in lockstep from time
     t0, a step per drive block row (see _drive), lane i's members under
     row[i]; return their final states, writing the state at each
-    t >= tail_t0 to tails[i, k, t - tail_t0].  A network step is W_r x,
-    then + row, then + W_fb W_o x with a readout, then _update's
-    arithmetic; other systems step through step_batch(row[i], ...).  The
-    states are copied once into part 0 of one _aligned_empty buffer
-    (pre and fb are the others) and stepped in place."""
+    t >= tail_t0 to tails[i, k, t - tail_t0].  A network step is M x
+    with M the effective matrix, then + row, then _update's arithmetic;
+    other systems step through step_batch(row[i], ...).  The states are
+    copied once into part 0 of one _aligned_empty buffer (pre is part 1
+    for a network) and stepped in place."""
     if xs.shape[1] == 0:
         return xs
     rnn = isinstance(system, RnnParams)
-    feedback = rnn and system.w_out is not None
-    x, *scratch = _aligned_empty(xs.shape, 1 + rnn + feedback)
+    x, *scratch = _aligned_empty(xs.shape, 1 + rnn)
     x[...] = xs
     if t0 >= tail_t0:
         tails[:, :, t0 - tail_t0] = x
     if rnn:
-        w_r, pre, alpha = _matvec_rows(system.w_r), scratch[0], system.alpha
+        m, pre, alpha = _matvec_rows(system.effective_matrix), scratch[0], system.alpha
         om, leak_free = 1.0 - alpha, alpha == 1.0
-        if feedback:
-            w_fb, w_out = _matvec_rows(system.w_fb), _matvec_rows(system.w_out)
-            fb = scratch[1]
     steps = count(t0 + 1)
     for block in drive:
         for u, t in zip(block, steps):
             if rnn:
                 # inlined and in place: a Python call per step slows the
                 # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
-                w_r(x, out=pre)
+                m(x, out=pre)
                 pre += u
-                if feedback:
-                    pre += w_fb(w_out(x), out=fb)
                 if leak_free:
                     np.tanh(pre, out=x)
                 else:

@@ -205,9 +205,10 @@ class EchoIndexReport:
     An index is definite when no pair distance lies in the ambiguity
     band [tol/4, 4 tol] and min_separation > cluster_tol.  These gates
     imply the diagnostics' subwindow counts all equal the index (a
-    subwindow distance is at least the pair's min over the window) and
+    subwindow distance is at least the pair's min over the window),
     max_diameter < tol/4 (linkage edges are then below tol/4, and a
-    chain of them in the sup-metric cannot cross the band).
+    chain of them in the sup-metric cannot cross the band) and coverage
+    1.0 (each member then lies within tol/4 of its representative).
     min_separation is the smallest over-time gap between members of
     different clusters (inf over the window); max_diameter is the
     largest intra-cluster distance at the final retained step.

@@ -7,7 +7,8 @@ import pytest
 
 from echodex import (ConfigurationError, KloedenSystem, RnnParams,
                      WindowExhausted, jacobian, jacobian_batch, load_params,
-                     orbit, save_params, shift, spectral_norm, step, step_batch)
+                     orbit, run_ensemble, save_params, shift, spectral_norm,
+                     step, step_batch)
 from echodex import core
 from echodex.sequences import InputSequence
 
@@ -81,15 +82,38 @@ def test_leak_free_orbit_and_step_agree_on_the_sign_of_zero():
 
 
 def test_feedback_enters_through_readout():
+    # the step reads M = W_r + W_fb W_out in the fixed order M x, then
+    # + W_in u; it agrees with the fed-back form W_r x + W_in u +
+    # W_fb (W_out x) up to rounding
     rng = np.random.default_rng(11)
     params = random_params(rng, n_r=3, n_i=1, with_feedback=True)
     u = rng.uniform(-1, 1, 1)
     x = rng.uniform(-1, 1, 3)
-    pre = params.w_r @ x
-    pre = pre + params.w_in @ u
-    pre = pre + params.w_fb @ (params.w_out @ x)
+    got = step(params, u, x)
+    pre = params.effective_matrix @ x + params.w_in @ u
     want = (1 - params.alpha) * x + params.alpha * np.tanh(pre)
-    assert np.array_equal(step(params, u, x), want)
+    assert got.tobytes() == want.tobytes()
+    pre = params.w_r @ x + params.w_in @ u + params.w_fb @ (params.w_out @ x)
+    fed_back = (1 - params.alpha) * x + params.alpha * np.tanh(pre)
+    assert np.allclose(got, fed_back, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+@pytest.mark.parametrize("wiring", ["feedback", "context"])
+def test_networks_step_through_their_effective_matrix(wiring, alpha):
+    # a readout's feedback is folded into M once, so a network steps
+    # byte for byte as the network without readout whose W_r is M
+    rng = np.random.default_rng(71)
+    params = lockstep_reservoir(rng, 30, wiring, alpha)
+    plain = RnnParams(alpha=alpha, w_r=params.effective_matrix, w_in=params.w_in)
+    seq = make_seq(rng, params.n_i, 0, 300)
+    x0 = rng.uniform(-1, 1, 30)
+    ics = rng.uniform(-1, 1, (5, 30))
+    for f in (lambda p: orbit(p, seq, x0, 300).states,
+              lambda p: run_ensemble(p, seq, ics, 200, 100).trajectories,
+              lambda p: step(p, seq.at(1), x0),
+              lambda p: step_batch(p, seq.at(1), ics)):
+        assert f(params).tobytes() == f(plain).tobytes()
 
 
 def test_step_batch_rows_match_solo_step():

@@ -11,10 +11,10 @@ from scipy.optimize import brentq
 
 from echodex import (Assertion, ExperimentResult, IndexProtocol, RnnParams,
                      TrainedModel, ensemble_to_csv, gen_two_symbol,
-                     resolve_config, run_ensemble, run_fold_bisect,
-                     run_from_manifest, run_kloeden, run_switching2d,
-                     save_model, save_sequence, switching_inputs,
-                     switching_params)
+                     gen_uniform_scaled, resolve_config, run_ensemble,
+                     run_fold_bisect, run_from_manifest, run_kloeden,
+                     run_switching2d, save_model, save_sequence,
+                     switching_inputs, switching_params)
 from echodex import experiments
 from echodex.cli import build_parser, main
 from echodex.experiments import DEFAULT_SEEDS, DEFAULTS
@@ -371,6 +371,19 @@ def test_cli_certify_region(tmp_path, capsys):
         "--region=-1,0:1,1", "--input", str(seq_path)])
     assert code == 1
     assert doc["invariant"] is False and doc["witness"] is not None
+
+
+def test_cli_certify_refuses_an_input_with_the_wrong_channel_count(tmp_path, capsys):
+    path = tmp_path / "switching.json"
+    save_model(TrainedModel(params=switching_params(),
+                            train_error=np.zeros(1)), path)
+    seq_path = tmp_path / "drive.csv"
+    save_sequence(gen_uniform_scaled(0.1, 0, 20, seed=0), seq_path)
+    code, doc = run_cli(capsys, [
+        "certify", "--model", str(path), "--mu", "0.999",
+        "--region=-1,0.55:1,1", "--input", str(seq_path)])
+    assert code == 2
+    assert doc["error"].startswith("ConfigurationError") and "n_i = 2" in doc["error"]
 
 
 def test_cli_certify_refuses_mu_outside_the_unit_interval(tmp_path, capsys):

@@ -226,6 +226,18 @@ def test_representative_is_the_cluster_medoid():
     assert big.final_state.tobytes() == tails[2][-1].tobytes()
 
 
+def test_linkage_joins_a_pair_exactly_tol_apart():
+    # 2**-10 apart in one dimension is a distance of exactly tol, and one
+    # ulp more is past it; both pairs lie in the band, so only the
+    # cluster sizes tell whether linkage includes tol itself
+    t, tol = 30, 2.0 ** -10
+    a = np.zeros((t, 1))
+    for gap, sizes in ((tol, [2]), (np.nextafter(tol, 1.0), [1, 1])):
+        rep = cluster_asymptotics(synthetic_run([a, a + gap]), cluster_tol=tol)
+        assert rep.summary_dict()["cluster_sizes"] == sizes
+        assert rep.verdict() == "indefinite"
+
+
 def test_band_and_separation_imply_the_subwindow_and_diameter_gates():
     # random ensembles on the tolerance's scale: members follow one of
     # three drifting paths, spread by up to a few tol around it
@@ -245,6 +257,7 @@ def test_band_and_separation_imply_the_subwindow_and_diameter_gates():
         definite += 1
         assert rep.diagnostics["subwindow_counts"] == (rep.index,) * 3
         assert rep.max_diameter < tol / 4
+        assert rep.diagnostics["coverage"] == 1.0
     assert definite >= 500
 
 
