@@ -27,6 +27,10 @@ place.  Two loops evolve states apart from it: index.pullback_fibre's
 step_batch point cloud, and experiments._escapes_basin, fold_bisect's
 scalar orbit, which stops at its first escape.  numpy must only compute
 each stacked row on its own (stacked matmul runs one gemv per row).
+Since rows are independent, _advance_groups may step a large network
+ensemble's members as contiguous groups, each a whole _advance run on
+a thread of its own, one per CPU the process may use: a row's bits are
+the same at any CPU count, and the same as its solo orbit's.
 step, built on the same _preactivation with the kernel's row maps and
 the same update, is the per-step public reference the test suite checks
 orbit against: their states agree byte for byte, signs of zero included.
@@ -49,7 +53,9 @@ from functools import partial
 from itertools import count
 import json
 import math
+import os
 from pathlib import Path
+import threading
 
 import numpy as np
 
@@ -265,13 +271,17 @@ def _update(alpha, x, pre):
     return (1.0 - alpha) * x + alpha * np.tanh(pre)
 
 
-def _check_uq(params, u, x):
+def _check_uq(params, u, x, batch=False):
+    """u (n_i,) and x (n_r,), or the states x (m, n_r) of a batch map, as
+    float arrays checked against the network."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
     if u.shape != (params.n_i,):
         raise ConfigurationError(f"input must have shape ({params.n_i},), got {u.shape}")
-    if x.shape != (params.n_r,):
-        raise ConfigurationError(f"state must have shape ({params.n_r},), got {x.shape}")
+    if x.ndim != 1 + batch or x.shape[-1] != params.n_r:
+        want = f"(m, {params.n_r})" if batch else f"({params.n_r},)"
+        raise ConfigurationError(f"state{'s' * batch} must have shape {want}, "
+                                 f"got {x.shape}")
     return u, x
 
 
@@ -290,8 +300,7 @@ def step_batch(params, u, xs):
     Orbits and ensembles, whose rows must equal step() bit for bit, are
     stepped by _advance with one gemv per row instead.
     """
-    u = np.asarray(u, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+    u, xs = _check_uq(params, u, xs, batch=True)
     return _update(params.alpha, xs,
                    _preactivation(params, u, xs, matvec=_rows_gemm))
 
@@ -310,9 +319,8 @@ def jacobian(params, u, x):
 
 
 def jacobian_batch(params, u, xs):
-    """Jacobians at every row of xs; returns (m, n_r, n_r)."""
-    u = np.asarray(u, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+    """Jacobians at every row of xs (m, n_r); returns (m, n_r, n_r)."""
+    u, xs = _check_uq(params, u, xs, batch=True)
     s = 1.0 - np.tanh(_preactivation(params, u, xs, matvec=_rows_gemm)) ** 2
     eye = (1.0 - params.alpha) * np.eye(params.n_r)
     return eye[None, :, :] + params.alpha * (
@@ -422,6 +430,73 @@ def _advance(system, drive, xs, t0, tails, tail_t0):
     return x
 
 
+# per-step multiply-adds (lanes x members x n_r**2) a network ensemble
+# needs before a second member group on another CPU saves time: 600
+# steps of 2 lanes at n_r = 50 ran 1.16x as long split with 40 members
+# (200,000) and 0.72x with 60 (300,000), on a 2-core host with 2 MiB
+# of L2 cache per core
+_MIN_GROUP_WORK = 2 ** 18
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _advance_groups(advance, system, seqs, xs, t0, t1, tails, tail_t0):
+    """advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
+    tail_t0), advance being the kernel _advance (each caller passes its
+    own binding of it, so that a test may wrap it).
+
+    A network ensemble runs as g contiguous groups of members, g the
+    least of the members, the CPUs the process may use and lanes x
+    members x n_r**2 // _MIN_GROUP_WORK.  Each group is a whole run over
+    its own drive and its own views of xs and tails, with no per-step
+    synchronisation: group 0 in the calling thread, the others in
+    threads joined before this returns; a group's exception is raised
+    here.  Rows are independent, so every bit is the same as in one run.
+    Other systems never split: their step holds the interpreter lock.
+    """
+    lanes, members = xs.shape[:2]
+    groups = 1
+    if isinstance(system, RnnParams):
+        groups = min(members, lanes * members * system.n_r ** 2 // _MIN_GROUP_WORK)
+        if groups > 1:
+            groups = min(groups, _cpu_count())
+    if groups <= 1:
+        return advance(system, _drive(system, seqs, t0, t1), xs, t0, tails, tail_t0)
+    cuts = [members * i // groups for i in range(groups + 1)]
+    finals, errors = [None] * groups, [None] * groups
+
+    def run(i):
+        part = slice(cuts[i], cuts[i + 1])
+        finals[i] = advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
+                            tails[:, part], tail_t0)
+
+    def run_helper(i):
+        try:
+            run(i)
+        except BaseException as exc:  # raised again in the calling thread
+            errors[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, groups):
+            helper = threading.Thread(target=run_helper, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return np.concatenate(finals, axis=1)
+
+
 def orbit(system, input_seq, x0, n, anchor=0):
     """Iterate the map n times from x0 anchored at time `anchor`.
 
@@ -444,8 +519,8 @@ def orbit(system, input_seq, x0, n, anchor=0):
         raise ConfigurationError("n must be nonnegative")
     _require_input(system, input_seq, anchor + 1, anchor + n)
     states = np.empty((1, 1, n + 1, d))
-    _advance(system, _drive(system, [input_seq], anchor, anchor + n),
-             x0[None, None], anchor, states, anchor)
+    _advance_groups(_advance, system, [input_seq], x0[None, None], anchor,
+                    anchor + n, states, anchor)
     return Trajectory(anchor=anchor, states=states[0, 0])
 
 

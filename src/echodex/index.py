@@ -24,7 +24,10 @@ divergence), is evolved by core._advance under two bit-exact contracts:
   check's ensemble.  `orbit` is the kernel's one-member case, so each
   row is its solo orbit by construction; numpy must only compute each
   stacked row on its own, a property of numpy/OpenBLAS (see core), not
-  of the paper.
+  of the paper.  A large network ensemble's members are stepped as
+  contiguous groups on separate threads, one per CPU the process may
+  use (core._advance_groups); since rows are independent, they give
+  the same bits at any CPU count.
 - Continuation.  A ladder rung whose transient does not shrink
   continues the members it shares with the previous rung from their
   final states instead of restarting them at the anchor.  By the
@@ -46,7 +49,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ConfigurationError, RnnParams, _advance, _drive,
+from .core import (ConfigurationError, RnnParams, _advance, _advance_groups,
                    _require_input, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
@@ -122,16 +125,16 @@ def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
         keep = min(ics.shape[1], prev.ics.shape[1])
     if keep:
         join = anchor + prev.transient + horizon
-        xs = _advance(system, _drive(system, seqs, anchor, join), ics[:, keep:],
-                      anchor, tails[:, keep:], tail_t0)
+        xs = _advance_groups(_advance, system, seqs, ics[:, keep:], anchor, join,
+                             tails[:, keep:], tail_t0)
         overlap = join - tail_t0 + 1
         if overlap > 0:
             tails[:, :keep, :overlap] = prev.tails[:, :keep, -overlap:]
         xs = np.concatenate([prev.tails[:, :keep, -1], xs], axis=1)
     else:
         join, xs = anchor, ics
-    _advance(system, _drive(system, seqs, join, tail_t0 + horizon), xs, join,
-             tails, tail_t0)
+    _advance_groups(_advance, system, seqs, xs, join, tail_t0 + horizon, tails,
+                    tail_t0)
     return tails
 
 

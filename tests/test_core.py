@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -179,6 +181,55 @@ def test_jacobian_batch_stacks_pointwise_jacobians():
     jb = jacobian_batch(params, u, xs)
     for i in range(5):
         assert np.allclose(jb[i], jacobian(params, u, xs[i]), atol=1e-14)
+
+
+@pytest.mark.parametrize("batch_map", [step_batch, jacobian_batch])
+def test_batch_maps_refuse_a_mis_shaped_input_or_state_batch(batch_map):
+    params = random_params(np.random.default_rng(97), n_r=4, n_i=2)
+    u, xs = np.ones(2), np.zeros((3, 4))
+    # one input per row is not one input value
+    for bad_u in (np.ones((3, 2)), np.ones(1), np.ones(3), 1.0):
+        with pytest.raises(ConfigurationError, match=r"input must have shape \(2,\)"):
+            batch_map(params, bad_u, xs)
+    for bad_xs in (np.zeros(4), np.zeros((3, 2)), np.zeros((1, 3, 4))):
+        with pytest.raises(ConfigurationError, match=r"states must have shape \(m, 4\)"):
+            batch_map(params, u, bad_xs)
+    assert batch_map(params, u, xs).shape[0] == 3
+
+
+@pytest.mark.parametrize("failing", ["none", "caller", "helpers"])
+def test_member_groups_leave_no_thread_behind(failing, monkeypatch):
+    # three groups: group 0 in the calling thread, two helper threads
+    monkeypatch.setattr(core, "_MIN_GROUP_WORK", 1)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 3)
+    rng = np.random.default_rng(101)
+    params = lockstep_reservoir(rng, 30, "feedback")
+    seqs = [make_seq(rng, params.n_i, 0, 40) for _ in range(2)]
+    xs = rng.uniform(-1, 1, (2, 6, 30))
+    tails = np.empty((2, 6, 11, 30))
+    callers = []
+
+    def advance(*args):
+        caller = threading.current_thread() is threading.main_thread()
+        callers.append(caller)
+        if not caller:
+            time.sleep(0.05)  # still running when group 0 is done
+        if failing == ("caller" if caller else "helpers"):
+            raise RuntimeError(f"{failing} failed")
+        return core._advance(*args)
+
+    before = threading.active_count()
+    if failing == "none":
+        final = core._advance_groups(advance, params, seqs, xs, 0, 40, tails, 30)
+        want = np.empty_like(tails)
+        assert final.tobytes() == core._advance(
+            params, core._drive(params, seqs, 0, 40), xs, 0, want, 30).tobytes()
+        assert tails.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            core._advance_groups(advance, params, seqs, xs, 0, 40, tails, 30)
+    assert sorted(callers) == [False, False, True]
+    assert threading.active_count() == before
 
 
 def test_effective_matrix_includes_feedback_loop():

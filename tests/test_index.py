@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from echodex import (ConfigurationError, EnsembleRun, IndexProtocol,
                      hausdorff_semidistance, orbit, pair_divergence_step,
                      pullback_fibre, run_ensemble, separatrix_bisect,
                      step_batch, switching_inputs)
-from echodex import index
+from echodex import core, index
 from echodex.sequences import InputSequence
 
 from conftest import lockstep_reservoir
@@ -710,6 +711,40 @@ def test_many_input_ladder_keeps_one_run_per_input(monkeypatch):
             assert a.trajectories.base is None
             assert not any(np.shares_memory(a.trajectories, b.trajectories)
                            for b in runs if b is not a)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_member_groups_give_the_bits_of_one_run(cpus, monkeypatch):
+    # every network ensemble split into groups on `cpus` threads: the
+    # ladder (continuation, shift lanes, a kept rung), a plain ensemble
+    # and an orbit keep the bytes of the unsplit runs
+    system, seq = feedback_reservoir(21)
+    seqs = [seq, InputSequence(anchor=-5, values=np.random.default_rng(2).uniform(
+        -1, 1, (406, 2)))]
+    proto = IndexProtocol(ic_counts=(5, 8, 7), transients=(50, 150, 150),
+                          horizon=40, window=30, ic_seed=7, shift_check=13)
+    x0 = np.random.default_rng(3).uniform(-1, 1, system.n_r)
+
+    def outputs():
+        reps = estimate_echo_indices(system, seqs, proto, anchor=3,
+                                     ic_seeds=[7, 4], keep_rung=1)
+        return ([repr(rep.summary_dict()) for rep in reps]
+                + [rep.ensemble.trajectories.tobytes() for rep in reps]
+                + [run_ensemble(system, seq, 9, 60, 30, anchor=2,
+                                ic_seed=4).trajectories.tobytes(),
+                   orbit(system, seq, x0, 200, anchor=1).states.tobytes()])
+
+    serial = outputs()
+    on_main, advance = [], index._advance
+
+    def recording(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return advance(*args)
+    monkeypatch.setattr(core, "_MIN_GROUP_WORK", 1)
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(index, "_advance", recording)
+    assert outputs() == serial
+    assert set(on_main) == ({True, False} if cpus > 1 else {True})
 
 
 def test_protocol_validation():
