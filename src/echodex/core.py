@@ -27,10 +27,10 @@ place.  Two loops evolve states apart from it: index.pullback_fibre's
 step_batch point cloud, and experiments._escapes_basin, fold_bisect's
 scalar orbit, which stops at its first escape.  numpy must only compute
 each stacked row on its own (stacked matmul runs one gemv per row).
-Since rows are independent, _advance_groups may step a large network
-ensemble's members as contiguous groups, each a whole _advance run on
-a thread of its own, one per CPU the process may use: a row's bits are
-the same at any CPU count, and the same as its solo orbit's.
+_advance_groups, the one way into the kernel from input sequences, may
+step a large network ensemble's members as contiguous groups, one per
+CPU the process may use, on a thread pool shut down before it returns:
+a row's bits are the same at any CPU count and as its solo orbit's.
 step, built on the same _preactivation with the kernel's row maps and
 the same update, is the per-step public reference the test suite checks
 orbit against: their states agree byte for byte, signs of zero included.
@@ -55,7 +55,6 @@ import json
 import math
 import os
 from pathlib import Path
-import threading
 
 import numpy as np
 
@@ -84,6 +83,14 @@ def _aligned_empty(shape, parts=1):
     start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
     return [buf[i:i + size].reshape(shape)
             for i in range(start, start + parts * stride, stride)]
+
+
+def _trim_heap():
+    """Hand free heap pages back to the OS where glibc's malloc_trim is."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def _frozen_matrix(a):
@@ -445,19 +452,18 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _advance_groups(advance, system, seqs, xs, t0, t1, tails, tail_t0):
-    """advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
-    tail_t0), advance being the kernel _advance (each caller passes its
-    own binding of it, so that a test may wrap it).
+def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
+    """_advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
+    tail_t0), the one way into the kernel from input sequences.
 
     A network ensemble runs as g contiguous groups of members, g the
     least of the members, the CPUs the process may use and lanes x
     members x n_r**2 // _MIN_GROUP_WORK.  Each group is a whole run over
     its own drive and its own views of xs and tails, with no per-step
-    synchronisation: group 0 in the calling thread, the others in
-    threads joined before this returns; a group's exception is raised
-    here.  Rows are independent, so every bit is the same as in one run.
-    Other systems never split: their step holds the interpreter lock.
+    synchronisation: group 0 in the calling thread, the others on a
+    pool whose helpers are joined before this returns; a helper's
+    exception is raised here.  Rows are independent, so every bit is the
+    same as in one run.  Other systems never split (step holds the GIL).
     """
     lanes, members = xs.shape[:2]
     groups = 1
@@ -466,35 +472,18 @@ def _advance_groups(advance, system, seqs, xs, t0, t1, tails, tail_t0):
         if groups > 1:
             groups = min(groups, _cpu_count())
     if groups <= 1:
-        return advance(system, _drive(system, seqs, t0, t1), xs, t0, tails, tail_t0)
+        return _advance(system, _drive(system, seqs, t0, t1), xs, t0, tails, tail_t0)
+    from concurrent.futures import ThreadPoolExecutor  # not paid at start-up
     cuts = [members * i // groups for i in range(groups + 1)]
-    finals, errors = [None] * groups, [None] * groups
 
     def run(i):
         part = slice(cuts[i], cuts[i + 1])
-        finals[i] = advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
-                            tails[:, part], tail_t0)
+        return _advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
+                        tails[:, part], tail_t0)
 
-    def run_helper(i):
-        try:
-            run(i)
-        except BaseException as exc:  # raised again in the calling thread
-            errors[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, groups):
-            helper = threading.Thread(target=run_helper, args=(i,))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return np.concatenate(finals, axis=1)
+    with ThreadPoolExecutor(groups - 1) as pool:
+        helpers = [pool.submit(run, i) for i in range(1, groups)]
+        return np.concatenate([run(0)] + [h.result() for h in helpers], axis=1)
 
 
 def orbit(system, input_seq, x0, n, anchor=0):
@@ -519,8 +508,8 @@ def orbit(system, input_seq, x0, n, anchor=0):
         raise ConfigurationError("n must be nonnegative")
     _require_input(system, input_seq, anchor + 1, anchor + n)
     states = np.empty((1, 1, n + 1, d))
-    _advance_groups(_advance, system, [input_seq], x0[None, None], anchor,
-                    anchor + n, states, anchor)
+    _advance_groups(system, [input_seq], x0[None, None], anchor, anchor + n,
+                    states, anchor)
     return Trajectory(anchor=anchor, states=states[0, 0])
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
-from .core import orbit
+from .core import ConfigurationError, _trim_heap, orbit
 from .index import (IndexProtocol, _divergence_step, ensemble_to_csv,
                     estimate_echo_index, estimate_echo_indices, pullback_fibre,
                     run_ensemble, separatrix_bisect)
@@ -205,7 +205,8 @@ def _run_kloeden(cfg, out):
     k0, k1 = int(cfg["k_start"]), int(cfg["k_end"])
     ics = np.linspace(-1.0, 1.0, int(cfg["ics"]))
 
-    runs = np.stack([system.run(x0, k0, k1) for x0 in ics])
+    runs = run_ensemble(system, system.arrival_sequence(k0, k1), ics, 0, k1 - k0,
+                        anchor=k0).trajectories[:, :, 0]
     root = _root(lambda x: x - math.tanh(a * x / (1.0 + abs(x))), 0.1, 0.9999)
 
     # zero is a fixed point of every component map, so it must hold exactly
@@ -627,6 +628,10 @@ def _run_splice_demo(cfg, out):
 # ----------------------------------------------------------------------
 
 def _run_context_task(cfg, out):
+    # refused before any work: each would run, but not the run asked for
+    for key in ("noise_std", "washout", "exclusion"):
+        if not 0 <= cfg[key] < math.inf:
+            raise ConfigurationError(f"{key} must be finite and >= 0, got {cfg[key]}")
     seed = int(cfg["seed"])
     protocol = _protocol(cfg, ic_seed=seed)
     train_len, test_len = int(cfg["train_len"]), int(cfg["test_len"])
@@ -669,8 +674,10 @@ def _run_context_task(cfg, out):
     accuracy = float(np.mean(pred_sign[scored] == true_sign[scored]))
 
     projections, cumvar = pca_project(traj.states, 2)
-    # not read again; frees them before the ensemble ladder
+    # not read again; frees them before the ensemble ladder and hands the
+    # pages back (glibc kept ~17 MiB of them or not, by heap layout)
     del states, traj, inputs
+    _trim_heap()
 
     # with --out, ensemble_z1.csv holds the tails of the ladder's final rung
     ens_report = estimate_echo_index(params, task.pulses_off_input(), protocol,

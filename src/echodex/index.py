@@ -15,7 +15,7 @@ Systems are either RnnParams or any object exposing `state_dim`,
 each row's result depends on that row alone.
 
 Every orbit here, ensemble member or solo (separatrix, pair
-divergence), is evolved by core._advance under two bit-exact contracts:
+divergence), is a core._advance_groups run under two bit-exact contracts:
 
 - Lockstep batching.  The members of every lane in one ladder rung
   form one (lanes, members, d) array, each row under its own lane's
@@ -25,15 +25,15 @@ divergence), is evolved by core._advance under two bit-exact contracts:
   row is its solo orbit by construction; numpy must only compute each
   stacked row on its own, a property of numpy/OpenBLAS (see core), not
   of the paper.  A large network ensemble's members are stepped as
-  contiguous groups on separate threads, one per CPU the process may
-  use (core._advance_groups); since rows are independent, they give
-  the same bits at any CPU count.
+  contiguous groups, one per CPU the process may use, on a thread pool
+  shut down before the call returns; since rows are independent, they
+  give the same bits at any CPU count.
 - Continuation.  A ladder rung whose transient does not shrink
-  continues the members it shares with the previous rung from their
-  final states instead of restarting them at the anchor.  By the
-  cocycle identity (iterating s steps and then t more equals iterating
-  s + t steps under the same input) the retained tails equal those of a
-  fresh run bit for bit.
+  restarts each member it shares with the previous rung from its state
+  at the new window's first step (its final state if that comes
+  first), evolving any overlap of the windows again.  By the cocycle
+  identity (iterating s steps and then t more equals iterating s + t
+  steps under the same input) the tails equal a fresh run's bit for bit.
 
 A caller that also needs a rung's ensemble (to write it out) passes
 estimate_echo_indices' keep_rung; each report then holds that rung's
@@ -49,8 +49,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ConfigurationError, RnnParams, _advance, _advance_groups,
-                   _require_input, orbit, step_batch)
+from .core import (ConfigurationError, RnnParams, _advance_groups, _require_input,
+                   orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
 from .sequences import shift, write_csv
@@ -90,29 +90,34 @@ class EnsembleRun:
 class _Rung:
     """Members of one ladder rung for several lanes at one anchor.
 
-    ics is (lanes, m, d); tails (lanes, m, n, d) holds the last n
-    states of each member, ending at anchor + transient + horizon.
+    ics is (lanes, m, d); tails (lanes, m, horizon + 1, d) holds each
+    member's window, ending at anchor + transient + horizon.
     """
 
     ics: np.ndarray
     tails: np.ndarray
     transient: int
 
-    def carry(self, rows, transient, horizon):
-        """The part of `rows` a next rung with `transient` reads: the
-        states overlapping its tail window, and at least the final one."""
-        n = min(horizon + 1, max(1, self.transient + horizon + 1 - transient))
-        return _Rung(self.ics[rows], self.tails[rows, :, -n:], self.transient)
+    def carry(self, rows, transient):
+        """(states, s) for a next rung of `rows` with `transient`: each
+        member's state s steps past the anchor, s being the next window's
+        first step or the member's final step, whichever comes first.
+        None if the transient shrinks: every member restarts at the anchor."""
+        if transient < self.transient:
+            return None
+        s = min(transient, self.transient + self.tails.shape[2] - 1)
+        return self.tails[rows, :, s - self.transient], s
 
 
-def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
+def _evolve(system, seqs, ics, transient, horizon, anchor, carried=None):
     """Tails (inputs, m, horizon + 1, d) of members ics[i] under seqs[i].
 
-    `prev` is an earlier rung of the same inputs, ICs and anchor.  When
-    its transient is not larger, the members the two rungs share
-    continue from prev's final states and keep the part of prev's tails
-    that overlaps this window; the other members start at the anchor.
-    Otherwise every member starts at the anchor.
+    `carried` is (states, s) from _Rung.carry of an earlier rung of the
+    same inputs, ICs and anchor: the members the two rungs share restart
+    from their states at s steps past the anchor, where the others join
+    them once evolved from the anchor.  Any part of this window that the
+    earlier rung also held is evolved again, bit-exact by the cocycle
+    identity.  Without it every member starts at the anchor.
     """
     if transient < 0 or horizon < 1:
         raise ConfigurationError("need transient >= 0 and horizon >= 1")
@@ -120,21 +125,14 @@ def _evolve(system, seqs, ics, transient, horizon, anchor, prev=None):
         _require_input(system, seq, anchor + 1, anchor + transient + horizon)
     tail_t0 = anchor + transient
     tails = np.empty(ics.shape[:2] + (horizon + 1,) + ics.shape[2:])
-    keep = 0
-    if prev is not None and prev.transient <= transient:
-        keep = min(ics.shape[1], prev.ics.shape[1])
-    if keep:
-        join = anchor + prev.transient + horizon
-        xs = _advance_groups(_advance, system, seqs, ics[:, keep:], anchor, join,
-                             tails[:, keep:], tail_t0)
-        overlap = join - tail_t0 + 1
-        if overlap > 0:
-            tails[:, :keep, :overlap] = prev.tails[:, :keep, -overlap:]
-        xs = np.concatenate([prev.tails[:, :keep, -1], xs], axis=1)
-    else:
-        join, xs = anchor, ics
-    _advance_groups(_advance, system, seqs, xs, join, tail_t0 + horizon, tails,
-                    tail_t0)
+    join, xs = anchor, ics
+    if carried is not None:
+        states, s = carried
+        keep, join = min(ics.shape[1], states.shape[1]), anchor + s
+        fresh = _advance_groups(system, seqs, ics[:, keep:], anchor, join,
+                                tails[:, keep:], tail_t0)
+        xs = np.concatenate([states[:, :keep], fresh], axis=1)
+    _advance_groups(system, seqs, xs, join, tail_t0 + horizon, tails, tail_t0)
     return tails
 
 
@@ -366,16 +364,17 @@ class IndexProtocol:
 
     Rung r runs ic_counts[r] initial conditions in lockstep (each row
     is its solo orbit: both come from core._advance) after transients[r]
-    discarded steps;
-    the estimate is accepted once two consecutive rungs give the same
-    definite index, then spot-checked at the anchor shifted by
-    shift_check, whose ensemble evolves alongside in the same rungs.
-    IC i is drawn from its own substream, so rung r + 1 shares its first
-    min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
-    transients[r + 1] >= transients[r], those members continue from rung
-    r's final states (bit-exact by the cocycle identity); otherwise rung
-    r + 1 starts every member afresh at the anchor.  Clustering reads
-    the last window of horizon + 1 states: window is in [10, horizon + 1].
+    discarded steps; the estimate is accepted once two consecutive rungs
+    give the same definite index, then spot-checked at the anchor
+    shifted by shift_check, whose ensemble evolves alongside in the same
+    rungs.  IC i is drawn from its own substream, so rung r + 1 shares
+    its first min(ic_counts[r], ic_counts[r + 1]) ICs with rung r.  If
+    transients[r + 1] >= transients[r], those members restart from their
+    states at step min(transients[r + 1], transients[r] + horizon) of
+    rung r, and any overlap of the two windows is evolved again
+    (bit-exact by the cocycle identity); otherwise rung r + 1 starts
+    every member afresh at the anchor.  Clustering reads the last window
+    of horizon + 1 states: window is in [10, horizon + 1].
     """
 
     ic_counts: tuple = (16, 24, 32)
@@ -412,15 +411,15 @@ class IndexProtocol:
         return max(0, self.shift_check) + max(self.transients) + self.horizon
 
 
-def _ladder_rung(system, seqs, seeds, protocol, r, anchor, prev=None):
-    """Rung r of the protocol for every lane, continuing `prev` (an
-    earlier rung of the same lanes) where the protocol allows.  Each
+def _ladder_rung(system, seqs, seeds, protocol, r, anchor, carried=None):
+    """Rung r of the protocol for every lane, continuing the `carried`
+    states of an earlier rung of the same lanes (_Rung.carry).  Each
     distinct IC seed's ICs are drawn once, however many lanes share it."""
     count, transient = protocol.ic_counts[r], protocol.transients[r]
     drawn = {seed: _draw_ics(system, seed, count) for seed in set(seeds)}
     ics = np.stack([drawn[seed] for seed in seeds])
     return _Rung(ics, _evolve(system, seqs, ics, transient, protocol.horizon,
-                              anchor, prev), int(transient))
+                              anchor, carried), int(transient))
 
 
 def _rung_runs(system, seqs, seeds, protocol, rung, anchor, rows, own=False):
@@ -469,11 +468,12 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     i runs as two lanes of every rung it reaches: its own, and its shift
     lane, shift(seq_i, protocol.shift_check) at `anchor` with the same
     ICs, which is seq_i's ensemble at anchor + shift_check.  Every rung
-    evolves the lanes of the inputs still open as one batch, continuing
-    the previous rung's members where the protocol allows.  An input
-    that stabilises at a rung has its shift lane clustered there as the
-    shift check and leaves the ladder with both lanes; an input that
-    never stabilises evolves its shift lane through every rung too.
+    evolves the lanes of the inputs still open as one batch; where the
+    protocol allows, each member the previous rung shares restarts from
+    the one state carried from it (_Rung.carry).  An input that
+    stabilises at a rung has its shift lane clustered there as the shift
+    check and leaves the ladder with both lanes; an input that never
+    stabilises evolves its shift lane through every rung too.
 
     keep_rung (a protocol rung index, negative from the end) makes each
     report carry that rung's ensemble at `anchor` in report.ensemble,
@@ -502,7 +502,7 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     shifted_seqs = [shift(seq, protocol.shift_check) for seq in seqs]
     history = [[] for _ in seqs]
     kept, shifted = [None] * n, [None] * n
-    open_, prev = list(range(n)), None
+    open_, carried = list(range(n)), None
     for r in range(n_rungs):
         if not open_:
             break
@@ -511,8 +511,7 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
         rung_seqs = [seqs[i] for i in open_] + [shifted_seqs[i] for i in open_]
         rung_seeds = [seeds[i] for i in open_] * 2
         rung = _ladder_rung(system, rung_seqs, rung_seeds, protocol, r, anchor,
-                            prev)
-        prev = None  # the carried states are not needed while clustering
+                            carried)
         runs = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
                           range(m), own=r == keep_rung and m > 1)
         if r == keep_rung:
@@ -531,8 +530,8 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
         for row, rep in zip(stable, _cluster_runs(checks, protocol)):
             shifted[open_[row]] = rep
         if r + 1 < n_rungs:
-            prev = rung.carry(rows + [m + row for row in rows],
-                              protocol.transients[r + 1], protocol.horizon)
+            carried = rung.carry(rows + [m + row for row in rows],
+                                 protocol.transients[r + 1])
         # free the full tails before the next rung allocates its own
         rung = runs = checks = None
         open_ = [open_[row] for row in rows]
@@ -554,8 +553,8 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
     are bit-identical to fresh run_ensemble calls and to solo orbits:
     all of them are core._advance runs, whose rows are computed on their
     own (one gemv per reservoir row, step_batch rowwise otherwise), and
-    a rung that continues the previous one is exact by the cocycle
-    identity.  keep_rung is estimate_echo_indices'.
+    a rung that restarts members from carried states is exact by the
+    cocycle identity.  keep_rung is estimate_echo_indices'.
     """
     return estimate_echo_indices(system, [input_seq], protocol, anchor,
                                  keep_rung=keep_rung)[0]

@@ -84,12 +84,14 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
     readout) from the origin at the input's anchor.  Its drive into time
     k is W_in u[k], plus the target z1 at k - 1 through the first
     feedback column (all other feedback columns must be zero), plus
-    Gaussian noise of the given standard deviation from one committed
-    substream, drawn at once (the values of one draw per step).  So each
-    pre-activation is W_r x + ((W_in u + fb z1) + noise); with a zero
-    target and no noise the run is exactly an orbit.  Returns (T, n_r)
-    states aligned with the input window.
+    Gaussian noise of the given standard deviation (finite, >= 0) from
+    one committed substream, drawn at once (the values of one draw per
+    step).  So each pre-activation is W_r x + ((W_in u + fb z1) + noise);
+    with a zero target and no noise the run is exactly an orbit.
+    Returns (T, n_r) states aligned with the input window.
     """
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigurationError(f"noise_std must be finite and >= 0, got {noise_std}")
     target_z1 = np.asarray(target_z1, dtype=float)
     if target_z1.shape != (input_seq.length,):
         raise ConfigurationError("target_z1 length must match the input window")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -207,29 +211,41 @@ def test_member_groups_leave_no_thread_behind(failing, monkeypatch):
     seqs = [make_seq(rng, params.n_i, 0, 40) for _ in range(2)]
     xs = rng.uniform(-1, 1, (2, 6, 30))
     tails = np.empty((2, 6, 11, 30))
-    callers = []
+    callers, advance = [], core._advance
 
-    def advance(*args):
+    def failing_advance(*args):
         caller = threading.current_thread() is threading.main_thread()
         callers.append(caller)
         if not caller:
             time.sleep(0.05)  # still running when group 0 is done
         if failing == ("caller" if caller else "helpers"):
             raise RuntimeError(f"{failing} failed")
-        return core._advance(*args)
+        return advance(*args)
+    monkeypatch.setattr(core, "_advance", failing_advance)
 
     before = threading.active_count()
     if failing == "none":
-        final = core._advance_groups(advance, params, seqs, xs, 0, 40, tails, 30)
+        final = core._advance_groups(params, seqs, xs, 0, 40, tails, 30)
         want = np.empty_like(tails)
-        assert final.tobytes() == core._advance(
+        assert final.tobytes() == advance(
             params, core._drive(params, seqs, 0, 40), xs, 0, want, 30).tobytes()
         assert tails.tobytes() == want.tobytes()
     else:
         with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
-            core._advance_groups(advance, params, seqs, xs, 0, 40, tails, 30)
+            core._advance_groups(params, seqs, xs, 0, 40, tails, 30)
     assert sorted(callers) == [False, False, True]
     assert threading.active_count() == before
+
+
+def test_cli_start_up_leaves_the_thread_pool_unloaded():
+    # member groups import concurrent.futures only when they split
+    code = "import sys, echodex.cli; sys.exit('concurrent.futures' in sys.modules)"
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_effective_matrix_includes_feedback_loop():

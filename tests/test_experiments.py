@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from echodex import (Assertion, ExperimentResult, IndexProtocol, RnnParams,
-                     TrainedModel, ensemble_to_csv, gen_two_symbol,
-                     gen_uniform_scaled, resolve_config, run_ensemble,
-                     run_fold_bisect, run_from_manifest, run_kloeden,
-                     run_switching2d, save_model, save_sequence,
+from echodex import (Assertion, ConfigurationError, ExperimentResult,
+                     IndexProtocol, RnnParams, TrainedModel, ensemble_to_csv,
+                     gen_two_symbol, gen_uniform_scaled, resolve_config,
+                     run_ensemble, run_fold_bisect, run_from_manifest,
+                     run_kloeden, run_switching2d, save_model, save_sequence,
                      switching_inputs, switching_params)
 from echodex import experiments
 from echodex.cli import build_parser, main
@@ -218,6 +218,25 @@ def test_context_task_refuses_a_window_beyond_its_horizon_before_training(
     for pair in ("ic_count=0", "transients=[-5,10]"):
         code, doc = run_cli(capsys, ["context_task", "--set", pair])
         assert code == 2 and "ic_counts >= 1 and transients >= 0" in doc["error"]
+
+
+@pytest.mark.parametrize("pair", ["noise_std=-0.05", "noise_std=1e999",
+                                  "washout=-1", "exclusion=-20"])
+def test_context_task_refuses_training_keys_that_would_change_the_run(capsys,
+                                                                      pair):
+    # each used to run: noise-free, training on the last rows only, or
+    # with no steps (or nearly all) excluded from scoring
+    code, doc = run_cli(capsys, ["context_task", "--set", pair])
+    key = pair.split("=")[0]
+    assert code == 2
+    assert doc["error"].startswith(f"ConfigurationError: {key} must be finite "
+                                   "and >= 0")
+
+
+def test_context_task_refuses_a_nan_noise_std():
+    # --set cannot spell NaN, but a manifest or an overrides dict can
+    with pytest.raises(ConfigurationError, match="noise_std must be finite"):
+        experiments.run_preset("context_task", overrides={"noise_std": math.nan})
 
 
 def test_override_kinds_are_list_and_number():

@@ -499,7 +499,7 @@ def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
     seeds = [3, 1, 0, 2, 0]
     protocol = replace(SHORT_LADDER, shift_check=shift_check)
     rungs, outside = [], []
-    ladder_rung, advance = index._ladder_rung, index._advance
+    ladder_rung, advance = index._ladder_rung, core._advance
 
     def counting_rung(*args, **kwargs):
         rungs.append(True)
@@ -512,7 +512,7 @@ def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
         outside.append(not (rungs and rungs[-1]))
         return advance(*args)
     monkeypatch.setattr(index, "_ladder_rung", counting_rung)
-    monkeypatch.setattr(index, "_advance", checking_advance)
+    monkeypatch.setattr(core, "_advance", checking_advance)
     many = estimate_echo_indices(params, seqs, protocol, anchor=anchor,
                                  ic_seeds=seeds)
     # one evolution per rung, each inside a rung; no second pass
@@ -535,8 +535,7 @@ def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
 def continued_rung(system, seqs, seeds, protocol, r):
     """Tails of rung r continued from rung r - 1, as the ladder does it."""
     prev = index._ladder_rung(system, seqs, seeds, protocol, r - 1, 0)
-    carried = prev.carry(list(range(len(seqs))), protocol.transients[r],
-                         protocol.horizon)
+    carried = prev.carry(list(range(len(seqs))), protocol.transients[r])
     return index._ladder_rung(system, seqs, seeds, protocol, r, 0, carried).tails
 
 
@@ -549,7 +548,7 @@ def count_advanced_steps(monkeypatch):
     """Records (members, steps) for every lockstep advance that moves a
     member, counting the rows of its drive blocks as they pass."""
     steps = []
-    advance = index._advance
+    advance = core._advance
 
     def counting(system, drive, xs, t0, tails, tail_t0):
         if not xs.shape[1]:
@@ -561,17 +560,23 @@ def count_advanced_steps(monkeypatch):
                 steps[-1] = (xs.shape[1], steps[-1][1] + len(block))
                 yield block
         return advance(system, counted(), xs, t0, tails, tail_t0)
-    monkeypatch.setattr(index, "_advance", counting)
+    monkeypatch.setattr(core, "_advance", counting)
     return steps
 
 
-def test_continued_rung_is_bit_exact_on_the_scalar_path():
+def test_continued_rung_is_bit_exact_on_the_scalar_path(monkeypatch):
     params = bistable_driven()
     seqs = [gen_uniform_scaled(w, -5, 400, seed=s)
             for w, s in ((0.3, 0), (1.0, 6), (1.2, 0))]
     seeds = [0, 4, 1]
+    steps = count_advanced_steps(monkeypatch)
     for r in (1, 2):  # overlapping tail windows, then disjoint ones
+        steps.clear()
         tails = continued_rung(params, seqs, seeds, SHORT_LADDER, r)
+        if r == 1:
+            # the shared members restart from their states at 60, the
+            # next window's first step; the overlap 60..70 is evolved again
+            assert steps == [(8, 70), (4, 60), (12, 30)]
         for i, (seq, seed) in enumerate(zip(seqs, seeds)):
             assert np.array_equal(tails[i],
                                   fresh_rung(params, seq, seed, SHORT_LADDER, r))
@@ -735,14 +740,14 @@ def test_member_groups_give_the_bits_of_one_run(cpus, monkeypatch):
                    orbit(system, seq, x0, 200, anchor=1).states.tobytes()])
 
     serial = outputs()
-    on_main, advance = [], index._advance
+    on_main, advance = [], core._advance
 
     def recording(*args):
         on_main.append(threading.current_thread() is threading.main_thread())
         return advance(*args)
     monkeypatch.setattr(core, "_MIN_GROUP_WORK", 1)
     monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(index, "_advance", recording)
+    monkeypatch.setattr(core, "_advance", recording)
     assert outputs() == serial
     assert set(on_main) == ({True, False} if cpus > 1 else {True})
 

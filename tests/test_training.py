@@ -125,6 +125,18 @@ def test_teacher_forcing_noise_is_seeded():
     assert not np.array_equal(a, c)
 
 
+def test_teacher_forcing_refuses_a_negative_or_non_finite_noise_std():
+    # a negative or NaN std used to run noise-free, as if it were 0
+    rng = np.random.default_rng(4)
+    params = init_reservoir(small_cfg(n_r=20), 2, 1)
+    drive = small_drive(rng, n=30, n_ch=2)
+    for bad in (-0.05, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="noise_std must be finite "
+                           "and >= 0"):
+            teacher_forced_states(params, drive, np.zeros(30), noise_std=bad,
+                                  seed=0)
+
+
 def test_teacher_forcing_validation():
     rng = np.random.default_rng(4)
     params = init_reservoir(small_cfg(n_r=20), 2, 2)

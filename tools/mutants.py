@@ -1,0 +1,133 @@
+"""Mutation check: every listed one-line edit of the package fails a test.
+
+    python tools/mutants.py [NAME ...]
+
+Each mutant names a file under src/, a text that must occur there
+exactly once, its replacement, and the tests that should catch the edit.
+For each mutant the script copies src/ to a temporary directory, applies
+the edit and runs the named tests against the copy (PYTHONPATH points at
+it, and pytest's own `pythonpath = ["src"]` is switched off).  A failing
+run kills the mutant; a passing one survives.  The unedited copy must
+first pass every named test, so that a kill means the edit was caught.
+Exits 0 only if every mutant is killed.  Standard library and pytest
+only; the tests run with one BLAS thread, as in CI.
+"""
+
+from dataclasses import dataclass
+import os
+from pathlib import Path
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/echodex
+    old: str
+    new: str
+    tests: tuple
+
+
+INDEX, CORE = "tests/test_index.py::", "tests/test_core.py::"
+
+MUTANTS = [
+    # member groups on the thread pool (core._advance_groups)
+    Mutant("groups concatenated in reverse", "core.py",
+           "np.concatenate([run(0)] + [h.result() for h in helpers], axis=1)",
+           "np.concatenate(([run(0)] + [h.result() for h in helpers])[::-1], axis=1)",
+           (CORE + "test_member_groups_leave_no_thread_behind",
+            INDEX + "test_member_groups_give_the_bits_of_one_run")),
+    Mutant("a helper's result() dropped", "core.py",
+           "[h.result() for h in helpers]",
+           "[h.result() for h in helpers[1:]]",
+           (CORE + "test_member_groups_leave_no_thread_behind",)),
+    # continued rungs (index._Rung.carry)
+    Mutant("carry index off by one", "index.py",
+           "self.tails[rows, :, s - self.transient], s",
+           "self.tails[rows, :, s - self.transient - 1], s",
+           (INDEX + "test_continued_rung_is_bit_exact_on_the_scalar_path",
+            INDEX + "test_continued_rung_is_bit_exact_under_the_default_protocol")),
+    Mutant("shrinking-transient guard removed", "index.py",
+           "if transient < self.transient:",
+           "if False:",
+           (INDEX + "test_shrinking_transient_falls_back_to_fresh_evolution",)),
+    # verdict gates (index.cluster_asymptotics)
+    Mutant("separation gate dropped", "index.py",
+           "definite = ambiguous_pairs == 0 and min_separation > cluster_tol",
+           "definite = ambiguous_pairs == 0",
+           (INDEX + "test_cross_pair_within_tol_at_one_step_degrades_to_indefinite",)),
+    Mutant("band gate dropped", "index.py",
+           "definite = ambiguous_pairs == 0 and min_separation > cluster_tol",
+           "definite = min_separation > cluster_tol",
+           (INDEX + "test_band_edges_in_units_of_tol",)),
+    Mutant("lower band edge at tol/2", "index.py",
+           "(d_max >= cluster_tol / 4)",
+           "(d_max >= cluster_tol / 2)",
+           (INDEX + "test_band_edges_in_units_of_tol",)),
+    Mutant("upper band edge at 2 tol", "index.py",
+           "(d_max <= 4 * cluster_tol)",
+           "(d_max <= 2 * cluster_tol)",
+           (INDEX + "test_band_edges_in_units_of_tol",)),
+    Mutant("member 0 as medoid", "index.py",
+           "medoid = members[int(np.argmin(sub.max(axis=1)))]",
+           "medoid = members[0]",
+           (INDEX + "test_representative_is_the_cluster_medoid",)),
+    Mutant("linkage strictly below tol", "index.py",
+           "_component_labels(d_max <= cluster_tol)",
+           "_component_labels(d_max < cluster_tol)",
+           (INDEX + "test_linkage_joins_a_pair_exactly_tol_apart",)),
+]
+
+
+def run_tests(src, tests):
+    """pytest's exit code for `tests` against the package under `src`."""
+    # no bytecode: an edit and its undo can share a size and an mtime second
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", "pythonpath=", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names):
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {sorted(unknown)}")
+    with tempfile.TemporaryDirectory(prefix="echodex-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        tests = sorted({t for m in mutants for t in m.tests})
+        if run_tests(src, tests) != 0:
+            sys.exit("the unedited copy fails the named tests; nothing to measure")
+        survivors = []
+        for m in mutants:
+            path = src / "echodex" / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                sys.exit(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times "
+                         f"in {m.path}, not once")
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                code = run_tests(src, m.tests)
+            finally:
+                path.write_text(text)
+            if code not in (0, 1):
+                sys.exit(f"{m.name}: pytest exited {code}")
+            print(f"{'survived' if code == 0 else 'killed':8}  {m.name}", flush=True)
+            if code == 0:
+                survivors.append(m.name)
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed; "
+          f"survivors: {survivors or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
