@@ -29,8 +29,12 @@ scalar orbit, which stops at its first escape.  numpy must only compute
 each stacked row on its own (stacked matmul runs one gemv per row).
 _advance_groups, the one way into the kernel from input sequences, may
 step a large network ensemble's members as contiguous groups, one per
-CPU the process may use, on a thread pool shut down before it returns:
-a row's bits are the same at any CPU count and as its solo orbit's.
+CPU the process may use: a row's bits are the same at any CPU count and
+as its solo orbit's.  _run_groups is the package's one way onto several
+CPUs, a thread pool shut down before it returns; member groups and
+index._pair_distances' row groups both run through it.  The row groups
+share one fixed scratch budget of 1 MiB (index._PAIR_SCRATCH_BYTES), not
+one block per CPU.
 step, built on the same _preactivation with the kernel's row maps and
 the same update, is the per-step public reference the test suite checks
 orbit against: their states agree byte for byte, signs of zero included.
@@ -452,28 +456,47 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
+def _group_count(limit, work, min_work):
+    """Groups to split `work` into: the least of `limit`, work // min_work
+    and the CPUs the process may use, and at least one."""
+    groups = min(limit, work // min_work)
+    return min(groups, _cpu_count()) if groups > 1 else 1
+
+
+def _run_groups(run, groups):
+    """[run(0), ..., run(groups - 1)], the one way the package puts work
+    on several CPUs: run(0) in the calling thread, the others on a pool of
+    groups - 1 helper threads (imported only when groups > 1, so start-up
+    does not pay for it) that are joined before this returns.  An
+    exception of run(0) is raised here once the helpers are done, else a
+    helper's."""
+    if groups <= 1:
+        return [run(0)]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(groups - 1) as pool:
+        helpers = [pool.submit(run, i) for i in range(1, groups)]
+        return [run(0)] + [h.result() for h in helpers]
+
+
 def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
     """_advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
     tail_t0), the one way into the kernel from input sequences.
 
     A network ensemble runs as g contiguous groups of members, g the
     least of the members, the CPUs the process may use and lanes x
-    members x n_r**2 // _MIN_GROUP_WORK.  Each group is a whole run over
-    its own drive and its own views of xs and tails, with no per-step
-    synchronisation: group 0 in the calling thread, the others on a
-    pool whose helpers are joined before this returns; a helper's
-    exception is raised here.  Rows are independent, so every bit is the
-    same as in one run.  Other systems never split (step holds the GIL).
+    members x n_r**2 // _MIN_GROUP_WORK, through _run_groups.  Each group
+    is a whole run over its own drive and its own views of xs and tails,
+    with no per-step synchronisation.  Rows are independent, so every bit
+    is the same as in one run.  Other systems never split (step holds the
+    GIL).
     """
     lanes, members = xs.shape[:2]
     groups = 1
     if isinstance(system, RnnParams):
-        groups = min(members, lanes * members * system.n_r ** 2 // _MIN_GROUP_WORK)
-        if groups > 1:
-            groups = min(groups, _cpu_count())
-    if groups <= 1:
+        groups = _group_count(members, lanes * members * system.n_r ** 2,
+                              _MIN_GROUP_WORK)
+    if groups == 1:
         return _advance(system, _drive(system, seqs, t0, t1), xs, t0, tails, tail_t0)
-    from concurrent.futures import ThreadPoolExecutor  # not paid at start-up
     cuts = [members * i // groups for i in range(groups + 1)]
 
     def run(i):
@@ -481,9 +504,7 @@ def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
         return _advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
                         tails[:, part], tail_t0)
 
-    with ThreadPoolExecutor(groups - 1) as pool:
-        helpers = [pool.submit(run, i) for i in range(1, groups)]
-        return np.concatenate([run(0)] + [h.result() for h in helpers], axis=1)
+    return np.concatenate(_run_groups(run, groups), axis=1)
 
 
 def orbit(system, input_seq, x0, n, anchor=0):

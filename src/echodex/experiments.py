@@ -638,6 +638,17 @@ def _run_context_task(cfg, out):
     total = train_len + test_len
     washout = int(cfg["washout"])
     task = gen_context_task(0, total, float(cfg["pulse_prob"]), seed)
+    # steps inside the reaction window after any pulse are not scored;
+    # with none left, accuracy would be nan, so refuse before training
+    exclusion = int(cfg["exclusion"])
+    excluded = np.zeros(total + 1, dtype=bool)
+    for t in np.flatnonzero(task.pulses.any(axis=1)):
+        excluded[t: t + exclusion] = True
+    scored = ~excluded[train_len + 1:]
+    if not scored.any():
+        raise ConfigurationError(
+            f"exclusion {exclusion} leaves none of the {scored.size} test steps "
+            "scored")
     inputs = task.full_input()
 
     params0 = context_reservoir(ReservoirConfig(
@@ -663,12 +674,6 @@ def _run_context_task(cfg, out):
     test_err = nrmse(outputs_ts[1:], targets_test[1:])
     model = replace(model, test_error=test_err)
 
-    # steps inside the reaction window after any pulse are not scored
-    exclusion = int(cfg["exclusion"])
-    excluded = np.zeros(total + 1, dtype=bool)
-    for t in np.flatnonzero(task.pulses.any(axis=1)):
-        excluded[t: t + exclusion] = True
-    scored = ~excluded[train_len + 1:]
     pred_sign = np.sign(outputs_ts[1:, 0])
     true_sign = targets_test[1:, 0]
     accuracy = float(np.mean(pred_sign[scored] == true_sign[scored]))

@@ -38,10 +38,13 @@ divergence), is a core._advance_groups run under two bit-exact contracts:
 A caller that also needs a rung's ensemble (to write it out) passes
 estimate_echo_indices' keep_rung; each report then holds that rung's
 EnsembleRun in report.ensemble, so no ensemble is evolved twice.
-Clustering keeps its pair differences in one scratch block of about
-512 KiB (_PAIR_BLOCK_BYTES), whatever the ensemble's size, and so does
-a pullback fibre's one diameter, measured on its final points (see
-pullback_fibre).
+Clustering deals a large ensemble's rows to groups, one per CPU the
+process may use, with the same bits at any CPU count; the groups share
+one scratch budget of 1 MiB for their pair differences
+(_PAIR_SCRATCH_BYTES), whatever the ensemble's size, beside one row of
+(m - 1) x W squared distances each.  A pullback fibre's one diameter,
+measured on its final points, keeps its scratch in one block of about
+512 KiB (_PAIR_BLOCK_BYTES; see pullback_fibre).
 """
 
 from dataclasses import dataclass, field, replace
@@ -49,8 +52,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ConfigurationError, RnnParams, _advance_groups, _require_input,
-                   orbit, step_batch)
+from .core import (ConfigurationError, RnnParams, _advance_groups, _group_count,
+                   _require_input, _run_groups, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
 from .sequences import shift, write_csv
@@ -254,39 +257,65 @@ def _component_labels(adj):
     return roots.size, labels
 
 
-# bytes of pair scratch that clustering (_pair_distances) and a fibre's
-# diameter (_max_pair_distance) hold at once: one block of rows instead
-# of every pair
+# bytes of pair differences that clustering (_pair_distances) holds at
+# once, shared by its row groups, and bytes of scratch a fibre's diameter
+# (_max_pair_distance) holds: blocks of rows instead of every pair
+_PAIR_SCRATCH_BYTES = 1024 * 1024
 _PAIR_BLOCK_BYTES = 512 * 1024
+
+# pair-step-dimensions (m (m - 1) / 2 pairs x W x d) clustering needs
+# before a second row group on another CPU saves time.  At W = 100 two
+# groups ran 0.9-1.03x as long as one at (m, d) = (30, 50) (2.2M),
+# 0.97x at (20, 200) (3.8M), 0.67x at (60, 50) (8.9M) and 0.56x at the
+# context task's (100, 200) (99M), on a 2-core host with 2 MiB of L2
+# cache per core; switching2d (87,000) and scalar_sweep (43,500) stay
+# far below it
+_MIN_PAIR_WORK = 2 ** 22
 
 
 def _pair_distances(tails):
     """Pair distances of the tails (m, W, d) over the window: max, min,
-    max per last third (3, m, m), final.  Row i runs over j > i in blocks
-    of one scratch buffer of ~_PAIR_BLOCK_BYTES; each (pair, step) sum
-    reduces its own contiguous row, so the block height leaves the bits
-    unchanged."""
+    max per last third (3, m, m), final.
+
+    Row i differences, squares and sums along d the members j > i, block
+    by block, into its squared distances (m - 1 - i, W); each (pair,
+    step) sum reduces its own contiguous row, so the block height leaves
+    the bits unchanged.  The statistics are taken once per row of these
+    squares, and one sqrt of the results ends the call: sqrt is correctly
+    rounded and monotone, so that gives the roots' statistics bit for bit,
+    nan included.  Rows are dealt round-robin (row i to group i mod g) to
+    g groups through core._run_groups, g the least of m - 1, the CPUs the
+    process may use and the pairs x W x d // _MIN_PAIR_WORK; each group
+    writes only its own rows, so any g gives the same bits.  The groups
+    share one scratch budget of _PAIR_SCRATCH_BYTES for their blocks, and
+    each holds one row of squares beside it.
+    """
     m, window, d = tails.shape
     third = window // 3
-    d_max, d_min, d_final = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
-    d_parts = np.zeros((3, m, m))
-    block = max(1, _PAIR_BLOCK_BYTES // (window * d * 8))
-    buf = np.empty((min(block, m - 1), window, d))
-    for i in range(m - 1):
-        for j0 in range(i + 1, m, block):
-            j1 = min(j0 + block, m)
-            diff = np.subtract(tails[j0:j1], tails[i][None, :, :],
-                               out=buf[:j1 - j0])
-            np.multiply(diff, diff, out=diff)
-            norms = np.sqrt(np.sum(diff, axis=2))
-            d_max[i, j0:j1] = norms.max(axis=1)
-            d_min[i, j0:j1] = norms.min(axis=1)
-            d_final[i, j0:j1] = norms[:, -1]
-            for p in range(3):
-                hi = window - (2 - p) * third
-                d_parts[p, i, j0:j1] = norms[:, hi - third:hi].max(axis=1)
-    return (d_max + d_max.T, d_min + d_min.T,
-            d_parts + np.transpose(d_parts, (0, 2, 1)), d_final + d_final.T)
+    cuts = [window - (3 - p) * third for p in range(3)]
+    groups = _group_count(m - 1, m * (m - 1) // 2 * window * d, _MIN_PAIR_WORK)
+    block = min(max(1, _PAIR_SCRATCH_BYTES // (groups * window * d * 8)), m - 1)
+    # max, min, the three thirds' max, final: upper triangles, squared
+    upper = np.zeros((6, m, m))
+
+    def run(g):
+        buf, squares = np.empty((block, window, d)), np.empty((m - 1, window))
+        for i in range(g, m - 1, groups):
+            row, out = squares[:m - 1 - i], upper[:, i, i + 1:]
+            for j0 in range(i + 1, m, block):
+                j1 = min(j0 + block, m)
+                diff = np.subtract(tails[j0:j1], tails[i], out=buf[:j1 - j0])
+                np.multiply(diff, diff, out=diff)
+                np.sum(diff, axis=2, out=row[j0 - i - 1:j1 - i - 1])
+            np.max(row, axis=1, out=out[0])
+            np.min(row, axis=1, out=out[1])
+            np.maximum.reduceat(row, cuts, axis=1, out=out[2:5].T)
+            out[5] = row[:, -1]
+
+    _run_groups(run, groups)
+    np.sqrt(upper, out=upper)
+    both = upper + np.transpose(upper, (0, 2, 1))
+    return both[0], both[1], both[2:5], both[5]
 
 
 def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
@@ -482,8 +511,9 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     stopped before that rung.  It is built from the rung's own arrays
     (views for one input, which hold its shift lane too, and a copy per
     input for several), so keeping a rung evolves nothing more.  Beyond
-    the rungs' tails, clustering needs only (m, m) results and one pair
-    scratch block of about 512 KiB (_pair_distances).
+    the rungs' tails, clustering needs only (m, m) results, 1 MiB of pair
+    scratch shared by its row groups and one row of (m - 1) x W squared
+    distances per group (_pair_distances).
     """
     protocol = protocol or IndexProtocol()
     seqs = list(input_seqs)

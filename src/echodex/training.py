@@ -126,7 +126,12 @@ def ridge_readout(states, targets, lam):
         raise ConfigurationError("ridge parameter must be nonnegative")
     gram = s.T @ s + lam * np.eye(s.shape[1])
     rhs = s.T @ y
-    w = np.linalg.solve(gram, rhs)
+    try:
+        w = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(
+            f"the Gram matrix S^T S + lam I is singular (lam = {lam}): the "
+            "states are rank-deficient; use lam > 0") from exc
     return w.T
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from echodex import (Assertion, ConfigurationError, ExperimentResult,
                      run_ensemble, run_fold_bisect, run_from_manifest,
                      run_kloeden, run_switching2d, save_model, save_sequence,
                      switching_inputs, switching_params)
-from echodex import experiments
+from echodex import core, experiments, index
 from echodex.cli import build_parser, main
 from echodex.experiments import DEFAULT_SEEDS, DEFAULTS
 
@@ -233,10 +234,44 @@ def test_context_task_refuses_training_keys_that_would_change_the_run(capsys,
                                    "and >= 0")
 
 
+def test_context_task_refuses_an_exclusion_that_scores_no_step(capsys,
+                                                              monkeypatch):
+    # every test step lies within 100000 steps of a pulse: accuracy would
+    # be nan, so the run is refused once the task is drawn, untrained
+    def untrained(*args, **kwargs):
+        raise AssertionError("trained before the exclusion was checked")
+    monkeypatch.setattr(experiments, "teacher_forced_states", untrained)
+    code, doc = run_cli(capsys, ["context_task", "--set", "exclusion=100000",
+                                 "--set", "ic_count=4"])
+    assert code == 2
+    assert doc["error"] == ("ConfigurationError: exclusion 100000 leaves none "
+                            "of the 3000 test steps scored")
+
+
 def test_context_task_refuses_a_nan_noise_std():
     # --set cannot spell NaN, but a manifest or an overrides dict can
     with pytest.raises(ConfigurationError, match="noise_std must be finite"):
         experiments.run_preset("context_task", overrides={"noise_std": math.nan})
+
+
+def test_small_presets_never_build_a_thread_pool(monkeypatch):
+    # with any number of CPUs, kloeden's scalar ensemble never splits, and
+    # switching2d's and scalar_sweep's ensembles and their 30-member
+    # clusterings are too small for a second group to pay
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was built")
+    groups, run_groups = [], index._run_groups
+
+    def recording(run, count):
+        groups.append(count)
+        return run_groups(run, count)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(index, "_run_groups", recording)
+    for preset in ("kloeden", "switching2d", "scalar_sweep"):
+        assert experiments.run_preset(preset).ok, preset
+    assert groups and set(groups) == {1}
 
 
 def test_override_kinds_are_list_and_number():

@@ -1,6 +1,8 @@
 from dataclasses import replace
 import math
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -216,15 +218,33 @@ def test_band_edges_in_units_of_tol(gap, index):
     assert rep.diagnostics["ambiguous_pairs"] == (index is None)
 
 
-def test_representative_is_the_cluster_medoid():
+def row_groups(monkeypatch):
+    """Force clustering to split into row groups, one per CPU that
+    core._cpu_count reports; return the group counts it runs, in order."""
+    seen, run_groups = [], index._run_groups
+
+    def recording(run, groups):
+        seen.append(groups)
+        return run_groups(run, groups)
+    monkeypatch.setattr(index, "_MIN_PAIR_WORK", 1)
+    monkeypatch.setattr(index, "_run_groups", recording)
+    return seen
+
+
+def test_representative_is_the_cluster_medoid(monkeypatch):
     t = 30
     values = (2e-5, 0.0, 1e-5, 1.0)  # member 2 is central, not member 0
     tails = [np.full((t, 1), v) for v in values]
-    rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
-    assert rep.index == 2
-    big = max(rep.clusters, key=lambda c: c.member_count)
-    assert big.member_count == 3 and big.representative_ic == 2
-    assert big.final_state.tobytes() == tails[2][-1].tobytes()
+    seen = row_groups(monkeypatch)
+    # three rows: one group, two uneven ones, three of one row each
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "_cpu_count", lambda c=cpus: c)
+        rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
+        assert rep.index == 2
+        big = max(rep.clusters, key=lambda c: c.member_count)
+        assert big.member_count == 3 and big.representative_ic == 2
+        assert big.final_state.tobytes() == tails[2][-1].tobytes()
+    assert seen == [1, 2, 3]
 
 
 def test_linkage_joins_a_pair_exactly_tol_apart():
@@ -304,40 +324,123 @@ def explicit_pair_distances(tails):
                                   pytest.param(40, 3, id="40"),
                                   pytest.param(24, 200, id="24-d200"),
                                   pytest.param(8, 1000, id="8-d1000")])
-def test_pair_distances_match_the_explicit_formula(m, d):
+def test_pair_distances_match_the_explicit_formula(m, d, monkeypatch):
     rng = np.random.default_rng(m)
     centres = np.where(rng.random(m) < 0.5, -0.6, 0.6)[:, None, None]
     tails = centres + 1e-5 * rng.standard_normal((m, 31, d))
-    got = index._pair_distances(tails)
     want = explicit_pair_distances(tails)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
     d_max, d_min, _, d_final = want
-    labels = np.zeros(m, dtype=int)
-    for lbl, c in enumerate(rep.clusters):
-        labels[d_max[c.representative_ic] <= 1e-3] = lbl
-    cross = labels[:, None] != labels[None, :]
-    same = ~cross & ~np.eye(m, dtype=bool)
-    assert rep.min_separation == (d_min[cross].min() if cross.any() else np.inf)
-    assert rep.max_diameter == (d_final[same].max() if same.any() else 0.0)
-    assert len(rep.clusters) == np.unique(centres).size
+    seen = row_groups(monkeypatch)
+    # m - 1 rows dealt to 1, 2 and 3 groups: 39, 23 and 7 rows split
+    # unevenly, and a group's blocks shrink as the groups share the scratch
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "_cpu_count", lambda c=cpus: c)
+        got = index._pair_distances(tails)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        rep = cluster_asymptotics(synthetic_run(tails), cluster_tol=1e-3)
+        labels = np.zeros(m, dtype=int)
+        for lbl, c in enumerate(rep.clusters):
+            labels[d_max[c.representative_ic] <= 1e-3] = lbl
+        cross = labels[:, None] != labels[None, :]
+        same = ~cross & ~np.eye(m, dtype=bool)
+        assert rep.min_separation == (d_min[cross].min() if cross.any() else np.inf)
+        assert rep.max_diameter == (d_final[same].max() if same.any() else 0.0)
+        assert len(rep.clusters) == np.unique(centres).size
+    assert seen == [max(1, min(c, m - 1)) for c in (1, 2, 3) for _ in range(2)]
 
 
-def test_pair_distances_scratch_is_bounded():
+def test_pair_distances_propagate_nan(monkeypatch):
+    # a nan in one member's window reaches every statistic of its pairs
+    # that reads that step, and no other pair, at any group count
+    rng = np.random.default_rng(8)
+    tails = rng.standard_normal((7, 30, 3))
+    tails[4, 12, 1] = np.nan
+    row_groups(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "_cpu_count", lambda c=cpus: c)
+        d_max, d_min, d_parts, d_final = index._pair_distances(tails)
+        none = np.zeros((7, 7), dtype=bool)
+        pairs = none.copy()
+        pairs[4], pairs[:, 4], pairs[4, 4] = True, True, False
+        # step 12 lies in the middle third, [10, 20)
+        for stat, hit in ((d_max, pairs), (d_min, pairs), (d_parts[0], none),
+                          (d_parts[1], pairs), (d_parts[2], none),
+                          (d_final, none)):
+            assert np.array_equal(np.isnan(stat), hit)
+
+
+def test_pair_distances_scratch_is_bounded(monkeypatch):
     # the context ensemble's shape, whose whole (m - 1, W, d) difference
-    # array would be 15.8 MB
+    # array would be 15.8 MB; it splits into a row group per CPU, and the
+    # groups share one scratch budget, however many there are
     m, window, d = 100, 100, 200
     tails = np.random.default_rng(0).standard_normal((m, window, d))
-    tracemalloc.start()
+    seen = row_groups(monkeypatch)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(core, "_cpu_count", lambda c=cpus: c)
+        tracemalloc.start()
+        try:
+            index._pair_distances(tails)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # six (m, m) arrays are filled, six more are their symmetric sums
+        results = 12 * m * m * 8
+        assert peak - results < 1.5 * 2**20
+    assert seen == [1, 2, 4]
+
+
+def test_pair_groups_outnumbering_the_cpus_keep_every_row(monkeypatch):
+    # eight groups write disjoint rows of one result array while the
+    # interpreter switches threads every microsecond: a lost or misplaced
+    # row write would show as a difference
+    rng = np.random.default_rng(12)
+    tails = rng.standard_normal((41, 30, 16))
+    want = explicit_pair_distances(tails)
+    seen = row_groups(monkeypatch)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        index._pair_distances(tails)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in range(5):
+            for g, w in zip(index._pair_distances(tails), want):
+                assert np.array_equal(g, w)
     finally:
-        tracemalloc.stop()
-    # six (m, m) arrays are filled, six more are their symmetric sums
-    results = 12 * m * m * 8
-    assert peak - results < 1.5 * 2**20
+        sys.setswitchinterval(interval)
+    assert seen == [8] * 5
+
+
+@pytest.mark.parametrize("failing", ["none", "caller", "helper"])
+def test_pair_groups_leave_no_thread_behind(failing, monkeypatch):
+    # three row groups: group 0 in the calling thread, groups 1 and 2 on
+    # helper threads; "helper" fails group 1 alone, at its first row
+    row_groups(monkeypatch)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 3)
+    callers = set()
+
+    class Tails(np.ndarray):
+        def __getitem__(self, key):
+            caller = threading.current_thread() is threading.main_thread()
+            callers.add(caller)
+            if not caller:
+                time.sleep(0.01)  # still running when group 0 is done
+            if failing == "caller" and caller or failing == "helper" and key == 1:
+                raise RuntimeError(f"{failing} failed")
+            return super().__getitem__(key)
+
+    plain = np.random.default_rng(6).standard_normal((7, 30, 4))
+    tails = plain.view(Tails)
+    before = threading.active_count()
+    if failing == "none":
+        got = index._pair_distances(tails)
+        for g, w in zip(got, explicit_pair_distances(plain)):
+            assert np.array_equal(g, w)
+    else:
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            index._pair_distances(tails)
+    assert callers == {True, False}
+    assert threading.active_count() == before
 
 
 def test_component_labels_match_scipy():

@@ -184,6 +184,17 @@ def test_ridge_validation():
         ridge_readout(np.full((10, 3), np.nan), np.zeros((10, 1)), 0.1)
 
 
+def test_ridge_refuses_a_singular_gram_matrix():
+    # lam = 0 with a state column that is zero throughout: S^T S has a
+    # zero row, which numpy's solve would report as a bare LinAlgError
+    s = np.random.default_rng(5).standard_normal((20, 3))
+    s[:, 1] = 0.0
+    y = np.ones((20, 1))
+    with pytest.raises(ConfigurationError, match="Gram matrix .* is singular"):
+        ridge_readout(s, y, 0.0)
+    assert ridge_readout(s, y, 1e-3).shape == (1, 3)
+
+
 def test_nrmse():
     y = np.column_stack([np.linspace(0, 1, 50), np.ones(50)])
     assert np.all(nrmse(y, y) == 0.0)

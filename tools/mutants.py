@@ -35,17 +35,38 @@ class Mutant:
 
 INDEX, CORE = "tests/test_index.py::", "tests/test_core.py::"
 
+EXPERIMENTS = "tests/test_experiments.py::"
+
 MUTANTS = [
-    # member groups on the thread pool (core._advance_groups)
+    # the thread pool (core._run_groups) and member groups on it
+    # (core._advance_groups)
     Mutant("groups concatenated in reverse", "core.py",
-           "np.concatenate([run(0)] + [h.result() for h in helpers], axis=1)",
-           "np.concatenate(([run(0)] + [h.result() for h in helpers])[::-1], axis=1)",
+           "np.concatenate(_run_groups(run, groups), axis=1)",
+           "np.concatenate(_run_groups(run, groups)[::-1], axis=1)",
            (CORE + "test_member_groups_leave_no_thread_behind",
             INDEX + "test_member_groups_give_the_bits_of_one_run")),
     Mutant("a helper's result() dropped", "core.py",
            "[h.result() for h in helpers]",
            "[h.result() for h in helpers[1:]]",
-           (CORE + "test_member_groups_leave_no_thread_behind",)),
+           (CORE + "test_member_groups_leave_no_thread_behind",
+            INDEX + "test_pair_groups_leave_no_thread_behind")),
+    # row groups of the pair kernel (index._pair_distances)
+    Mutant("a group's rows dealt off by one", "index.py",
+           "for i in range(g, m - 1, groups):",
+           "for i in range(g + 1, m - 1, groups):",
+           (INDEX + "test_pair_distances_match_the_explicit_formula",)),
+    Mutant("thirds cut one step late", "index.py",
+           "cuts = [window - (3 - p) * third for p in range(3)]",
+           "cuts = [window - (3 - p) * third + 1 for p in range(3)]",
+           (INDEX + "test_pair_distances_match_the_explicit_formula",)),
+    Mutant("a scratch block per group", "index.py",
+           "_PAIR_SCRATCH_BYTES // (groups * window * d * 8)",
+           "_PAIR_SCRATCH_BYTES // (window * d * 8)",
+           (INDEX + "test_pair_distances_scratch_is_bounded",)),
+    Mutant("every clustering split", "index.py",
+           "_MIN_PAIR_WORK = 2 ** 22",
+           "_MIN_PAIR_WORK = 1",
+           (EXPERIMENTS + "test_small_presets_never_build_a_thread_pool",)),
     # continued rungs (index._Rung.carry)
     Mutant("carry index off by one", "index.py",
            "self.tails[rows, :, s - self.transient], s",
