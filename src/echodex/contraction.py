@@ -285,10 +285,15 @@ def absorbing_entry_bound(params, x0, u_lo, u_hi):
         eta >= max ||phi(M x + W_in u)||_inf,   M = W_r + W_fb W_o,
 
     computed row-wise as tanh(||M_j||_1 R + max_u |(W_in u)_j|), which is
-    exact for the row maxima and strictly below L.  For alpha = 1 the
-    map lands inside after one step; otherwise
+    exact for the row maxima and strictly below L (its float rounds to L
+    once tanh saturates).  For alpha = 1 the map lands inside after one
+    step; otherwise
 
         n_steps = ceil( [ln(L - eta) - ln(||x0||_inf - eta)] / ln(1 - alpha) ).
+
+    With L = 1 and eta = tanh z, ln(L - eta) is taken as
+    ln 2 - 2z - log1p(e^{-2z}), which stays finite where tanh z rounds
+    to 1.
     """
     x0 = np.asarray(x0, dtype=float)
     u_lo = np.atleast_1d(np.asarray(u_lo, dtype=float))
@@ -303,6 +308,8 @@ def absorbing_entry_bound(params, x0, u_lo, u_hi):
     half = (u_hi - u_lo) / 2.0
     in_max = np.abs(params.w_in @ centre) + np.abs(params.w_in) @ half
     m1 = np.sum(np.abs(params.effective_matrix), axis=1)
-    eta = float(np.max(np.tanh(m1 * r + in_max)))
-    n = (math.log(bound - eta) - math.log(r - eta)) / math.log(1.0 - params.alpha)
+    z = float(np.max(m1 * r + in_max))
+    eta = float(np.tanh(z))
+    log_gap = math.log(2.0) - 2.0 * z - math.log1p(math.exp(-2.0 * z))
+    n = (log_gap - math.log(r - eta)) / math.log(1.0 - params.alpha)
     return eta, int(math.ceil(n))

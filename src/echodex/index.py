@@ -14,26 +14,30 @@ Systems are either RnnParams or any object exposing `state_dim`,
 `state_bound` and `step_batch(u, xs)`, which must apply the map rowwise:
 each row's result depends on that row alone.
 
-Every orbit here, ensemble member or solo (separatrix, pair
-divergence), is a core._advance_groups run under two bit-exact contracts:
+Every orbit here, ensemble member, separatrix midpoint or solo (the
+separatrix's representatives, pair divergence), is a core._advance_groups
+run under two bit-exact contracts:
 
 - Lockstep batching.  The members of every lane in one ladder rung
   form one (lanes, members, d) array, each row under its own lane's
-  drive.  An input's lanes are its own and its shift lane, the input
-  shifted by the protocol's shift_check, whose tails are the shift
-  check's ensemble.  `orbit` is the kernel's one-member case, so each
-  row is its solo orbit by construction; numpy must only compute each
-  stacked row on its own, a property of numpy/OpenBLAS (see core), not
-  of the paper.  A large network ensemble's members are stepped as
+  drive, and so do the midpoints of one separatrix round
+  (_bisect_round).  An input's lanes are its own and its shift lane,
+  the input shifted by the protocol's shift_check, whose tails are the
+  shift check's ensemble.  `orbit` is the kernel's one-member case, so
+  each row is its solo orbit by construction; numpy must only compute
+  each stacked row on its own, a property of numpy/OpenBLAS (see core),
+  not of the paper.  A large network ensemble's members are stepped as
   contiguous groups, one per CPU the process may use, on a thread pool
   shut down before the call returns; since rows are independent, they
   give the same bits at any CPU count.
 - Continuation.  A ladder rung whose transient does not shrink
   restarts each member it shares with the previous rung from its state
   at the new window's first step (its final state if that comes
-  first), evolving any overlap of the windows again.  By the cocycle
-  identity (iterating s steps and then t more equals iterating s + t
-  steps under the same input) the tails equal a fresh run's bit for bit.
+  first), evolving any overlap of the windows again.  A separatrix
+  round evolves its midpoints chunk by chunk, each chunk continuing
+  from the states the last one ended in.  By the cocycle identity
+  (iterating s steps and then t more equals iterating s + t steps under
+  the same input) the tails equal a fresh run's bit for bit.
 
 A caller that also needs a rung's ensemble (to write it out) passes
 estimate_echo_indices' keep_rung; each report then holds that rung's
@@ -687,41 +691,81 @@ class SeparatrixResult:
         return float(np.linalg.norm(self.bracket_hi - self.bracket_lo))
 
 
-def _commit_step(states, rep_a, rep_b, cluster_tol):
-    """First step where a trajectory is within tol of one representative
-    and at least 10 tol from the other; None if it never commits."""
-    da = np.linalg.norm(states - rep_a, axis=1)
-    db = np.linalg.norm(states - rep_b, axis=1)
+def _commit_steps(states, rep_a, rep_b, cluster_tol):
+    """(side, step) of each trajectory states[i], rows its steps: the first
+    step where it is within tol of one representative and at least 10 tol
+    from the other, "a" on a tie; (None, None) if it never commits."""
+    da = np.linalg.norm(states - rep_a, axis=-1)
+    db = np.linalg.norm(states - rep_b, axis=-1)
+    never = states.shape[1]
     to_a = (da <= cluster_tol) & (db >= 10 * cluster_tol)
     to_b = (db <= cluster_tol) & (da >= 10 * cluster_tol)
-    hit_a = int(np.argmax(to_a)) if to_a.any() else None
-    hit_b = int(np.argmax(to_b)) if to_b.any() else None
-    if hit_a is not None and (hit_b is None or hit_a <= hit_b):
-        return "a", hit_a
-    if hit_b is not None:
-        return "b", hit_b
-    return None, None
+    hits_a = np.where(to_a.any(axis=1), to_a.argmax(axis=1), never).tolist()
+    hits_b = np.where(to_b.any(axis=1), to_b.argmax(axis=1), never).tolist()
+    return [(None, None) if min(ha, hb) == never
+            else ("a", ha) if ha <= hb else ("b", hb)
+            for ha, hb in zip(hits_a, hits_b)]
 
 
-# steps a bisection midpoint is evolved between two commit checks
+# steps a separatrix round evolves its midpoints between two commit
+# checks
 _COMMIT_CHUNK = 50
 
+# bisection levels one separatrix round evolves, as 2**levels - 1
+# midpoints in lockstep.  On switching2d's 41-step bisection, 1 to 5
+# levels took 8,000, 4,300, 2,950, 2,400 and 1,950 kernel steps and
+# 56, 36, 28, 28 and 30 ms (medians of 80, one BLAS thread, 2-core
+# Xeon); 3 and 4 tie here, and 4 was 5-8 % faster in other runs.  A 2-D
+# member costs the kernel little; a wide network pays for every member.
+_BISECT_LEVELS = 4
 
-def _evolve_to_commit(system, input_seq, x0, anchor, rep_a, rep_b, cluster_tol):
-    """_commit_step of x0's full orbit, evolved chunk by chunk (bit-exact
-    by the cocycle identity) only until a prefix commits, which decides it."""
-    horizon, t = rep_a.shape[0] - 1, 0
-    states = np.empty_like(rep_a)
-    states[0] = x0
+
+def _bisect_round(system, input_seq, a, b, levels, anchor, rep_a, rep_b,
+                  cluster_tol):
+    """(side, step) of each midpoint on the path of the next `levels`
+    bisection steps from the bracket [a, b], ending early at a midpoint
+    that does not commit (None, None) within the representatives' horizon.
+
+    Node 0 is the midpoint of [a, b]; node i's children 2i + 1 and 2i + 2
+    are the midpoints of its bracket's halves kept after an "a" and a "b"
+    commit, each (x + y) / 2.0 of its own bracket, the float the
+    sequential bisection forms there.  All 2**levels - 1 nodes run as one
+    lockstep ensemble in chunks of _COMMIT_CHUNK steps, each continuing
+    from the carried states, so each row is its solo orbit bit for bit;
+    after each chunk its rows are checked for commits, and the round ends
+    once every node on the path has decided.
+    """
+    brackets = [(a, b)]
+    for i in range(2 ** (levels - 1) - 1):
+        x, y = brackets[i]
+        mid = (x + y) / 2.0
+        brackets += [(mid, y), (x, mid)]
+    xs = np.stack([(x + y) / 2.0 for x, y in brackets])[None]
+    horizon, count = rep_a.shape[0] - 1, len(brackets)
+    tails = np.empty((1, count, _COMMIT_CHUNK + 1, xs.shape[2]))
+    decided, t = {}, 0
     while True:
         n = min(_COMMIT_CHUNK, horizon - t)
-        states[t:t + n + 1] = orbit(system, input_seq, states[t], n,
-                                    anchor=anchor + t).states
+        xs = _advance_groups(system, [input_seq], xs, anchor + t, anchor + t + n,
+                             tails, anchor + t)
+        commits = _commit_steps(tails[0, :, :n + 1], rep_a[t:t + n + 1],
+                                rep_b[t:t + n + 1], cluster_tol)
+        for i, (side, hit) in enumerate(commits):
+            if side is not None and i not in decided:
+                decided[i] = side, t + hit
         t += n
-        side, hit = _commit_step(states[:t + 1], rep_a[:t + 1], rep_b[:t + 1],
-                                 cluster_tol)
-        if side is not None or t == horizon:
-            return side, hit
+        if t == horizon:
+            decided = {i: decided.get(i, (None, None)) for i in range(count)}
+        path, i = [], 0
+        for _ in range(levels):
+            if i not in decided:
+                break
+            path.append(decided[i])
+            if path[-1][0] is None:
+                return path
+            i = 2 * i + (1 if path[-1][0] == "a" else 2)
+        else:
+            return path
 
 
 def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
@@ -729,15 +773,19 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
     """Bisect the segment [lo, hi] for the basin boundary.
 
     lo and hi must converge to different basins under the given input
-    (checked first); their orbits serve as the cluster representatives
-    for labeling midpoints.  Each midpoint is evolved until it commits
-    (within cluster_tol of one representative, >= 10 cluster_tol from
-    the other): in chunks of _COMMIT_CHUNK steps, each continuing the
-    last, checked after each chunk against the representatives' matching
-    prefix.  The trace records, per iteration, the bracket width after
-    the update and the smaller commit step among the endpoints measured
-    so far; every replacement lands strictly closer to the boundary, so
-    this escape time never decreases as the bracket tightens (plateaus
+    (checked first); their solo orbits serve as the cluster
+    representatives for labeling midpoints.  A midpoint commits at the
+    first step where it is within cluster_tol of one representative and
+    >= 10 cluster_tol from the other ("a" if both happen at one step).
+    The midpoints of the next _BISECT_LEVELS bisection steps, all that
+    the bracket could reach, are evolved as one lockstep round
+    (_bisect_round) only until the path the bracket takes through them
+    is decided.  Each is the float, and its orbit the bits, that one
+    midpoint at a time would give, so the result is the same.  The
+    trace records, per iteration, the bracket width after the update
+    and the smaller commit step among the endpoints measured so far;
+    every replacement lands strictly closer to the boundary, so this
+    escape time never decreases as the bracket tightens (plateaus
     happen while one side waits for its update).
     """
     lo = np.asarray(lo, dtype=float)
@@ -748,14 +796,17 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
         raise ConfigurationError("lo and hi converge to the same basin")
     a, b = lo.copy(), hi.copy()
     commit_times = {"a": None, "b": None}
-    trace, straddle, warning = [], None, None
-    for _ in range(max_iters):
+    trace, straddle, warning, path = [], None, None, []
+    for done in range(max_iters):
         width = float(np.linalg.norm(b - a))
         if width <= target_width:
             break
         mid = (a + b) / 2.0
-        side, t = _evolve_to_commit(system, input_seq, mid, anchor, rep_a,
-                                    rep_b, cluster_tol)
+        if not path:
+            path = _bisect_round(system, input_seq, a, b,
+                                 min(_BISECT_LEVELS, max_iters - done), anchor,
+                                 rep_a, rep_b, cluster_tol)
+        side, t = path.pop(0)
         if side is None:
             warning = ("midpoint did not commit within the horizon; "
                        "returning the best bracket")

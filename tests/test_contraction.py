@@ -244,6 +244,24 @@ def test_absorbing_entry_bound_and_invariance():
                                  -np.ones(inside.n_i), np.ones(inside.n_i)) == (0.0, 0)
 
 
+def test_absorbing_entry_bound_past_tanh_saturation():
+    # tanh(50) rounds to 1.0, so ln(L - eta) must not be taken from eta
+    params = RnnParams(alpha=0.5, w_r=[[1.0]], w_in=[[1.0]])
+    x0 = np.array([50.0])
+    eta, n = absorbing_entry_bound(params, x0, [-1.0], [1.0])
+    assert eta == 1.0
+    # ln(1 - tanh 51) = ln 2 - 102 - log1p(e^-102), so
+    # n = ceil((ln 2 - 102 - ln 49) / ln 0.5)
+    assert n == math.ceil((math.log(2.0) - 102.0 - math.log(49.0))
+                          / math.log(0.5))
+    rng = np.random.default_rng(5)
+    for u_lo, u_hi in ((-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)):
+        x = x0.copy()
+        for _ in range(n):
+            x = step(params, rng.uniform([u_lo], [u_hi]), x)
+        assert np.max(np.abs(x)) <= params.state_bound + 1e-12
+
+
 def test_box_invariance_over_random_steps():
     """The state box [-1, 1]^n is forward invariant for the leaky tanh map."""
     rng = np.random.default_rng(78)

@@ -1108,48 +1108,104 @@ def count_orbit_steps(monkeypatch):
     return calls
 
 
-def test_evolve_to_commit_matches_full_horizon(switching_system, switching_input,
-                                               monkeypatch):
-    # tol 0 commits a step exactly where a representative equals the orbit,
-    # so the first hit of either side is placed at will, ties included
-    x0 = np.array([0.3, -0.1])
+def record_round_chunks(monkeypatch):
+    """Record (members, t0, t1) of every _advance_groups call made by
+    index itself, which a bisection makes once per chunk of a round."""
+    chunks = []
+
+    def recorded(system, seqs, xs, t0, t1, tails, tail_t0):
+        chunks.append((xs.shape[1], t0, t1))
+        return core._advance_groups(system, seqs, xs, t0, t1, tails, tail_t0)
+
+    monkeypatch.setattr(index, "_advance_groups", recorded)
+    return chunks
+
+
+def sequential_path(orbit_of, a, b, levels, rep_a, rep_b, cluster_tol):
+    """(side, step) of each midpoint the sequential bisection measures in
+    `levels` steps from [a, b], each over its full solo orbit orbit_of(mid)."""
+    path = []
+    for _ in range(levels):
+        mid = (a + b) / 2.0
+        path.append(index._commit_steps(orbit_of(mid)[None], rep_a, rep_b,
+                                        cluster_tol)[0])
+        if path[-1][0] is None:
+            break
+        a, b = (mid, b) if path[-1][0] == "a" else (a, mid)
+    return path
+
+
+def test_bisect_round_matches_full_horizon(switching_system, switching_input,
+                                           monkeypatch):
+    # tol 0 commits a step exactly where a representative equals an orbit,
+    # so each first hit is placed at will, chunk edges and ties included:
+    # rep_a follows the round's first midpoint from hit_a on, rep_b the
+    # same midpoint (a tie when hit_a == hit_b) or the next one after an
+    # "a" commit from hit_b on.  The basin boundary is near x2 = -0.0265,
+    # between these two midpoints, so their orbits never meet.  Orbits in
+    # one basin can merge to the same bits, so other midpoints may commit
+    # too; sequential_path finds where.
+    a, b = np.array([0.3, -0.1]), np.array([0.5, 0.02])
+    first = (a + b) / 2.0
     chunk = index._COMMIT_CHUNK
-    calls = count_orbit_steps(monkeypatch)
+    chunks = record_round_chunks(monkeypatch)
     for horizon in (30, chunk, 137, 2 * chunk, 600):
-        full = orbit(switching_system, switching_input, x0, horizon).states
+        solo = {}
+
+        def orbit_of(x):
+            if x.tobytes() not in solo:
+                solo[x.tobytes()] = orbit(switching_system, switching_input, x,
+                                          horizon).states
+            return solo[x.tobytes()]
+        full = {"first": orbit_of(first), "next": orbit_of((first + b) / 2.0)}
         hits = {None, 0, 1, chunk - 1, chunk, chunk + 1, 73, 120, horizon - 1,
                 horizon}
         hits = [h for h in hits if h is None or h <= horizon]
-        for hit_a in hits:
-            for hit_b in hits:
-                rep_a, rep_b = full.copy(), full.copy()
-                rep_a[:horizon + 1 if hit_a is None else hit_a] += 1.0
-                rep_b[:horizon + 1 if hit_b is None else hit_b] += 1.0
-                want = index._commit_step(full, rep_a, rep_b, 0.0)
-                calls.clear()
-                got = index._evolve_to_commit(switching_system, switching_input,
-                                              x0, 0, rep_a, rep_b, 0.0)
-                assert got == want, (horizon, hit_a, hit_b)
-                first = want[1]
-                steps = (horizon if first is None
-                         else min(horizon, chunk * max(1, -(-first // chunk))))
-                assert sum(n for _, n in calls) == steps
-                assert [a for a, _ in calls] == list(range(0, steps, chunk))
+        for levels, b_follows in ((1, "first"), (2, "first"), (2, "next")):
+            for hit_a in hits:
+                for hit_b in hits:
+                    rep_a, rep_b = full["first"].copy(), full[b_follows].copy()
+                    rep_a[:horizon + 1 if hit_a is None else hit_a] += 1.0
+                    rep_b[:horizon + 1 if hit_b is None else hit_b] += 1.0
+                    want = sequential_path(orbit_of, a, b, levels, rep_a,
+                                           rep_b, 0.0)
+                    chunks.clear()
+                    got = index._bisect_round(switching_system, switching_input,
+                                              a, b, levels, 0, rep_a, rep_b, 0.0)
+                    case = (horizon, levels, b_follows, hit_a, hit_b)
+                    assert got == want, case
+                    # the placed hits decide the first midpoint, "a" on a tie
+                    if b_follows == "next" or hit_b is None:
+                        placed = ("a", hit_a) if hit_a is not None else (None, None)
+                    elif hit_a is not None and hit_a <= hit_b:
+                        placed = ("a", hit_a)
+                    else:
+                        placed = ("b", hit_b)
+                    assert got[0] == placed, case
+                    # the round stops with the chunk that settles its path
+                    last = (horizon if got[-1][0] is None
+                            else max(step for _, step in got))
+                    steps = min(horizon, chunk * max(1, -(-last // chunk)))
+                    assert chunks == [(2 ** levels - 1, t, min(t + chunk, horizon))
+                                      for t in range(0, steps, chunk)], case
 
 
 def bisect_full_horizon(system, seq, lo, hi, horizon, max_iters=80,
                         cluster_tol=1e-3, target_width=1e-12):
-    """separatrix_bisect with every midpoint evolved over the full horizon."""
+    """separatrix_bisect with every midpoint evolved over the full horizon;
+    also returns each midpoint's commit step."""
     rep_a = orbit(system, seq, lo, horizon).states
     rep_b = orbit(system, seq, hi, horizon).states
     a, b = lo.copy(), hi.copy()
     commit_times, trace, straddle, warning = {"a": None, "b": None}, [], None, None
+    commits = []
     for _ in range(max_iters):
         if float(np.linalg.norm(b - a)) <= target_width:
             break
         mid = (a + b) / 2.0
         states = orbit(system, seq, mid, horizon).states
-        side, t = index._commit_step(states, rep_a, rep_b, cluster_tol)
+        side, t = index._commit_steps(states[None], rep_a, rep_b, cluster_tol)[0]
+        commits.append(t)
         if side is None:
             warning = "did not commit"
             break
@@ -1162,7 +1218,22 @@ def bisect_full_horizon(system, seq, lo, hi, horizon, max_iters=80,
                       min(v for v in commit_times.values() if v is not None)))
         if straddle is None and np.linalg.norm(b - a) <= 1e-11:
             straddle = (a.copy(), b.copy())
-    return a, b, trace, straddle, warning
+    return a, b, trace, straddle, warning, commits
+
+
+def assert_same_bisection(res, full):
+    a, b, trace, straddle, warning, _ = full
+    assert res.bracket_lo.tobytes() == a.tobytes()
+    assert res.bracket_hi.tobytes() == b.tobytes()
+    assert res.trace.tobytes() == np.asarray(trace).reshape(-1, 2).tobytes()
+    assert (res.straddle_pair is None) == (straddle is None)
+    if straddle is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(res.straddle_pair,
+                                                        straddle))
+    assert (res.warning is not None) == (warning is not None)
+
+
+SWITCHING_BRACKET = ([0.49, -0.2], [0.49, 0.0])
 
 
 def test_separatrix_midpoints_stop_at_commit(switching_system, switching_input,
@@ -1170,34 +1241,73 @@ def test_separatrix_midpoints_stop_at_commit(switching_system, switching_input,
     scalar, flat = bistable_scalar(), const_seq(0.0, -1, 300)
     cases = [(scalar, flat, [-0.37], [0.52], 250, False),
              (scalar, flat, [-0.37], [0.52], 20, True),
-             (switching_system, switching_input, [0.49, -0.2], [0.49, 0.0], 600,
-              False),
-             (switching_system, switching_input, [0.49, -0.2], [0.49, 0.0], 137,
-              True)]
+             (switching_system, switching_input, *SWITCHING_BRACKET, 600, False),
+             (switching_system, switching_input, *SWITCHING_BRACKET, 137, True)]
     for system, seq, lo, hi, horizon, warns in cases:
         lo, hi = np.array(lo), np.array(hi)
-        a, b, trace, straddle, warning = bisect_full_horizon(system, seq, lo, hi,
-                                                             horizon)
+        full = bisect_full_horizon(system, seq, lo, hi, horizon)
         calls = count_orbit_steps(monkeypatch)
+        chunks = record_round_chunks(monkeypatch)
         res = separatrix_bisect(system, seq, lo, hi, horizon=horizon)
         monkeypatch.undo()
-        assert res.bracket_lo.tobytes() == a.tobytes()
-        assert res.bracket_hi.tobytes() == b.tobytes()
-        assert res.trace.tobytes() == np.asarray(trace).reshape(-1, 2).tobytes()
-        assert (res.straddle_pair is None) == (straddle is None)
-        if straddle is not None:
-            assert all(np.array_equal(x, y) for x, y in zip(res.straddle_pair,
-                                                            straddle))
-        assert (res.warning is not None) == (warning is not None) == warns
-        if horizon == 600:
-            # the representatives run the full horizon; each midpoint
-            # starts at the anchor and stops at its commit chunk
-            assert calls[:2] == [(0, 600), (0, 600)]
-            starts = [i for i, (anchor, _) in enumerate(calls) if anchor == 0][2:]
-            spans = [sum(n for _, n in calls[i:j])
-                     for i, j in zip(starts, starts[1:] + [len(calls)])]
-            assert len(spans) == len(trace) and max(spans) < horizon
-            assert min(spans) <= 2 * index._COMMIT_CHUNK
+        assert_same_bisection(res, full)
+        assert (res.warning is not None) == warns
+        # the representatives run the full horizon as solo orbits; each
+        # chunk continues the last or starts a round's midpoints at the
+        # anchor, and a round stops at the chunk that decides its path:
+        # before the horizon, unless a midpoint on it never commits
+        assert calls == [(0, horizon), (0, horizon)]
+        assert all(t0 in (0, last[2]) for last, (_, t0, _)
+                   in zip([(0, 0, 0)] + chunks, chunks))
+        starts = [i for i, (_, t0, _) in enumerate(chunks) if t0 == 0]
+        rounds = -(-(len(full[2]) + warns) // index._BISECT_LEVELS)
+        assert len(starts) == rounds
+        ends = [chunks[j - 1][2] for j in starts[1:] + [len(chunks)]]
+        assert ends[-1] == horizon if warns else max(ends) < horizon
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+def test_separatrix_rounds_of_any_depth_match_full_horizon(
+        switching_system, switching_input, monkeypatch, levels):
+    scalar, flat = bistable_scalar(), const_seq(0.0, -1, 300)
+    cases = [(scalar, flat, [-0.37], [0.52], 250, {}),
+             (scalar, flat, [-0.37], [0.52], 20, {}),
+             (switching_system, switching_input, *SWITCHING_BRACKET, 600, {}),
+             (switching_system, switching_input, *SWITCHING_BRACKET, 137, {}),
+             (switching_system, switching_input, *SWITCHING_BRACKET, 600,
+              {"max_iters": 7}),
+             (switching_system, switching_input, *SWITCHING_BRACKET, 600,
+              {"target_width": 1e-5})]
+    monkeypatch.setattr(index, "_BISECT_LEVELS", levels)
+    for system, seq, lo, hi, horizon, kw in cases:
+        lo, hi = np.array(lo), np.array(hi)
+        res = separatrix_bisect(system, seq, lo, hi, horizon=horizon, **kw)
+        assert_same_bisection(res, bisect_full_horizon(system, seq, lo, hi,
+                                                       horizon, **kw))
+
+
+def test_separatrix_rounds_cut_the_kernel_steps(switching_system,
+                                                switching_input, monkeypatch):
+    lo, hi = (np.array(x) for x in SWITCHING_BRACKET)
+    *_, commits = bisect_full_horizon(switching_system, switching_input, lo, hi,
+                                      600)
+    rounds = []
+    bisect_round = index._bisect_round
+
+    def counted(system, seq, a, b, levels, *args):
+        rounds.append(levels)
+        return bisect_round(system, seq, a, b, levels, *args)
+    monkeypatch.setattr(index, "_bisect_round", counted)
+    steps = count_advanced_steps(monkeypatch)
+    res = separatrix_bisect(switching_system, switching_input, lo, hi, horizon=600)
+    levels, chunk = index._BISECT_LEVELS, index._COMMIT_CHUNK
+    assert res.warning is None and len(res.trace) == len(commits)
+    assert rounds == [levels] * -(-len(commits) // levels)
+    # the representatives, then the rounds' chunks, against the chunks a
+    # midpoint at a time would need
+    assert steps[:2] == [(1, 600), (1, 600)]
+    sequential = sum(min(600, chunk * max(1, -(-t // chunk))) for t in commits)
+    assert 3 * sum(n for _, n in steps[2:]) <= sequential
 
 
 def brute_hausdorff(a, b):

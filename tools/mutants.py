@@ -77,6 +77,36 @@ MUTANTS = [
            "if transient < self.transient:",
            "if False:",
            (INDEX + "test_shrinking_transient_falls_back_to_fresh_evolution",)),
+    # the ladder's stabilisation rule (index.estimate_echo_indices) and
+    # shift check (index._final_report)
+    Mutant("stable only after three rungs", "index.py",
+           "len(history[i]) >= 2",
+           "len(history[i]) >= 3",
+           (INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder",)),
+    Mutant("stable without two agreeing rungs", "index.py",
+           "history[i][-2].index == rep.index",
+           "True",
+           (INDEX + "test_estimate_never_stabilizes_on_an_isometry",)),
+    Mutant("shift disagreement ignored", "index.py",
+           "if shifted.index != final.index:",
+           "if False:",
+           (INDEX + "test_many_input_ladder_matches_one_input_ladders",
+            INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder")),
+    # separatrix rounds (index._bisect_round) and the commit rule
+    # (index._commit_steps)
+    Mutant("bisection tree children swapped", "index.py",
+           "brackets += [(mid, y), (x, mid)]",
+           "brackets += [(x, mid), (mid, y)]",
+           (INDEX + "test_bisect_round_matches_full_horizon",
+            INDEX + "test_separatrix_rounds_of_any_depth_match_full_horizon")),
+    Mutant("bisection path walked one level short", "index.py",
+           "for _ in range(levels):",
+           "for _ in range(levels - 1):",
+           (INDEX + "test_separatrix_rounds_cut_the_kernel_steps",)),
+    Mutant("commit ties go to b", "index.py",
+           '("a", ha) if ha <= hb',
+           '("a", ha) if ha < hb',
+           (INDEX + "test_bisect_round_matches_full_horizon",)),
     # verdict gates (index.cluster_asymptotics)
     Mutant("separation gate dropped", "index.py",
            "definite = ambiguous_pairs == 0 and min_separation > cluster_tol",
