@@ -200,6 +200,9 @@ def _scan_roots(fn, lo=-0.9999, hi=0.9999, samples=4001):
 # ----------------------------------------------------------------------
 
 def _run_kloeden(cfg, out):
+    if cfg["ics"] < 1:
+        raise ConfigurationError(f"ics must be >= 1, got {cfg['ics']}: the "
+                                 "run would check no trajectory")
     a = float(cfg["a"])
     system = KloedenSystem(a)
     k0, k1 = int(cfg["k_start"]), int(cfg["k_end"])
@@ -446,7 +449,19 @@ def _majority(indices):
     return value if hits > len(indices) // 2 else None
 
 
+# the sweep's known indices: w_list values outside it are reported, not
+# checked
+_SWEEP_EXPECTED = {0.0006: 2, 0.01: 1, 0.05: 1}
+
+
 def _run_scalar_sweep(cfg, out):
+    # refused before any work: each would run and check nothing
+    if cfg["n_seeds"] < 1:
+        raise ConfigurationError(f"n_seeds must be >= 1, got {cfg['n_seeds']}")
+    if not set(cfg["w_list"]) & set(_SWEEP_EXPECTED):
+        raise ConfigurationError(
+            f"w_list {cfg['w_list']} holds none of the scales with a known "
+            f"index {sorted(_SWEEP_EXPECTED)}: the sweep would check nothing")
     params = scalar_params()
     seed = int(cfg["seed"])
     w_list = [float(w) for w in cfg["w_list"]]
@@ -478,10 +493,9 @@ def _run_scalar_sweep(cfg, out):
         majorities.append(_majority(verdicts))
         switching_votes.append(switch)
 
-    expected = {0.0006: 2, 0.01: 1, 0.05: 1}
     assertions = []
     for wi, w in enumerate(w_list):
-        want = expected.get(w)
+        want = _SWEEP_EXPECTED.get(w)
         if want is None:
             continue
         assertions.append(Assertion(
@@ -569,6 +583,9 @@ def _run_fold_bisect(cfg, out):
 # ----------------------------------------------------------------------
 
 def _run_splice_demo(cfg, out):
+    if not cfg["m_list"]:
+        raise ConfigurationError("m_list is empty: the run would check no "
+                                 "spliced input")
     params = scalar_params()
     seed = int(cfg["seed"])
     w = float(cfg["w"])
@@ -636,6 +653,12 @@ def _run_context_task(cfg, out):
     protocol = _protocol(cfg, ic_seed=seed)
     train_len, test_len = int(cfg["train_len"]), int(cfg["test_len"])
     total = train_len + test_len
+    # the ladder runs on the task's own window [0, total]
+    if total < protocol.reach:
+        raise ConfigurationError(
+            f"train_len + test_len = {total} is below the ladder's reach "
+            f"{protocol.reach} (shift check + longest transient + horizon): "
+            "raise train_len or test_len, or lower transients or horizon")
     washout = int(cfg["washout"])
     task = gen_context_task(0, total, float(cfg["pulse_prob"]), seed)
     # steps inside the reaction window after any pulse are not scored;

@@ -49,6 +49,17 @@ one scratch budget of 1 MiB for their pair differences
 (m - 1) x W squared distances each.  A pullback fibre's one diameter,
 measured on its final points, keeps its scratch in one block of about
 512 KiB (_PAIR_BLOCK_BYTES; see pullback_fibre).
+
+A ladder makes one exact clustering pass per input: the report it
+keeps, of the rung where the input stabilises or of its last rung, is
+cluster_asymptotics itself.  Every other rung and every shift check
+reads only an index, and gets it from _rung_verdict: the triangle
+inequality through a few pivot members, widened by a rounding bound
+that holds whatever order numpy sums in, decides the index wherever
+each pair lies surely below tol/4 or surely beyond 4 tol, and the exact
+pass decides the rest.  So every verdict equals the exact pass's index,
+and every report stays what estimate_echo_index gives for its input
+alone, byte for byte.
 """
 
 from dataclasses import dataclass, field, replace
@@ -222,6 +233,11 @@ class EchoIndexReport:
     largest intra-cluster distance at the final retained step.
     ensemble is the EnsembleRun of the ladder rung a caller kept
     (estimate_echo_indices' keep_rung); it is not part of the summary.
+
+    A report is always an exact pass over its rung's pairs.  In a
+    ladder's report, the other rungs' verdicts (diagnostics["rungs"]) and
+    the shift check's are certified verdicts (_rung_verdict), each equal
+    to the index the exact pass would give.
     """
 
     index: object
@@ -237,7 +253,7 @@ class EchoIndexReport:
         return self.index is not None
 
     def verdict(self):
-        return str(self.index) if self.is_definite else "indefinite"
+        return _verdict(self.index)
 
     def summary_dict(self):
         return {
@@ -322,6 +338,22 @@ def _pair_distances(tails):
     return both[0], both[1], both[2:5], both[5]
 
 
+def _linkage(d_max, d_min, cluster_tol):
+    """Single linkage of the pair distances at cluster_tol: (index,
+    cluster count, labels, ambiguous pairs, min_separation), index the
+    count if no pair lies in the band [tol/4, 4 tol] and min_separation
+    > tol, else None (see EchoIndexReport)."""
+    n_clusters, labels = _component_labels(d_max <= cluster_tol)
+    off_diag = ~np.eye(d_max.shape[0], dtype=bool)
+    band = (d_max >= cluster_tol / 4) & (d_max <= 4 * cluster_tol) & off_diag
+    ambiguous_pairs = int(np.count_nonzero(band) // 2)
+    cross = labels[:, None] != labels[None, :]
+    min_separation = float(d_min[cross].min()) if cross.any() else float("inf")
+    definite = ambiguous_pairs == 0 and min_separation > cluster_tol
+    return (int(n_clusters) if definite else None, n_clusters, labels,
+            ambiguous_pairs, min_separation)
+
+
 def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     """Cluster ensemble tails and derive the index verdict.
 
@@ -341,14 +373,10 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     tails = tails_full[:, max_window - window:, :]
     m = tails.shape[0]
     d_max, d_min, d_parts, d_final = _pair_distances(tails)
-
-    n_clusters, labels = _component_labels(d_max <= cluster_tol)
+    index, n_clusters, labels, ambiguous_pairs, min_separation = _linkage(
+        d_max, d_min, cluster_tol)
     part_counts = tuple(_component_labels(d_parts[p] <= cluster_tol)[0]
                         for p in range(3))
-
-    off_diag = ~np.eye(m, dtype=bool)
-    band = (d_max >= cluster_tol / 4) & (d_max <= 4 * cluster_tol) & off_diag
-    ambiguous_pairs = int(np.count_nonzero(band) // 2)
 
     finals = tails[:, -1, :]
     clusters = []
@@ -361,9 +389,7 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
                                 final_state=finals[medoid].copy(),
                                 tail=tails[medoid].copy()))
 
-    cross = labels[:, None] != labels[None, :]
-    min_separation = float(d_min[cross].min()) if cross.any() else float("inf")
-    same = (labels[:, None] == labels[None, :]) & off_diag
+    same = (labels[:, None] == labels[None, :]) & ~np.eye(m, dtype=bool)
     max_diameter = float(d_final[same].max()) if same.any() else 0.0
 
     coverage = float(np.mean([d_final[i, clusters[labels[i]].representative_ic]
@@ -377,14 +403,108 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
         "switching_tails": bool(any(s > 10 * cluster_tol for s in tail_stds)),
         "window": int(window),
     }
-
-    definite = ambiguous_pairs == 0 and min_separation > cluster_tol
-    return EchoIndexReport(index=int(n_clusters) if definite else None,
+    return EchoIndexReport(index=index,
                            clusters=clusters,
                            min_separation=min_separation,
                            max_diameter=max_diameter,
                            cluster_tol=float(cluster_tol),
                            diagnostics=diagnostics)
+
+
+# pivots a certified verdict (_rung_verdict) measures at most before it
+# runs the exact pass.  A pivot costs m of the exact pass's m (m - 1) / 2
+# pair rows: with k tight clusters a verdict measures k pivots, and took
+# 0.35, 0.57 and 1.11 ms for k = 2, 4 and 8 at (m, W, d) = (30, 100, 2)
+# against 2.0 ms for the exact pass, and 6.5, 13 and 28 ms at the context
+# task's (100, 100, 200) against 90-160 ms (medians, one BLAS thread,
+# 2-core Xeon).  Every preset's verdict needs one or two.  Four cover
+# indices up to 4; a verdict that falls back after them took 1.4x the
+# exact pass alone at m = 30 (1.6-1.8x at m = 16, the default protocol's
+# first rung), and 1.0-1.4x at the context task's shape
+_VERDICT_PIVOTS = 4
+
+
+def _pivot_distances(tails, k, buf, squares):
+    """(sup, inf) over the window of each member's distance to member k,
+    in the pair kernel's formula: subtract, square and sum along d into
+    squares (m, W), block by block in buf, then sqrt."""
+    m, block = tails.shape[0], buf.shape[0]
+    for j0 in range(0, m, block):
+        j1 = min(j0 + block, m)
+        diff = np.subtract(tails[j0:j1], tails[k], out=buf[:j1 - j0])
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=2, out=squares[j0:j1])
+    return np.sqrt(squares.max(axis=1)), np.sqrt(squares.min(axis=1))
+
+
+def _rung_verdict(tails, cluster_tol):
+    """cluster_asymptotics' index for the window tails (m, W, d), decided
+    from certified bounds where they suffice, else by the exact pass.
+
+    Each member's distance to a few pivot members is measured over the
+    window in the pair kernel's formula; pivots are chosen greedily, from
+    member 0 on, each the member farthest (sup over the window) from the
+    pivots so far, until every member lies within tol/8 of one or
+    _VERDICT_PIVOTS are measured.  Of these, member i keeps its sup rho
+    and inf sigma per pivot k.
+
+    Rounding.  A computed distance c and the exact Euclidean distance D of
+    the same float vectors satisfy |c - D| <= eps/4 D + eta/2, with
+    eps = (d + 4) 2**-52 and eta = 1e-150, whatever order numpy sums in:
+    the difference, its square and the sqrt each round once (relative
+    2**-53), a sum of d nonnegative terms in any order is within
+    (d - 1) 2**-53 relative of its exact value, and the sqrt halves the
+    squares' part, which gives (d + 4) 2**-54 to first order; an underflowed
+    square loses at most 2**-1075, under eta/2 after the sqrt for any
+    practical d.  So hi = rho (1 + eps) + eta and lo = sigma (1 - eps) -
+    eta bound the exact pivot distances at every step of the window, and
+    by the triangle inequality the pair (i, j) has
+
+        computed d_max <= U = min_k (hi_ik + hi_jk) (1 + eps) + eta,
+        computed d_min >= L = max_k max(lo_ik - hi_jk, lo_jk - hi_ik)
+                              (1 - eps) - eta.
+
+    The eps used is four times the first-order need, so the few roundings
+    in forming U and L themselves are covered too.  If every pair has
+    U < tol/4 or L > 4 tol, the exact pass would link exactly the pairs
+    U < tol/4 (each d_max < tol/4 <= tol), find none in the band [tol/4,
+    4 tol], and see every cross-cluster pair's d_min above 4 tol > tol:
+    its index is the component count of {U < tol/4}.  Otherwise, or if a
+    pivot distance is not finite (a nan or inf in the window, or an
+    overflow), the exact pass decides.  Beyond (m, m) bounds its scratch
+    is one block of the pair kernel's 1 MiB (_PAIR_SCRATCH_BYTES) and one
+    (m, W) row of squared distances.
+    """
+    m, window, d = tails.shape
+    eps, eta = (d + 4) * 2.0 ** -52, 1e-150
+    block = min(max(1, _PAIR_SCRATCH_BYTES // (window * d * 8)), m)
+    buf, squares = np.empty((block, window, d)), np.empty((m, window))
+    reach = np.full(m, np.inf)  # sup distance to the nearest pivot so far
+    his, los, k = [], [], 0
+    while True:
+        # a pivot's distance to itself is inf - inf = nan where it holds
+        # an inf: quiet here, as the exact pass it falls back to is not
+        with np.errstate(invalid="ignore", over="ignore"):
+            rho, sigma = _pivot_distances(tails, k, buf, squares)
+        if not np.isfinite(rho).all():  # a nan anywhere reaches the max
+            break
+        his.append(rho * (1 + eps) + eta)
+        los.append(sigma * (1 - eps) - eta)
+        np.minimum(reach, rho, out=reach)
+        k = int(np.argmax(reach))
+        if reach[k] <= cluster_tol / 8 or len(his) == _VERDICT_PIVOTS:
+            upper, lower = np.full((m, m), np.inf), np.full((m, m), -np.inf)
+            for hi, lo in zip(his, los):
+                np.minimum(upper, hi[:, None] + hi, out=upper)
+                np.maximum(lower, lo[:, None] - hi, out=lower)
+            joined = upper * (1 + eps) + eta < cluster_tol / 4
+            apart = np.maximum(lower, lower.T) * (1 - eps) - eta > 4 * cluster_tol
+            np.fill_diagonal(apart, True)
+            if (joined | apart).all():
+                return _component_labels(joined)[0]
+            break
+    d_max, d_min, _, _ = _pair_distances(tails)
+    return _linkage(d_max, d_min, cluster_tol)[0]
 
 
 # ----------------------------------------------------------------------
@@ -467,26 +587,35 @@ def _rung_runs(system, seqs, seeds, protocol, rung, anchor, rows, own=False):
             for k in rows]
 
 
-def _cluster_runs(runs, protocol):
-    return [cluster_asymptotics(run, cluster_tol=protocol.cluster_tol,
-                                window=protocol.window) for run in runs]
+def _window(tails, protocol):
+    """The protocol's clustering window of one lane's tails (m, W, d)."""
+    return tails[:, tails.shape[1] - protocol.window:]
 
 
-def _final_report(reports, shifted, protocol, anchor):
-    """The last rung's report with the ladder's verdict; shifted is the
-    shift check's report, None if the input never stabilised."""
-    final = reports[-1]
+def _verdict(index):
+    return "indefinite" if index is None else str(index)
+
+
+def _stable(verdicts):
+    """Whether the last two rungs agree on a definite index."""
+    return (len(verdicts) >= 2 and verdicts[-1] is not None
+            and verdicts[-2] == verdicts[-1])
+
+
+def _final_report(final, verdicts, shifted, protocol, anchor):
+    """The kept report with the ladder's verdict: verdicts are the rungs'
+    indices, shifted the shift check's, read only if the ladder stabilised."""
     diagnostics = dict(final.diagnostics)
-    diagnostics["rungs"] = [(int(c), int(t), rep.verdict()) for c, t, rep in
-                            zip(protocol.ic_counts, protocol.transients, reports)]
-    if shifted is None:
+    diagnostics["rungs"] = [(int(c), int(t), _verdict(v)) for c, t, v in
+                            zip(protocol.ic_counts, protocol.transients, verdicts)]
+    if not _stable(verdicts):
         diagnostics["stabilized"] = False
         return replace(final, index=None, diagnostics=diagnostics)
     diagnostics["stabilized"] = True
-    if shifted.index != final.index:
+    if shifted != final.index:
         diagnostics["shift_check"] = (
             f"disagreement at anchor {anchor + protocol.shift_check}: "
-            f"{shifted.verdict()} vs {final.verdict()}")
+            f"{_verdict(shifted)} vs {final.verdict()}")
         return replace(final, index=None, diagnostics=diagnostics)
     diagnostics["shift_check"] = "agree"
     return replace(final, diagnostics=diagnostics)
@@ -504,9 +633,17 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     evolves the lanes of the inputs still open as one batch; where the
     protocol allows, each member the previous rung shares restarts from
     the one state carried from it (_Rung.carry).  An input that
-    stabilises at a rung has its shift lane clustered there as the shift
-    check and leaves the ladder with both lanes; an input that never
-    stabilises evolves its shift lane through every rung too.
+    stabilises at a rung has its shift lane checked there and leaves the
+    ladder with both lanes; an input that never stabilises evolves its
+    shift lane through every rung too.
+
+    The stabilisation rule and the shift check read only an index, so
+    every rung and every shift check gets only a verdict (_rung_verdict):
+    cluster_asymptotics' index, decided from certified bounds on pivot
+    distances where they suffice and by the exact pass otherwise.  The
+    one report kept, of the rung where the input stabilises or of the
+    last rung, is the exact cluster_asymptotics call, so each input makes
+    one exact pair pass where the bounds decide.
 
     keep_rung (a protocol rung index, negative from the end) makes each
     report carry that rung's ensemble at `anchor` in report.ensemble,
@@ -517,7 +654,8 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     input for several), so keeping a rung evolves nothing more.  Beyond
     the rungs' tails, clustering needs only (m, m) results, 1 MiB of pair
     scratch shared by its row groups and one row of (m - 1) x W squared
-    distances per group (_pair_distances).
+    distances per group (_pair_distances); a verdict needs one block of
+    that scratch and one (m, W) row.
     """
     protocol = protocol or IndexProtocol()
     seqs = list(input_seqs)
@@ -532,10 +670,10 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
             raise ConfigurationError(
                 f"keep_rung {keep_rung} outside a {n_rungs}-rung protocol")
         keep_rung %= n_rungs
-    n = len(seqs)
+    n, tol = len(seqs), protocol.cluster_tol
     shifted_seqs = [shift(seq, protocol.shift_check) for seq in seqs]
     history = [[] for _ in seqs]
-    kept, shifted = [None] * n, [None] * n
+    reports, kept, shifted = [None] * n, [None] * n, [None] * n
     open_, carried = list(range(n)), None
     for r in range(n_rungs):
         if not open_:
@@ -548,29 +686,27 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
                             carried)
         runs = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
                           range(m), own=r == keep_rung and m > 1)
-        if r == keep_rung:
-            for i, run in zip(open_, runs):
-                kept[i] = run
-        rows, stable = [], []
-        for row, (i, rep) in enumerate(zip(open_, _cluster_runs(runs, protocol))):
-            history[i].append(rep)
-            if (len(history[i]) >= 2 and rep.is_definite
-                    and history[i][-2].index == rep.index):
-                stable.append(row)
+        rows = []
+        for row, i in enumerate(open_):
+            if r == keep_rung:
+                kept[i] = runs[row]
+            history[i].append(_rung_verdict(_window(rung.tails[row], protocol), tol))
+            stable = _stable(history[i])
+            if stable:
+                shifted[i] = _rung_verdict(_window(rung.tails[m + row], protocol),
+                                           tol)
+            if stable or r + 1 == n_rungs:
+                reports[i] = cluster_asymptotics(runs[row], tol, protocol.window)
             else:
                 rows.append(row)
-        checks = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
-                            [m + row for row in stable])
-        for row, rep in zip(stable, _cluster_runs(checks, protocol)):
-            shifted[open_[row]] = rep
         if r + 1 < n_rungs:
             carried = rung.carry(rows + [m + row for row in rows],
                                  protocol.transients[r + 1])
         # free the full tails before the next rung allocates its own
-        rung = runs = checks = None
+        rung = runs = None
         open_ = [open_[row] for row in rows]
-    return [replace(_final_report(history[i], shifted[i], protocol, anchor),
-                    ensemble=kept[i])
+    return [replace(_final_report(reports[i], history[i], shifted[i], protocol,
+                                  anchor), ensemble=kept[i])
             for i in range(n)]
 
 

@@ -248,6 +248,46 @@ def test_context_task_refuses_an_exclusion_that_scores_no_step(capsys,
                             "of the 3000 test steps scored")
 
 
+def test_context_task_refuses_an_input_short_of_the_ladder_reach(capsys,
+                                                                 monkeypatch):
+    # the ladder runs on the task's window [0, train_len + test_len]; one
+    # that ends before the protocol's reach (13 + 800 + 120 = 933) used to
+    # train first and then exit with WindowExhausted
+    def untrained(*args, **kwargs):
+        raise AssertionError("trained")
+    monkeypatch.setattr(experiments, "teacher_forced_states", untrained)
+    code, doc = run_cli(capsys, ["context_task", "--set", "train_len=500",
+                                 "--set", "test_len=300"])
+    assert code == 2
+    assert doc["error"].startswith(
+        "ConfigurationError: train_len + test_len = 800 is below the ladder's "
+        "reach 933") and "train_len or test_len" in doc["error"]
+    # a window that ends at the reach passes the check, and trains
+    with pytest.raises(AssertionError, match="^trained$"):
+        experiments.run_preset("context_task",
+                               overrides={"train_len": 633, "test_len": 300})
+
+
+@pytest.mark.parametrize("preset, pair, message", [
+    ("scalar_sweep", "w_list=[]", "w_list [] holds none of the scales"),
+    ("scalar_sweep", "w_list=[0.02,0.2]", "w_list [0.02, 0.2] holds none"),
+    ("scalar_sweep", "n_seeds=0", "n_seeds must be >= 1, got 0"),
+    ("splice_demo", "m_list=[]", "m_list is empty"),
+    ("kloeden", "ics=0", "ics must be >= 1, got 0"),
+])
+def test_runs_that_would_check_nothing_are_refused_before_any_work(
+        preset, pair, message, capsys, monkeypatch):
+    # each used to run and exit 0 on vacuous assertions, exit 1 on a
+    # majority over no seeds, or fail inside numpy on an empty ensemble
+    def no_work(*args, **kwargs):
+        raise AssertionError("an ensemble was evolved")
+    for name in ("run_ensemble", "estimate_echo_indices", "estimate_echo_index"):
+        monkeypatch.setattr(experiments, name, no_work)
+    code, doc = run_cli(capsys, [preset, "--set", pair])
+    assert code == 2
+    assert doc["error"].startswith(f"ConfigurationError: {message}")
+
+
 def test_context_task_refuses_a_nan_noise_std():
     # --set cannot spell NaN, but a manifest or an overrides dict can
     with pytest.raises(ConfigurationError, match="noise_std must be finite"):

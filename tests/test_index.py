@@ -470,6 +470,177 @@ def test_component_labels_match_scipy():
     check(index._pair_distances(tails)[0] <= 1e-3)
 
 
+def exact_passes(monkeypatch):
+    """Count the exact pair passes (index._pair_distances calls)."""
+    calls, pair_distances = [], index._pair_distances
+
+    def counting(tails):
+        calls.append(tails.shape)
+        return pair_distances(tails)
+    monkeypatch.setattr(index, "_pair_distances", counting)
+    return calls
+
+
+def verdict_and_exact(tails, tol, calls):
+    """(_rung_verdict, whether it ran the exact pass, cluster_asymptotics'
+    index) for tails (m, W, d)."""
+    calls.clear()
+    verdict = index._rung_verdict(tails, tol)
+    fell_back = bool(calls)
+    with np.errstate(invalid="ignore"):  # the report's np.std of an inf tail
+        want = cluster_asymptotics(synthetic_run(tails), tol).index
+    return verdict, fell_back, want
+
+
+def random_ensemble(rng, tol):
+    """Members on one of k paths, spread, drifting and touching on every
+    scale around the tolerance, in 1, 2, 3 or 200 dimensions."""
+    m, t = int(rng.integers(1, 12)), int(rng.integers(10, 40))
+    d = int(rng.choice([1, 2, 3, 200], p=[0.35, 0.35, 0.2, 0.1]))
+    k = int(rng.integers(1, 4))
+    paths = tol * 10 ** rng.uniform(-1, 3) * rng.standard_normal((k, 1, d))
+    paths = paths + (tol * 10 ** rng.uniform(-4, 0.5)
+                     * np.cumsum(rng.standard_normal((k, t, d)), axis=1))
+    tails = (paths[rng.integers(0, k, m)]
+             + tol * 10 ** rng.uniform(-8, 0.5) * rng.standard_normal((m, t, d)))
+    if m > 1 and rng.random() < 0.15:  # one member visits another once
+        i, j = rng.choice(m, 2, replace=False)
+        step = rng.integers(0, t)
+        tails[j, step] = tails[i, step] + tol * rng.uniform(0, 2) / np.sqrt(d)
+    if rng.random() < 0.03:
+        tails[rng.integers(0, m), rng.integers(0, t), rng.integers(0, d)] = \
+            rng.choice([np.nan, np.inf, -np.inf])
+    return tails
+
+
+def test_rung_verdict_equals_the_exact_index_on_random_ensembles(monkeypatch):
+    rng = np.random.default_rng(23)
+    tol = 1e-3
+    calls = exact_passes(monkeypatch)
+    seen = {"decided": 0, "fell back": 0, "definite": 0, "indefinite": 0,
+            "one member": 0, "not finite": 0}
+    for _ in range(2000):
+        tails = random_ensemble(rng, tol)
+        verdict, fell_back, want = verdict_and_exact(tails, tol, calls)
+        assert verdict == want
+        seen["fell back" if fell_back else "decided"] += 1
+        seen["indefinite" if want is None else "definite"] += 1
+        seen["one member"] += tails.shape[0] == 1
+        seen["not finite"] += not np.isfinite(tails).all()
+    # every way through the verdict is taken many times
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 200])
+def test_rung_verdict_decides_tight_clusters_without_the_exact_pass(
+        d, monkeypatch):
+    rng = np.random.default_rng(d)
+    tol = 1e-3
+    calls = exact_passes(monkeypatch)
+    for k in (1, 2, 3, 4):
+        for m in (1, 2, 16, 40):
+            if m < k:
+                continue
+            centres = rng.uniform(-1, 1, (k, 1, d))
+            labels = np.arange(m) % k
+            tails = (centres[labels] + 0.01 * np.sin(np.arange(30))[:, None]
+                     + 1e-7 * rng.standard_normal((m, 30, d)))
+            verdict, fell_back, want = verdict_and_exact(tails, tol, calls)
+            assert verdict == want == k and not fell_back
+
+
+@pytest.mark.parametrize("d", [1, 2, 200])
+def test_rung_verdict_on_clusters_wider_than_tol_over_8(d, monkeypatch):
+    # members 0.045-0.09 tol from their cluster's centre: linked and out of
+    # the band (diameters below 0.18 tol < tol/4), but some lie farther
+    # than tol/8 from the first pivot of their cluster
+    rng = np.random.default_rng(d)
+    tol = 1e-3
+    calls = exact_passes(monkeypatch)
+    for k in (1, 2, 3):
+        centres = rng.uniform(-1, 1, (k, 1, d))
+        offsets = rng.standard_normal((24, 1, d))
+        offsets *= (0.09 * tol * rng.uniform(0.5, 1, (24, 1, 1))
+                    / np.linalg.norm(offsets, axis=2, keepdims=True))
+        tails = centres[np.arange(24) % k] + offsets + np.zeros((1, 20, d))
+        verdict, fell_back, want = verdict_and_exact(tails, tol, calls)
+        assert verdict == want == k
+
+
+@pytest.mark.parametrize("edge", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 200])
+def test_rung_verdict_falls_back_at_the_band_edges(edge, d, monkeypatch):
+    # d_max (= d_min) a few ulps either side of tol/4, tol and 4 tol:
+    # inside the rounding bound, so the verdict must hand the pair to the
+    # exact pass.  The pair alone has pivot 0 at one end; the triple has
+    # it in the middle, between members -a and b along one axis
+    tol = 1e-3
+    calls = exact_passes(monkeypatch)
+    gap = np.float64(edge * tol)
+    for _ in range(3):
+        gap = np.nextafter(gap, 0.0)
+    for _ in range(7):
+        axis = np.zeros((20, d))
+        axis[:, -1] = 1.0
+        a = gap * 0.375
+        pair = np.stack([0.0 * axis, gap * axis])
+        triple = np.stack([0.0 * axis, -a * axis, (gap - a) * axis])
+        assert (gap - a) + a == gap
+        for tails in (pair, triple):
+            verdict, fell_back, want = verdict_and_exact(tails, tol, calls)
+            assert verdict == want and fell_back, (edge, gap)
+        gap = np.nextafter(gap, 1.0)
+
+
+def test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step(monkeypatch):
+    # far apart over the window but within tol at one step: the pivots'
+    # inf over the window, not their sup, bounds the pair's d_min
+    t = 30
+    a = np.zeros((t, 1))
+    b = np.ones((t, 1))
+    b[12] = 5e-4
+    calls = exact_passes(monkeypatch)
+    verdict, fell_back, want = verdict_and_exact(np.stack([a, b, a + 1e-6]),
+                                                 1e-3, calls)
+    assert verdict is want is None and fell_back
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rung_verdict_on_tails_that_are_not_finite(bad, monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = exact_passes(monkeypatch)
+    base = np.where(rng.random(6) < 0.5, -0.6, 0.6)[:, None, None] \
+        + 1e-6 * rng.standard_normal((6, 20, 2))
+    for m, row in ((1, 0), (6, 0), (6, 3), (6, 5)):
+        tails = base[:m].copy()
+        tails[row, 7, 1] = bad
+        verdict, fell_back, want = verdict_and_exact(tails, 1e-3, calls)
+        assert verdict == want and fell_back
+    both = base.copy()  # inf - inf in the pair of these two members
+    both[[1, 4], 7, 0] = bad
+    with np.errstate(invalid="ignore"):  # the exact pass's own warning
+        verdict, fell_back, want = verdict_and_exact(both, 1e-3, calls)
+    assert verdict == want and fell_back
+
+
+def test_rung_verdict_scratch_is_bounded():
+    # the context ensemble's shape: beyond the (m, m) bounds, one block of
+    # the pair kernel's scratch and one (m, W) row, never a tails-sized
+    # array (16 MB here)
+    m, window, d = 100, 100, 200
+    rng = np.random.default_rng(0)
+    tails = (np.where(np.arange(m) % 2, -0.5, 0.5)[:, None, None]
+             + 1e-7 * rng.standard_normal((m, window, d)))
+    tracemalloc.start()
+    try:
+        verdict = index._rung_verdict(tails, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == 2
+    assert peak < index._PAIR_SCRATCH_BYTES + m * window * 8 + 12 * m * m * 8
+
+
 def test_max_pair_distance_propagates_nan_across_blocks():
     rng = np.random.default_rng(4)
     xs = rng.uniform(-1, 1, (1500, 3))
@@ -633,6 +804,26 @@ def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
     assert [r.diagnostics["shift_check"] == "agree" for r in many[:3]] == [True] * 3
     assert many[4].diagnostics["shift_check"].startswith(
         "agree" if shift_check == 0 else "disagreement")
+
+
+def test_a_ladder_makes_one_exact_pass_per_input(monkeypatch):
+    # two rungs, both inputs stable at rung 1: each gets verdicts for
+    # rungs 0 and 1 and its shift check, and one exact pass for the report
+    # it keeps, where the exact-every-rung ladder makes three
+    params = bistable_driven()
+    seqs = [const_seq(0.0, -5, 394), const_seq(1.0, -5, 394)]
+    seeds = [3, 1]
+    protocol = IndexProtocol(ic_counts=(8, 12), transients=(40, 60), horizon=30,
+                             window=20)
+    calls = exact_passes(monkeypatch)
+    many = estimate_echo_indices(params, seqs, protocol, ic_seeds=seeds)
+    assert [r.verdict() for r in many] == ["2", "1"]
+    assert calls == [(12, 20, 1)] * 2
+    for seq, seed, rep in zip(seqs, seeds, many):
+        calls.clear()
+        assert rep.summary_dict() == two_phase_ladder(
+            params, seq, protocol, seed, 0).summary_dict()
+        assert len(calls) == 3
 
 
 def continued_rung(system, seqs, seeds, protocol, r):

@@ -77,21 +77,38 @@ MUTANTS = [
            "if transient < self.transient:",
            "if False:",
            (INDEX + "test_shrinking_transient_falls_back_to_fresh_evolution",)),
-    # the ladder's stabilisation rule (index.estimate_echo_indices) and
-    # shift check (index._final_report)
+    # the ladder's stabilisation rule (index._stable) and shift check
+    # (index._final_report)
     Mutant("stable only after three rungs", "index.py",
-           "len(history[i]) >= 2",
-           "len(history[i]) >= 3",
+           "len(verdicts) >= 2",
+           "len(verdicts) >= 3",
            (INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder",)),
     Mutant("stable without two agreeing rungs", "index.py",
-           "history[i][-2].index == rep.index",
+           "verdicts[-2] == verdicts[-1]",
            "True",
            (INDEX + "test_estimate_never_stabilizes_on_an_isometry",)),
     Mutant("shift disagreement ignored", "index.py",
-           "if shifted.index != final.index:",
+           "if shifted != final.index:",
            "if False:",
            (INDEX + "test_many_input_ladder_matches_one_input_ladders",
             INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder")),
+    # the certified verdict's bounds (index._rung_verdict)
+    Mutant("verdict bounds without eps", "index.py",
+           "eps, eta = (d + 4) * 2.0 ** -52, 1e-150",
+           "eps, eta = 0.0, 1e-150",
+           (INDEX + "test_rung_verdict_falls_back_at_the_band_edges",)),
+    Mutant("verdict links below tol/2", "index.py",
+           "upper * (1 + eps) + eta < cluster_tol / 4",
+           "upper * (1 + eps) + eta < cluster_tol / 2",
+           (INDEX + "test_rung_verdict_falls_back_at_the_band_edges",)),
+    Mutant("verdict fallback skipped", "index.py",
+           "if (joined | apart).all():",
+           "if True:",
+           (INDEX + "test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step",)),
+    Mutant("verdict lower bound from the sup", "index.py",
+           "los.append(sigma * (1 - eps) - eta)",
+           "los.append(rho * (1 - eps) - eta)",
+           (INDEX + "test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step",)),
     # separatrix rounds (index._bisect_round) and the commit rule
     # (index._commit_steps)
     Mutant("bisection tree children swapped", "index.py",
