@@ -488,15 +488,13 @@ def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
     is a whole run over its own drive and its own views of xs and tails,
     with no per-step synchronisation.  Rows are independent, so every bit
     is the same as in one run.  Other systems never split (step holds the
-    GIL).
+    GIL): they, and any ensemble too small to split, run as one group.
     """
     lanes, members = xs.shape[:2]
     groups = 1
     if isinstance(system, RnnParams):
         groups = _group_count(members, lanes * members * system.n_r ** 2,
                               _MIN_GROUP_WORK)
-    if groups == 1:
-        return _advance(system, _drive(system, seqs, t0, t1), xs, t0, tails, tail_t0)
     cuts = [members * i // groups for i in range(groups + 1)]
 
     def run(i):

@@ -203,6 +203,10 @@ def _run_kloeden(cfg, out):
     if cfg["ics"] < 1:
         raise ConfigurationError(f"ics must be >= 1, got {cfg['ics']}: the "
                                  "run would check no trajectory")
+    if cfg["ics"] % 2 == 0:
+        raise ConfigurationError(f"ics must be odd, got {cfg['ics']}: only an "
+                                 "odd count of ICs on [-1, 1] holds x = 0, so "
+                                 "zero-ic-fixed would check nothing")
     a = float(cfg["a"])
     system = KloedenSystem(a)
     k0, k1 = int(cfg["k_start"]), int(cfg["k_end"])
@@ -586,6 +590,10 @@ def _run_splice_demo(cfg, out):
     if not cfg["m_list"]:
         raise ConfigurationError("m_list is empty: the run would check no "
                                  "spliced input")
+    if len(cfg["m_list"]) < 2 or 0 in np.diff(cfg["m_list"]):
+        raise ConfigurationError(
+            f"m_list {cfg['m_list']} needs two or more values, no two neighbours "
+            "equal: dprod-halves checks the decay between neighbours")
     params = scalar_params()
     seed = int(cfg["seed"])
     w = float(cfg["w"])

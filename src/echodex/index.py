@@ -53,13 +53,14 @@ measured on its final points, keeps its scratch in one block of about
 A ladder makes one exact clustering pass per input: the report it
 keeps, of the rung where the input stabilises or of its last rung, is
 cluster_asymptotics itself.  Every other rung and every shift check
-reads only an index, and gets it from _rung_verdict: the triangle
-inequality through a few pivot members, widened by a rounding bound
-that holds whatever order numpy sums in, decides the index wherever
-each pair lies surely below tol/4 or surely beyond 4 tol, and the exact
-pass decides the rest.  So every verdict equals the exact pass's index,
-and every report stays what estimate_echo_index gives for its input
-alone, byte for byte.
+reads only an index, from _rung_verdict: the triangle inequality
+through a few pivot members, widened by a rounding bound, decides it
+wherever each pair lies surely below tol/4 or surely beyond 4 tol, and
+the exact pass decides the rest.  So every verdict equals the exact
+pass's index, and every report stays what estimate_echo_index gives for
+its input alone, byte for byte.  Both measure with one loop,
+_squared_distances, whose roots are np.linalg.norm(axis=-1)'s bits,
+which the separatrix's commit rule and pair divergence take.
 """
 
 from dataclasses import dataclass, field, replace
@@ -293,15 +294,28 @@ _PAIR_BLOCK_BYTES = 512 * 1024
 _MIN_PAIR_WORK = 2 ** 22
 
 
+def _squared_distances(xs, ref, buf, out):
+    """The package's one squared-distance loop: out (n, W) gets each step's
+    squared distance of xs (n, W, d) to ref (W, d), block by block of
+    buf's height: subtract into buf, square in place, sum along d into
+    out.  Each (row, step) sum reduces its own contiguous row, so the
+    block height leaves the bits unchanged, and the roots are
+    np.linalg.norm(xs - ref, axis=-1) bit for bit."""
+    block = buf.shape[0]
+    for j0 in range(0, xs.shape[0], block):
+        j1 = min(j0 + block, xs.shape[0])
+        diff = np.subtract(xs[j0:j1], ref, out=buf[:j1 - j0])
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=2, out=out[j0:j1])
+
+
 def _pair_distances(tails):
     """Pair distances of the tails (m, W, d) over the window: max, min,
     max per last third (3, m, m), final.
 
-    Row i differences, squares and sums along d the members j > i, block
-    by block, into its squared distances (m - 1 - i, W); each (pair,
-    step) sum reduces its own contiguous row, so the block height leaves
-    the bits unchanged.  The statistics are taken once per row of these
-    squares, and one sqrt of the results ends the call: sqrt is correctly
+    Row i measures the members j > i into its squared distances (m - 1 -
+    i, W) with _squared_distances, and takes its statistics from them
+    once; one sqrt of the results ends the call: sqrt is correctly
     rounded and monotone, so that gives the roots' statistics bit for bit,
     nan included.  Rows are dealt round-robin (row i to group i mod g) to
     g groups through core._run_groups, g the least of m - 1, the CPUs the
@@ -322,11 +336,7 @@ def _pair_distances(tails):
         buf, squares = np.empty((block, window, d)), np.empty((m - 1, window))
         for i in range(g, m - 1, groups):
             row, out = squares[:m - 1 - i], upper[:, i, i + 1:]
-            for j0 in range(i + 1, m, block):
-                j1 = min(j0 + block, m)
-                diff = np.subtract(tails[j0:j1], tails[i], out=buf[:j1 - j0])
-                np.multiply(diff, diff, out=diff)
-                np.sum(diff, axis=2, out=row[j0 - i - 1:j1 - i - 1])
+            _squared_distances(tails[i + 1:], tails[i], buf, row)
             np.max(row, axis=1, out=out[0])
             np.min(row, axis=1, out=out[1])
             np.maximum.reduceat(row, cuts, axis=1, out=out[2:5].T)
@@ -389,8 +399,8 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
                                 final_state=finals[medoid].copy(),
                                 tail=tails[medoid].copy()))
 
-    same = (labels[:, None] == labels[None, :]) & ~np.eye(m, dtype=bool)
-    max_diameter = float(d_final[same].max()) if same.any() else 0.0
+    # the diagonal's 0.0 leaves the max of the other same-label pairs as is
+    max_diameter = float(d_final[labels[:, None] == labels[None, :]].max())
 
     coverage = float(np.mean([d_final[i, clusters[labels[i]].representative_ic]
                               <= cluster_tol for i in range(m)]))
@@ -424,29 +434,17 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
 _VERDICT_PIVOTS = 4
 
 
-def _pivot_distances(tails, k, buf, squares):
-    """(sup, inf) over the window of each member's distance to member k,
-    in the pair kernel's formula: subtract, square and sum along d into
-    squares (m, W), block by block in buf, then sqrt."""
-    m, block = tails.shape[0], buf.shape[0]
-    for j0 in range(0, m, block):
-        j1 = min(j0 + block, m)
-        diff = np.subtract(tails[j0:j1], tails[k], out=buf[:j1 - j0])
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=2, out=squares[j0:j1])
-    return np.sqrt(squares.max(axis=1)), np.sqrt(squares.min(axis=1))
-
-
 def _rung_verdict(tails, cluster_tol):
     """cluster_asymptotics' index for the window tails (m, W, d), decided
     from certified bounds where they suffice, else by the exact pass.
 
     Each member's distance to a few pivot members is measured over the
-    window in the pair kernel's formula; pivots are chosen greedily, from
-    member 0 on, each the member farthest (sup over the window) from the
-    pivots so far, until every member lies within tol/8 of one or
-    _VERDICT_PIVOTS are measured.  Of these, member i keeps its sup rho
-    and inf sigma per pivot k.
+    window by _squared_distances, the loop the exact pass measures with;
+    pivots are chosen greedily, from member 0 on, each the member
+    farthest (sup over the window) from the pivots so far, until every
+    member lies within tol/8 of one or _VERDICT_PIVOTS are measured.
+    Member i's sup rho_ik and inf sigma_ik over the window to pivot k
+    tighten the (m, m) bounds below in place as each pivot is measured.
 
     Rounding.  A computed distance c and the exact Euclidean distance D of
     the same float vectors satisfy |c - D| <= eps/4 D + eta/2, with
@@ -479,24 +477,22 @@ def _rung_verdict(tails, cluster_tol):
     eps, eta = (d + 4) * 2.0 ** -52, 1e-150
     block = min(max(1, _PAIR_SCRATCH_BYTES // (window * d * 8)), m)
     buf, squares = np.empty((block, window, d)), np.empty((m, window))
-    reach = np.full(m, np.inf)  # sup distance to the nearest pivot so far
-    his, los, k = [], [], 0
-    while True:
+    upper, lower = np.full((m, m), np.inf), np.full((m, m), -np.inf)
+    reach, k = np.full(m, np.inf), 0  # sup distance to the nearest pivot so far
+    for p in range(_VERDICT_PIVOTS):
         # a pivot's distance to itself is inf - inf = nan where it holds
         # an inf: quiet here, as the exact pass it falls back to is not
         with np.errstate(invalid="ignore", over="ignore"):
-            rho, sigma = _pivot_distances(tails, k, buf, squares)
+            _squared_distances(tails, tails[k], buf, squares)
+        rho, sigma = np.sqrt(squares.max(axis=1)), np.sqrt(squares.min(axis=1))
         if not np.isfinite(rho).all():  # a nan anywhere reaches the max
             break
-        his.append(rho * (1 + eps) + eta)
-        los.append(sigma * (1 - eps) - eta)
+        hi = rho * (1 + eps) + eta
+        np.minimum(upper, hi[:, None] + hi, out=upper)
+        np.maximum(lower, (sigma * (1 - eps) - eta)[:, None] - hi, out=lower)
         np.minimum(reach, rho, out=reach)
         k = int(np.argmax(reach))
-        if reach[k] <= cluster_tol / 8 or len(his) == _VERDICT_PIVOTS:
-            upper, lower = np.full((m, m), np.inf), np.full((m, m), -np.inf)
-            for hi, lo in zip(his, los):
-                np.minimum(upper, hi[:, None] + hi, out=upper)
-                np.maximum(lower, lo[:, None] - hi, out=lower)
+        if reach[k] <= cluster_tol / 8 or p + 1 == _VERDICT_PIVOTS:
             joined = upper * (1 + eps) + eta < cluster_tol / 4
             apart = np.maximum(lower, lower.T) * (1 - eps) - eta > 4 * cluster_tol
             np.fill_diagonal(apart, True)

@@ -1,3 +1,4 @@
+from functools import partial
 import math
 
 import numpy as np
@@ -138,6 +139,22 @@ def test_region_invariance_holds_on_r_plus(switching_system):
     assert ok and witness is None
 
 
+def test_region_invariance_keeps_an_image_on_a_face():
+    # x -> tanh(u) maps every state to tanh(u): onto the upper face of
+    # [-t, t], t = tanh(0.5), for u = 0.5 and onto the lower face for
+    # u = -0.5 (numpy's tanh is odd); one ulp inside, each face is crossed
+    t = float(np.tanh(0.5))
+    params = RnnParams(alpha=1.0, w_r=[[0.0]], w_in=[[1.0]])
+    inward = np.nextafter(t, 0.0)
+    for u, narrower in ((0.5, Region(lo=[-t], hi=[inward])),
+                        (-0.5, Region(lo=[-inward], hi=[t]))):
+        assert region_invariance_check(params, Region(lo=[-t], hi=[t]),
+                                       [np.array([u])]) == (True, None)
+        ok, (x, u_seen) = region_invariance_check(params, narrower, [np.array([u])])
+        assert not ok and x.tolist() == narrower.lo.tolist()  # first grid point
+        assert u_seen.tolist() == [u]
+
+
 def test_region_invariance_failure_returns_witness(switching_system):
     # a box reaching into the expansion strip leaks through the maps
     leaky = Region(lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 1.0]))
@@ -162,6 +179,18 @@ def test_global_esp_check_scaled_reservoir():
     assert global_esp_check(leakless, mu=0.95).effective_rate is None
     with pytest.raises(ConfigurationError):
         global_esp_check(params, mu=1.0)
+
+
+def test_a_worst_norm_exactly_at_mu_is_certified():
+    # x -> tanh(x / 2) has its steepest slope, 1/2, at x = 0, a grid point
+    # of [-1, 1]; both certifiers then report worst_norm == mu exactly
+    params = RnnParams(alpha=1.0, w_r=[[0.5]], w_in=[[1.0]])
+    region = Region(lo=[-1.0], hi=[1.0])
+    for check in (partial(region_contraction_check, params, region, [np.zeros(1)]),
+                  partial(global_esp_check, params)):
+        rep = check(mu=0.5)
+        assert rep.worst_norm == 0.5 and rep.certified and rep.margin == 0.0
+        assert not check(mu=np.nextafter(0.5, 0.0)).certified
 
 
 def test_global_esp_check_rejects_expanding_scalar():
@@ -279,3 +308,8 @@ def test_contraction_report_margin_consistency():
         ContractionReport(mu=0.5, certified=True, grid_resolution=(3,),
                           worst_norm=0.7, worst_point=np.zeros(1),
                           input_samples="x")
+    # a worst norm exactly at mu is certified, with margin 0
+    at_mu = ContractionReport(mu=0.5, certified=True, grid_resolution=(3,),
+                              worst_norm=0.5, worst_point=np.zeros(1),
+                              input_samples="x")
+    assert at_mu.margin == 0.0

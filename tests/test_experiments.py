@@ -273,12 +273,16 @@ def test_context_task_refuses_an_input_short_of_the_ladder_reach(capsys,
     ("scalar_sweep", "w_list=[0.02,0.2]", "w_list [0.02, 0.2] holds none"),
     ("scalar_sweep", "n_seeds=0", "n_seeds must be >= 1, got 0"),
     ("splice_demo", "m_list=[]", "m_list is empty"),
+    ("splice_demo", "m_list=[5]", "m_list [5] needs two or more values"),
+    ("splice_demo", "m_list=[5,10,10]", "m_list [5, 10, 10] needs two or more"),
     ("kloeden", "ics=0", "ics must be >= 1, got 0"),
+    ("kloeden", "ics=10", "ics must be odd, got 10"),
 ])
 def test_runs_that_would_check_nothing_are_refused_before_any_work(
         preset, pair, message, capsys, monkeypatch):
     # each used to run and exit 0 on vacuous assertions, exit 1 on a
-    # majority over no seeds, or fail inside numpy on an empty ensemble
+    # majority over no seeds, fail inside numpy on an empty ensemble, or
+    # divide by zero once the whole ladder had run (repeated m values)
     def no_work(*args, **kwargs):
         raise AssertionError("an ensemble was evolved")
     for name in ("run_ensemble", "estimate_echo_indices", "estimate_echo_index"):

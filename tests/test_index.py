@@ -350,6 +350,21 @@ def test_pair_distances_match_the_explicit_formula(m, d, monkeypatch):
     assert seen == [max(1, min(c, m - 1)) for c in (1, 2, 3) for _ in range(2)]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 200])
+def test_squared_distances_root_is_norm_along_the_last_axis(d):
+    # clustering and the certified verdict measure with this loop, the
+    # separatrix's commit rule and pair divergence with np.linalg.norm(...,
+    # axis=-1): the same bits, in blocks (of 3 rows here) or not.  numpy
+    # sums fewer than 8 terms in order, 8 or more in unrolled lanes, where
+    # coordinate order would differ
+    rng = np.random.default_rng(d)
+    ref = rng.standard_normal((13, d))
+    xs = ref + 10.0 ** rng.uniform(-8, 1, (7, 13, 1)) * rng.standard_normal((7, 13, d))
+    out = np.empty((7, 13))
+    index._squared_distances(xs, ref, np.empty((3, 13, d)), out)
+    assert np.array_equal(np.sqrt(out), np.linalg.norm(xs - ref, axis=-1))
+
+
 def test_pair_distances_propagate_nan(monkeypatch):
     # a nan in one member's window reaches every statistic of its pairs
     # that reads that step, and no other pair, at any group count

@@ -37,6 +37,8 @@ INDEX, CORE = "tests/test_index.py::", "tests/test_core.py::"
 
 EXPERIMENTS = "tests/test_experiments.py::"
 
+CONTRACTION = "tests/test_contraction.py::"
+
 MUTANTS = [
     # the thread pool (core._run_groups) and member groups on it
     # (core._advance_groups)
@@ -50,7 +52,8 @@ MUTANTS = [
            "[h.result() for h in helpers[1:]]",
            (CORE + "test_member_groups_leave_no_thread_behind",
             INDEX + "test_pair_groups_leave_no_thread_behind")),
-    # row groups of the pair kernel (index._pair_distances)
+    # the one squared-distance loop (index._squared_distances) and the
+    # pair kernel's row groups on it (index._pair_distances)
     Mutant("a group's rows dealt off by one", "index.py",
            "for i in range(g, m - 1, groups):",
            "for i in range(g + 1, m - 1, groups):",
@@ -59,6 +62,11 @@ MUTANTS = [
            "cuts = [window - (3 - p) * third for p in range(3)]",
            "cuts = [window - (3 - p) * third + 1 for p in range(3)]",
            (INDEX + "test_pair_distances_match_the_explicit_formula",)),
+    Mutant("distances to the first row, not the reference", "index.py",
+           "diff = np.subtract(xs[j0:j1], ref, out=buf[:j1 - j0])",
+           "diff = np.subtract(xs[j0:j1], xs[0], out=buf[:j1 - j0])",
+           (INDEX + "test_pair_distances_match_the_explicit_formula",
+            INDEX + "test_rung_verdict_decides_tight_clusters_without_the_exact_pass")),
     Mutant("a scratch block per group", "index.py",
            "_PAIR_SCRATCH_BYTES // (groups * window * d * 8)",
            "_PAIR_SCRATCH_BYTES // (window * d * 8)",
@@ -106,9 +114,31 @@ MUTANTS = [
            "if True:",
            (INDEX + "test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step",)),
     Mutant("verdict lower bound from the sup", "index.py",
-           "los.append(sigma * (1 - eps) - eta)",
-           "los.append(rho * (1 - eps) - eta)",
+           "(sigma * (1 - eps) - eta)[:, None] - hi",
+           "(rho * (1 - eps) - eta)[:, None] - hi",
            (INDEX + "test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step",)),
+    # the certifiers' comparisons (contraction): a norm exactly at mu
+    # certifies, and an image on a face stays inside
+    Mutant("region contraction strictly below mu", "contraction.py",
+           "certified=bool(worst <= mu), grid_resolution=counts",
+           "certified=bool(worst < mu), grid_resolution=counts",
+           (CONTRACTION + "test_a_worst_norm_exactly_at_mu_is_certified",)),
+    Mutant("global certificate strictly below mu", "contraction.py",
+           "certified=bool(worst <= mu), grid_resolution=(1,)",
+           "certified=bool(worst < mu), grid_resolution=(1,)",
+           (CONTRACTION + "test_a_worst_norm_exactly_at_mu_is_certified",)),
+    Mutant("certified report strictly below mu", "contraction.py",
+           "not self.worst_norm <= self.mu",
+           "not self.worst_norm < self.mu",
+           (CONTRACTION + "test_contraction_report_margin_consistency",)),
+    Mutant("invariance off the lower face", "contraction.py",
+           "(images >= region.lo[None, :])",
+           "(images > region.lo[None, :])",
+           (CONTRACTION + "test_region_invariance_keeps_an_image_on_a_face",)),
+    Mutant("invariance off the upper face", "contraction.py",
+           "(images <= region.hi[None, :])",
+           "(images < region.hi[None, :])",
+           (CONTRACTION + "test_region_invariance_keeps_an_image_on_a_face",)),
     # separatrix rounds (index._bisect_round) and the commit rule
     # (index._commit_steps)
     Mutant("bisection tree children swapped", "index.py",
