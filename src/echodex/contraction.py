@@ -36,6 +36,9 @@ class Region:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigurationError("lo and hi must be vectors of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ConfigurationError("region bounds must be finite, got lo "
+                                     f"{lo.tolist()} and hi {hi.tolist()}")
         if np.any(lo > hi):
             raise ConfigurationError("region requires lo <= hi componentwise")
         lo.setflags(write=False)

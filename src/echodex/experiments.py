@@ -1,21 +1,22 @@
 """Preset experiments: data-producing runs with built-in assertions.
 
-Each preset resolves a config (defaults + overrides, unknown keys
-rejected), runs, and returns an ExperimentResult holding a summary, a
-list of named pass/fail assertions, and the files written.  Every run
-with an output directory also writes a manifest capturing the fully
-resolved config; re-running from the manifest at the same BLAS thread
-count reproduces every output byte for byte (no timestamps, one CSV
-writer with lossless floats, committed seeds).  context_task's ridge
-readout rounds differently under another thread count.
+Each preset resolves a config (defaults + overrides, each in its
+default's type, unknown keys rejected), runs, and returns an
+ExperimentResult holding a summary, a list of named pass/fail
+assertions, and the files written.  Every run with an output
+directory also writes a manifest capturing the fully resolved config;
+re-running from the manifest at the same BLAS thread count reproduces
+every output byte for byte (no timestamps, one CSV writer with lossless
+floats, committed seeds).  context_task's ridge readout rounds
+differently under another thread count.
 """
 
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass, replace
 from functools import partial
 import json
 import math
-import numbers
 from operator import itemgetter
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .index import (IndexProtocol, _divergence_step, ensemble_to_csv,
                     run_ensemble, separatrix_bisect)
 from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
-from .sequences import (d_prod, gen_context_task, gen_two_symbol,
+from .sequences import (_kind, d_prod, gen_context_task, gen_two_symbol,
                         gen_uniform_scaled, splice_large_input, write_csv)
 from .training import (ReservoirConfig, TrainedModel, closed_loop_eval, nrmse,
                        pca_project, ridge_readout, save_model,
@@ -117,57 +118,36 @@ DEFAULT_SEEDS = {
 }
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return _jsonable(v.tolist())
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    return v
-
-
-def _kind(value):
-    """'list' (of numbers), 'number' or None: the kinds of config values."""
-    if isinstance(value, (list, tuple)):
-        return "list" if all(_kind(v) == "number" for v in value) else None
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return "number" if real else None
-
-
 def resolve_config(preset, seed=None, overrides=None):
-    """Merge defaults with overrides; unknown keys or presets are errors,
-    and so is an override of another _kind than its default's, or a
-    non-integral number for an int (or list-of-int) key."""
+    """Merge defaults with overrides, each cast to its default's type (a
+    list element by element), so runners read every value as is.
+    Unknown keys or presets are errors, and so is an override of another
+    _kind than its default's, or a non-integral number for an int (or
+    list-of-int) key."""
     if preset not in DEFAULTS:
         raise KeyError(f"unknown preset {preset!r}; choose from "
                        f"{sorted(DEFAULTS)}")
-    cfg = dict(DEFAULTS[preset])
+    cfg = deepcopy(DEFAULTS[preset])
     for key, value in (overrides or {}).items():
         if key not in cfg:
             raise KeyError(f"unknown config key {key!r} for preset {preset!r}; "
                            f"valid keys: {sorted(cfg)}")
-        if _kind(value) != _kind(cfg[key]):
+        default = cfg[key]
+        if _kind(value) != _kind(default):
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
-                             f"a {_kind(cfg[key])}, got {value!r}")
-        if (np.asarray(cfg[key]).dtype.kind == "i"
-                and not np.all(np.mod(value, 1) == 0)):
+                             f"a {_kind(default)}, got {value!r}")
+        cast = type(default[0] if isinstance(default, list) else default)
+        if cast is int and not np.all(np.mod(value, 1) == 0):
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
                              f"integers, got {value!r}")
-        cfg[key] = value
+        cfg[key] = (list(map(cast, value)) if isinstance(default, list)
+                    else cast(value))
     cfg["seed"] = int(DEFAULT_SEEDS[preset] if seed is None else seed)
-    return _jsonable(cfg)
+    return cfg
 
 
 def _write_json(doc, path):
-    Path(path).write_text(json.dumps(_jsonable(doc), indent=1, sort_keys=True)
-                          + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _bisect(on_hi_side, lo, hi, tol=0.0):
@@ -207,10 +187,9 @@ def _run_kloeden(cfg, out):
         raise ConfigurationError(f"ics must be odd, got {cfg['ics']}: only an "
                                  "odd count of ICs on [-1, 1] holds x = 0, so "
                                  "zero-ic-fixed would check nothing")
-    a = float(cfg["a"])
+    a, k0, k1 = cfg["a"], cfg["k_start"], cfg["k_end"]
     system = KloedenSystem(a)
-    k0, k1 = int(cfg["k_start"]), int(cfg["k_end"])
-    ics = np.linspace(-1.0, 1.0, int(cfg["ics"]))
+    ics = np.linspace(-1.0, 1.0, cfg["ics"])
 
     runs = run_ensemble(system, system.arrival_sequence(k0, k1), ics, 0, k1 - k0,
                         anchor=k0).trajectories[:, :, 0]
@@ -229,7 +208,7 @@ def _run_kloeden(cfg, out):
     past = runs[:, : -k0]
     past_ok = bool(np.all(np.diff(np.abs(past), axis=1) <= 0.0))
 
-    depth, deep = int(cfg["fibre_depth"]), int(cfg["fibre_depth_deep"])
+    depth, deep = cfg["fibre_depth"], cfg["fibre_depth_deep"]
     seq = system.arrival_sequence(-max(depth, deep), 0)
     fibre = pullback_fibre(system, seq, n=0, depth=depth)
     fibre_deep = pullback_fibre(system, seq, n=0, depth=deep)
@@ -290,23 +269,21 @@ def _switching_fixed_points(params, u):
 
 
 def _protocol(cfg, ic_seed=0):
-    """Two-rung IndexProtocol from a preset's ladder keys."""
+    """IndexProtocol from a preset's ladder keys: one rung of ic_count
+    ICs per transient."""
     return IndexProtocol(
-        ic_counts=(int(cfg["ic_count"]),) * 2,
-        transients=tuple(int(t) for t in cfg["transients"]),
-        horizon=int(cfg["horizon"]), window=int(cfg["window"]),
-        cluster_tol=float(cfg["cluster_tol"]), ic_seed=ic_seed)
+        ic_counts=(cfg["ic_count"],) * len(cfg["transients"]),
+        transients=tuple(cfg["transients"]), horizon=cfg["horizon"],
+        window=cfg["window"], cluster_tol=cfg["cluster_tol"], ic_seed=ic_seed)
 
 
 def _run_switching2d(cfg, out):
     params = switching_params()
     u1, u2 = switching_inputs()
-    seed = int(cfg["seed"])
-    tol = float(cfg["cluster_tol"])
-    sep_horizon = int(cfg["sep_horizon"])
+    seed, tol, sep_horizon = cfg["seed"], cfg["cluster_tol"], cfg["sep_horizon"]
 
     protocol = _protocol(cfg, ic_seed=seed)
-    seq = gen_two_symbol(u1, u2, float(cfg["p"]), int(cfg["input_first"]),
+    seq = gen_two_symbol(u1, u2, cfg["p"], cfg["input_first"],
                          max(protocol.reach, sep_horizon), seed)
     # with --out, ensemble.csv holds the tails of the ladder's first rung
     report = estimate_echo_index(params, seq, protocol,
@@ -317,8 +294,8 @@ def _run_switching2d(cfg, out):
 
     r_plus = Region(lo=[-1.0, 0.55], hi=[1.0, 1.0])
     r_minus = Region(lo=[-1.0, -1.0], hi=[1.0, -0.55])
-    mu, grid = float(cfg["mu"]), int(cfg["grid"])
-    depth, deep = int(cfg["fibre_depth"]), int(cfg["fibre_depth_deep"])
+    mu, grid = cfg["mu"], cfg["grid"]
+    depth, deep = cfg["fibre_depth"], cfg["fibre_depth_deep"]
     certs, fibres = {}, {}
     for name, region in (("R+", r_plus), ("R-", r_minus)):
         inv_ok, witness = region_invariance_check(params, region, [u1, u2],
@@ -467,10 +444,8 @@ def _run_scalar_sweep(cfg, out):
             f"w_list {cfg['w_list']} holds none of the scales with a known "
             f"index {sorted(_SWEEP_EXPECTED)}: the sweep would check nothing")
     params = scalar_params()
-    seed = int(cfg["seed"])
-    w_list = [float(w) for w in cfg["w_list"]]
-    n_seeds = int(cfg["n_seeds"])
-    first = int(cfg["input_first"])
+    seed, w_list, n_seeds = cfg["seed"], cfg["w_list"], cfg["n_seeds"]
+    first = cfg["input_first"]
     protocol_base = _protocol(cfg)
 
     gen_seeds = [seed + r for r in range(n_seeds)]
@@ -522,10 +497,10 @@ def _run_scalar_sweep(cfg, out):
         write_csv(path, ",".join(cols), "%g,%d,%s,%.17g,%.17g,%.17g,%d",
                   map(itemgetter(*cols), table))
         outputs["sweep_results"] = str(path)
-        steps = int(cfg["sample_steps"])
+        steps = cfg["sample_steps"]
         for w in w_list:
             seq = gen_uniform_scaled(w, first, steps, seed)
-            run = run_ensemble(params, seq, int(cfg["sample_ics"]),
+            run = run_ensemble(params, seq, cfg["sample_ics"],
                                transient=0, horizon=steps, ic_seed=seed)
             sample = out / f"sample_w{w:g}.csv"
             ensemble_to_csv(run, sample)
@@ -562,9 +537,8 @@ def _escapes_basin(slope, w, max_steps, threshold):
 def _run_fold_bisect(cfg, out):
     slope = float(scalar_params().w_r[0, 0])
     x_star, c_star = _fold_analytic(slope)
-    tol = float(cfg["tolerance"])
-    cap, thresh = int(cfg["max_steps"]), float(cfg["escape_threshold"])
-    lo, hi = float(cfg["w_lo"]), float(cfg["w_hi"])
+    tol, lo, hi = cfg["tolerance"], cfg["w_lo"], cfg["w_hi"]
+    cap, thresh = cfg["max_steps"], cfg["escape_threshold"]
     escapes = partial(_escapes_basin, slope, max_steps=cap, threshold=thresh)
     if escapes(lo) or not escapes(hi):
         raise ValueError("bisection bracket does not straddle the fold")
@@ -595,23 +569,20 @@ def _run_splice_demo(cfg, out):
             f"m_list {cfg['m_list']} needs two or more values, no two neighbours "
             "equal: dprod-halves checks the decay between neighbours")
     params = scalar_params()
-    seed = int(cfg["seed"])
-    w = float(cfg["w"])
+    seed, m_list = cfg["seed"], cfg["m_list"]
     protocol = _protocol(cfg, ic_seed=seed)
-    base = gen_uniform_scaled(w, int(cfg["input_first"]), protocol.reach, seed)
+    base = gen_uniform_scaled(cfg["w"], cfg["input_first"], protocol.reach,
+                              seed)
 
-    admissible = large_input_radius(params, float(cfg["epsilon"]),
-                                    float(cfg["mu"]))
+    admissible = large_input_radius(params, cfg["epsilon"], cfg["mu"])
     far = admissible.far_value()
 
-    m_list = [int(m) for m in cfg["m_list"]]
     spliced = [splice_large_input(base, m, far, admissible=admissible)
                for m in m_list]
     base_report, *reports = estimate_echo_indices(params, [base] + spliced,
                                                   protocol)
-    half_width = int(cfg["half_width"])
     table = [{"m": m, "index": rep.verdict(),
-              "d_prod": d_prod(base, seq, half_width)}
+              "d_prod": d_prod(base, seq, cfg["half_width"])}
              for m, seq, rep in zip(m_list, spliced, reports)]
 
     beyond = max(abs(base.first), abs(base.last)) + 1
@@ -657,9 +628,8 @@ def _run_context_task(cfg, out):
     for key in ("noise_std", "washout", "exclusion"):
         if not 0 <= cfg[key] < math.inf:
             raise ConfigurationError(f"{key} must be finite and >= 0, got {cfg[key]}")
-    seed = int(cfg["seed"])
+    seed, train_len, test_len = cfg["seed"], cfg["train_len"], cfg["test_len"]
     protocol = _protocol(cfg, ic_seed=seed)
-    train_len, test_len = int(cfg["train_len"]), int(cfg["test_len"])
     total = train_len + test_len
     # the ladder runs on the task's own window [0, total]
     if total < protocol.reach:
@@ -667,11 +637,10 @@ def _run_context_task(cfg, out):
             f"train_len + test_len = {total} is below the ladder's reach "
             f"{protocol.reach} (shift check + longest transient + horizon): "
             "raise train_len or test_len, or lower transients or horizon")
-    washout = int(cfg["washout"])
-    task = gen_context_task(0, total, float(cfg["pulse_prob"]), seed)
+    washout, exclusion = cfg["washout"], cfg["exclusion"]
+    task = gen_context_task(0, total, cfg["pulse_prob"], seed)
     # steps inside the reaction window after any pulse are not scored;
     # with none left, accuracy would be nan, so refuse before training
-    exclusion = int(cfg["exclusion"])
     excluded = np.zeros(total + 1, dtype=bool)
     for t in np.flatnonzero(task.pulses.any(axis=1)):
         excluded[t: t + exclusion] = True
@@ -683,16 +652,15 @@ def _run_context_task(cfg, out):
     inputs = task.full_input()
 
     params0 = context_reservoir(ReservoirConfig(
-        n_r=int(cfg["n_r"]), sparsity=float(cfg["sparsity"]),
-        spectral_radius_target=float(cfg["spectral_radius"]),
-        weight_range=float(cfg["weight_range"]), seed=seed))
+        n_r=cfg["n_r"], sparsity=cfg["sparsity"],
+        spectral_radius_target=cfg["spectral_radius"],
+        weight_range=cfg["weight_range"], seed=seed))
 
     targets_train = task.targets[: train_len + 1]
     states = teacher_forced_states(params0, inputs.slice(0, train_len),
-                                   targets_train[:, 0], float(cfg["noise_std"]),
-                                   seed)
+                                   targets_train[:, 0], cfg["noise_std"], seed)
     w_out = ridge_readout(states[washout:], targets_train[washout:],
-                          float(cfg["ridge_lambda"]))
+                          cfg["ridge_lambda"])
     params = replace(params0, w_out=w_out)
     train_err = nrmse(states[washout:] @ w_out.T, targets_train[washout:])
 
@@ -804,13 +772,13 @@ def run_preset(preset, seed=None, out_dir=None, overrides=None):
         outputs["report"] = str(report_path)
         manifest_path = out / "manifest.json"
         _write_json({"preset": preset, "seed": cfg["seed"],
-                     "overrides": _jsonable(overrides or {}),
+                     "overrides": {key: cfg[key] for key in overrides or {}},
                      "resolved": cfg,
                      "outputs": sorted(Path(p).name for p in outputs.values())},
                     manifest_path)
         outputs["manifest"] = str(manifest_path)
     return ExperimentResult(preset=preset, config=cfg, assertions=assertions,
-                            summary=_jsonable(summary), outputs=outputs)
+                            summary=summary, outputs=outputs)
 
 
 def run_from_manifest(path, out_dir=None):

@@ -348,14 +348,21 @@ def _pair_distances(tails):
     return both[0], both[1], both[2:5], both[5]
 
 
+def _check_tol(cluster_tol):
+    """Refuse a clustering tolerance that is not positive and finite."""
+    if not 0.0 < cluster_tol < np.inf:
+        raise ConfigurationError("cluster_tol must be positive and finite, "
+                                 f"got {cluster_tol}")
+
+
 def _linkage(d_max, d_min, cluster_tol):
     """Single linkage of the pair distances at cluster_tol: (index,
     cluster count, labels, ambiguous pairs, min_separation), index the
     count if no pair lies in the band [tol/4, 4 tol] and min_separation
-    > tol, else None (see EchoIndexReport)."""
+    > tol, else None (see EchoIndexReport).  The diagonal's 0.0 lies
+    below any positive tol's band."""
     n_clusters, labels = _component_labels(d_max <= cluster_tol)
-    off_diag = ~np.eye(d_max.shape[0], dtype=bool)
-    band = (d_max >= cluster_tol / 4) & (d_max <= 4 * cluster_tol) & off_diag
+    band = (d_max >= cluster_tol / 4) & (d_max <= 4 * cluster_tol)
     ambiguous_pairs = int(np.count_nonzero(band) // 2)
     cross = labels[:, None] != labels[None, :]
     min_separation = float(d_min[cross].min()) if cross.any() else float("inf")
@@ -370,8 +377,10 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
     Single linkage at `cluster_tol` in the max-over-window metric.  The
     verdict degrades to indefinite when any pairwise distance falls in
     the ambiguity band [tol/4, 4 tol] or two clusters come within tol
-    at some step (see EchoIndexReport).
+    at some step (see EchoIndexReport).  cluster_tol must be positive and
+    finite.
     """
+    _check_tol(cluster_tol)
     tails_full = run.trajectories
     max_window = tails_full.shape[1]
     if window is None:
@@ -542,9 +551,7 @@ class IndexProtocol:
             raise ConfigurationError(
                 "protocol needs ic_counts >= 1 and transients >= 0, got "
                 f"{tuple(self.ic_counts)} and {tuple(self.transients)}")
-        if not 0.0 < self.cluster_tol < np.inf:
-            raise ConfigurationError("cluster_tol must be positive and finite, "
-                                     f"got {self.cluster_tol}")
+        _check_tol(self.cluster_tol)
         if not 10 <= self.window <= self.horizon + 1:
             raise ConfigurationError(
                 f"window must lie in [10, horizon + 1 = {self.horizon + 1}], "
@@ -918,8 +925,10 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
     and the smaller commit step among the endpoints measured so far;
     every replacement lands strictly closer to the boundary, so this
     escape time never decreases as the bracket tightens (plateaus
-    happen while one side waits for its update).
+    happen while one side waits for its update).  cluster_tol must be
+    positive and finite: no midpoint could commit under any other.
     """
+    _check_tol(cluster_tol)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rep_a = orbit(system, input_seq, lo, horizon, anchor=anchor).states
@@ -985,6 +994,8 @@ def hausdorff_semidistance(a, b):
         raise ValueError("hausdorff_semidistance requires nonempty sets")
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets live in different dimensions")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("hausdorff_semidistance requires finite points")
     worst = 0.0
     for p in a:
         best = min(float(np.linalg.norm(p - q)) for q in b)

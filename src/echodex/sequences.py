@@ -13,6 +13,7 @@ same sequence bit-exactly regardless of thread count or platform.
 from dataclasses import dataclass, field
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -352,12 +353,17 @@ _GENERATORS = {
 _CHANNEL_PARAMS = ("u1", "u2")
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _kind(value):
+    """'list' (of numbers), 'number' or None: the kinds of values that
+    presets' configs and generator specs take from outside."""
+    if isinstance(value, (list, tuple)):
+        return "list" if all(_kind(v) == "number" for v in value) else None
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return "number" if real else None
 
 
 def _is_integer(v):
-    return _is_number(v) and isinstance(v, int)
+    return _kind(v) == "number" and isinstance(v, int)
 
 
 def _check_params(params):
@@ -370,11 +376,10 @@ def _check_params(params):
         if key in ("first", "last"):
             ok, want = _is_integer(value), "an integer"
         elif key in _CHANNEL_PARAMS:
-            ok = _is_number(value) or (isinstance(value, list)
-                                       and all(map(_is_number, value)))
+            ok = _kind(value) is not None
             want = "a number or a list of numbers"
         else:
-            ok, want = _is_number(value), "a number"
+            ok, want = _kind(value) == "number", "a number"
         if not ok:
             raise ValueError(f"generator param {key!r} must be {want}, "
                              f"got {value!r}")

@@ -41,6 +41,17 @@ def test_region_validation_and_membership():
         Region(lo=[0.0], hi=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([math.nan, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, math.inf]),
+    ([-math.inf], [0.0]),
+])
+def test_region_refuses_bounds_that_are_not_finite(lo, hi):
+    # lo > hi is false for nan, so a nan bound used to pass
+    with pytest.raises(ConfigurationError, match="region bounds must be finite"):
+        Region(lo=lo, hi=hi)
+
+
 def test_region_grid_covers_faces():
     reg = Region(lo=[0.0, -1.0], hi=[2.0, 1.0])
     pts, counts = reg.grid(5)

@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
         assert a[name] == b[name], f"{name} differs between runs"
 
 
+def test_manifest_records_each_override_in_its_defaults_type(tmp_path):
+    # a float for an int key and an int for a float key are applied, and
+    # recorded, as the default's type; the rerun repeats every byte
+    first, again = tmp_path / "first", tmp_path / "again"
+    run_kloeden(out_dir=first, a=2, ics=7.0)
+    manifest = json.loads((first / "manifest.json").read_text())
+    for doc in (manifest["overrides"], manifest["resolved"]):
+        assert (doc["a"], doc["ics"]) == (2.0, 7)
+        assert type(doc["a"]) is float and type(doc["ics"]) is int
+    run_from_manifest(first / "manifest.json", out_dir=again)
+    assert read_tree(first) == read_tree(again)
+
+
+def test_report_json_holds_json_booleans(tmp_path):
+    run_kloeden(out_dir=tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    assert '"ok": true' in text and '"ok": 1' not in text
+    doc = json.loads(text)
+    assert doc["ok"] is True
+    assert all(a["ok"] is True for a in doc["assertions"])
+
+
 def test_rerun_defaults_to_manifest_directory(tmp_path):
     run_fold_bisect(out_dir=tmp_path)
     before = read_tree(tmp_path)
@@ -145,6 +168,20 @@ def test_switching2d_input_window_follows_the_ladder():
     result = run_switching2d(transients=[200, 600])
     assert result.ok, result.failures()
     assert result.summary["index"] == "2"
+
+
+def test_ladder_presets_take_one_rung_per_transient(capsys):
+    cfg = resolve_config("switching2d",
+                         overrides={"transients": [200, 400, 800]})
+    protocol = experiments._protocol(cfg)
+    assert protocol.ic_counts == (30, 30, 30)
+    assert protocol.transients == (200, 400, 800)
+    result = run_switching2d(transients=[200, 400, 800])
+    assert result.ok, result.failures()
+    assert result.summary["index"] == "2"
+    # a ladder needs two rungs to agree
+    code, doc = run_cli(capsys, ["switching2d", "--set", "transients=[400]"])
+    assert code == 2 and ">= 2 rungs" in doc["error"]
 
 
 def test_removed_window_and_bracket_keys_are_rejected(capsys):
@@ -223,10 +260,14 @@ def test_context_task_refuses_a_window_beyond_its_horizon_before_training(
 
 @pytest.mark.parametrize("pair", ["noise_std=-0.05", "noise_std=1e999",
                                   "washout=-1", "exclusion=-20"])
-def test_context_task_refuses_training_keys_that_would_change_the_run(capsys,
-                                                                      pair):
+def test_context_task_refuses_training_keys_that_would_change_the_run(
+        capsys, monkeypatch, pair):
     # each used to run: noise-free, training on the last rows only, or
-    # with no steps (or nearly all) excluded from scoring
+    # with no steps (or nearly all) excluded from scoring; refused before
+    # training, whose own noise_std check comes after the task is drawn
+    def untrained(*args, **kwargs):
+        raise AssertionError("trained")
+    monkeypatch.setattr(experiments, "teacher_forced_states", untrained)
     code, doc = run_cli(capsys, ["context_task", "--set", pair])
     key = pair.split("=")[0]
     assert code == 2
@@ -330,6 +371,25 @@ def test_override_kinds_are_list_and_number():
     for value in (400, [200, None], [[200], [400]], "200,400"):
         with pytest.raises(ValueError, match="'transients'"):
             resolve_config("switching2d", overrides={"transients": value})
+
+
+def test_overrides_take_their_defaults_types():
+    cfg = resolve_config("kloeden", overrides={"a": 2, "ics": 7.0,
+                                               "k_end": np.int64(30)})
+    assert [type(cfg[k]) for k in ("a", "ics", "k_end")] == [float, int, int]
+    cfg = resolve_config("scalar_sweep", overrides={
+        "w_list": (0, np.float32(0.5)), "transients": [200.0, 400]})
+    assert cfg["w_list"] == [0.0, 0.5] and cfg["transients"] == [200, 400]
+    assert [type(w) for w in cfg["w_list"]] == [float, float]
+    assert [type(t) for t in cfg["transients"]] == [int, int]
+    # each call gets its own lists: appending to one leaves DEFAULTS as is
+    for preset in DEFAULTS:
+        cfg = resolve_config(preset)
+        for value in cfg.values():
+            if isinstance(value, list):
+                value.append(1)
+    assert DEFAULTS["switching2d"]["transients"] == [200, 400]
+    assert DEFAULTS["splice_demo"]["m_list"] == [5, 10, 20]
 
 
 def test_presets_run_without_scipy(tmp_path):
@@ -526,6 +586,27 @@ def test_cli_index_refuses_generator_params_of_the_wrong_type(
                                  "--input", str(spec_path)])
     assert code == 2
     assert doc["error"].startswith("ValueError") and key in doc["error"]
+
+
+@pytest.mark.parametrize("region, lo, hi", [
+    ("nan,0:1,1", "[nan, 0.0]", "[1.0, 1.0]"),
+    ("0,0:1,inf", "[0.0, 0.0]", "[1.0, inf]"),
+])
+def test_cli_certify_refuses_a_region_bound_that_is_not_finite(
+        tmp_path, capsys, region, lo, hi):
+    # these used to fail in an SVD that did not converge, or to warn twice
+    # before certifying
+    path = tmp_path / "switching.json"
+    save_model(TrainedModel(params=switching_params(),
+                            train_error=np.zeros(1)), path)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, doc = run_cli(capsys, ["certify", "--model", str(path),
+                                     "--mu", "0.999", f"--region={region}"])
+    assert seen == []
+    assert code == 2
+    assert doc["error"] == ("ConfigurationError: region bounds must be finite, "
+                            f"got lo {lo} and hi {hi}")
 
 
 def test_cli_certify_bad_region_string(tmp_path, capsys):

@@ -1252,6 +1252,30 @@ def test_separatrix_same_basin_is_rejected():
                           horizon=250)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_clustering_and_bisection_refuse_a_tol_that_is_not_positive(
+        tol, monkeypatch):
+    # with tol -1, these 8 members of a contracting network (echo index
+    # 1) were called 8 definite clusters
+    params = RnnParams(alpha=1.0, w_r=[[0.5]], w_in=[[1.0]])
+    run = run_ensemble(params, const_seq(0.1, 0, 200), 8, transient=100,
+                       horizon=60)
+    assert cluster_asymptotics(run).index == 1
+    with pytest.raises(ConfigurationError,
+                       match="cluster_tol must be positive and finite"):
+        cluster_asymptotics(run, cluster_tol=tol)
+
+    # and no bisection midpoint could commit: refused before any orbit
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("an orbit was evolved")
+    monkeypatch.setattr(index, "orbit", no_orbit)
+    with pytest.raises(ConfigurationError,
+                       match="cluster_tol must be positive and finite"):
+        separatrix_bisect(bistable_scalar(), const_seq(0.0, -1, 300),
+                          np.array([-0.37]), np.array([0.52]), horizon=250,
+                          cluster_tol=tol)
+
+
 def test_pair_divergence_step():
     params = bistable_scalar()
     seq = const_seq(0.0, -1, 300)
@@ -1536,3 +1560,15 @@ def test_hausdorff_semidistance_exact():
         hausdorff_semidistance(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         hausdorff_semidistance(np.zeros((2, 2)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[math.nan]], [[0.0]]),
+    ([[1.0]], [[math.nan], [0.0]]),
+    ([[1.0]], [[0.0], [math.nan]]),
+    ([[math.inf]], [[0.0]]),
+])
+def test_hausdorff_semidistance_refuses_points_that_are_not_finite(a, b):
+    # a nan in a gave 0.0, and one in b an answer that hung on point order
+    with pytest.raises(ValueError, match="finite points"):
+        hausdorff_semidistance(a, b)

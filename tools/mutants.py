@@ -179,6 +179,55 @@ MUTANTS = [
            "_component_labels(d_max <= cluster_tol)",
            "_component_labels(d_max < cluster_tol)",
            (INDEX + "test_linkage_joins_a_pair_exactly_tol_apart",)),
+    # refusals of values that are not positive, or not finite
+    Mutant("a zero tol accepted", "index.py",
+           "if not 0.0 < cluster_tol < np.inf:",
+           "if not 0.0 <= cluster_tol < np.inf:",
+           (INDEX + "test_clustering_and_bisection_refuse_a_tol_that_is_not_positive",)),
+    Mutant("clustering tol unchecked", "index.py",
+           "    _check_tol(cluster_tol)\n    tails_full",
+           "    tails_full",
+           (INDEX + "test_clustering_and_bisection_refuse_a_tol_that_is_not_positive",)),
+    Mutant("bisection tol unchecked", "index.py",
+           "    _check_tol(cluster_tol)\n    lo = np.asarray",
+           "    lo = np.asarray",
+           (INDEX + "test_clustering_and_bisection_refuse_a_tol_that_is_not_positive",)),
+    Mutant("Hausdorff points unchecked", "index.py",
+           "if not (np.isfinite(a).all() and np.isfinite(b).all()):",
+           "if False:",
+           (INDEX + "test_hausdorff_semidistance_refuses_points_that_are_not_finite",)),
+    Mutant("region bounds unchecked", "contraction.py",
+           "if not (np.isfinite(lo).all() and np.isfinite(hi).all()):",
+           "if False:",
+           (CONTRACTION + "test_region_refuses_bounds_that_are_not_finite",
+            EXPERIMENTS + "test_cli_certify_refuses_a_region_bound_that_is_not_finite")),
+    # presets' config: typed where it enters (experiments.resolve_config),
+    # and context_task's refusals before training
+    Mutant("every override cast to float", "experiments.py",
+           "cast = type(default[0] if isinstance(default, list) else default)",
+           "cast = float",
+           (EXPERIMENTS + "test_overrides_take_their_defaults_types",
+            EXPERIMENTS + "test_manifest_records_each_override_in_its_defaults_type")),
+    Mutant("two rungs whatever the transients", "experiments.py",
+           '(cfg["ic_count"],) * len(cfg["transients"])',
+           '(cfg["ic_count"],) * 2',
+           (EXPERIMENTS + "test_ladder_presets_take_one_rung_per_transient",)),
+    Mutant("training keys below zero accepted", "experiments.py",
+           "if not 0 <= cfg[key] < math.inf:",
+           "if not cfg[key] < math.inf:",
+           (EXPERIMENTS + "test_context_task_refuses_training_keys_that_would_change_the_run",)),
+    Mutant("infinite training keys accepted", "experiments.py",
+           "if not 0 <= cfg[key] < math.inf:",
+           "if not 0 <= cfg[key]:",
+           (EXPERIMENTS + "test_context_task_refuses_training_keys_that_would_change_the_run",)),
+    Mutant("an input one step short of the reach refused", "experiments.py",
+           "if total < protocol.reach:",
+           "if total <= protocol.reach:",
+           (EXPERIMENTS + "test_context_task_refuses_an_input_short_of_the_ladder_reach",)),
+    Mutant("a test with no scored step trained", "experiments.py",
+           "if not scored.any():",
+           "if False:",
+           (EXPERIMENTS + "test_context_task_refuses_an_exclusion_that_scores_no_step",)),
 ]
 
 
