@@ -11,7 +11,6 @@ stored models and inputs; `rerun` replays a manifest.
 import argparse
 import ast
 from itertools import product
-import json
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .contraction import (Region, global_esp_check, region_contraction_check,
 from .core import ConfigurationError
 from .experiments import DEFAULTS, run_from_manifest, run_preset
 from .index import IndexProtocol, estimate_echo_index
-from .sequences import WindowExhausted, load_input
+from .sequences import WindowExhausted, json_text, load_input
 from .training import load_model
 
 
@@ -50,7 +49,7 @@ def _parse_region(text):
 
 
 def _emit(doc, code):
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    sys.stdout.write(json_text(doc, sort_keys=True))
     return code
 
 

@@ -19,8 +19,9 @@ in lockstep, each lane under its own drive, one block row per step:
 W_in u[k] plus any state-independent terms for a network, u[k]
 otherwise.  _drive maps input sequences to blocks of about _DRIVE_BYTES
 (64 KiB), however many lanes and steps.  orbit is the kernel's
-one-member case, the index module's ensembles its many-member case (so
-ensemble rows equal solo orbits by construction), and
+one-member case, _orbits (several solo orbits of one input) and the
+index module's ensembles its many-member cases (so their rows equal
+solo orbits by construction), and
 training.teacher_forced_states one run under W_in u[k] plus the
 fed-back target plus noise.  _advance steps a copy of its states in
 place.  Two loops evolve states apart from it: index.pullback_fibre's
@@ -61,6 +62,8 @@ import os
 from pathlib import Path
 
 import numpy as np
+
+from .sequences import json_text
 
 
 class ConfigurationError(ValueError):
@@ -230,7 +233,7 @@ class RnnParams:
 
 
 def save_params(params, path):
-    Path(path).write_text(json.dumps(params.to_dict(), indent=1) + "\n")
+    Path(path).write_text(json_text(params.to_dict()))
 
 
 def load_params(path):
@@ -400,15 +403,16 @@ def _drive(system, seqs, t0, t1):
         yield raw[:n] if w_in is None else w_in(raw[:n], out=mapped[:n])[:, :, None]
 
 
-def _advance(system, drive, xs, t0, tails, tail_t0):
+def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
     """Evolve members xs[i, k] (lanes, members, d) in lockstep from time
     t0, a step per drive block row (see _drive), lane i's members under
     row[i]; return their final states, writing the state at each
-    t >= tail_t0 to tails[i, k, t - tail_t0].  A network step is M x
-    with M the effective matrix, then + row, then _update's arithmetic;
-    other systems step through step_batch(row[i], ...).  The states are
-    copied once into part 0 of one _aligned_empty buffer (pre is part 1
-    for a network) and stepped in place."""
+    t >= tail_t0 to tails[i, k, t - tail_t0]; without tails it writes
+    none.  A network step is M x with M the effective matrix, then + row,
+    then _update's arithmetic; other systems step through
+    step_batch(row[i], ...).  The states are copied once into part 0 of
+    one _aligned_empty buffer (pre is part 1 for a network) and stepped
+    in place."""
     if xs.shape[1] == 0:
         return xs
     rnn = isinstance(system, RnnParams)
@@ -478,7 +482,7 @@ def _run_groups(run, groups):
         return [run(0)] + [h.result() for h in helpers]
 
 
-def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
+def _advance_groups(system, seqs, xs, t0, t1, tails=None, tail_t0=math.inf):
     """_advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
     tail_t0), the one way into the kernel from input sequences.
 
@@ -500,7 +504,7 @@ def _advance_groups(system, seqs, xs, t0, t1, tails, tail_t0):
     def run(i):
         part = slice(cuts[i], cuts[i + 1])
         return _advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
-                        tails[:, part], tail_t0)
+                        None if tails is None else tails[:, part], tail_t0)
 
     return np.concatenate(_run_groups(run, groups), axis=1)
 
@@ -519,17 +523,26 @@ def orbit(system, input_seq, x0, n, anchor=0):
     Trajectory
         states[j] is the state at time anchor + j, j = 0..n.
     """
+    return Trajectory(anchor=anchor,
+                      states=_orbits(system, input_seq, [x0], n, anchor)[0])
+
+
+def _orbits(system, input_seq, x0s, n, anchor=0):
+    """States (len(x0s), n + 1, d) of the orbits from each state in x0s,
+    all under one input, run as one lockstep ensemble: row k is
+    orbit(system, input_seq, x0s[k], n, anchor).states bit for bit."""
     d = system.state_dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
+    x0s = [np.asarray(x0, dtype=float) for x0 in x0s]
+    for x0 in x0s:
+        if x0.shape != (d,):
+            raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
     _require_input(system, input_seq, anchor + 1, anchor + n)
-    states = np.empty((1, 1, n + 1, d))
-    _advance_groups(system, [input_seq], x0[None, None], anchor, anchor + n,
+    states = np.empty((1, len(x0s), n + 1, d))
+    _advance_groups(system, [input_seq], np.stack(x0s)[None], anchor, anchor + n,
                     states, anchor)
-    return Trajectory(anchor=anchor, states=states[0, 0])
+    return states[0]
 
 
 def spectral_norm(mat):

@@ -24,14 +24,17 @@ import numpy as np
 
 from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
-from .core import ConfigurationError, _trim_heap, orbit
-from .index import (IndexProtocol, _divergence_step, ensemble_to_csv,
-                    estimate_echo_index, estimate_echo_indices, pullback_fibre,
-                    run_ensemble, separatrix_bisect)
+# orbit is not called here; the benchmark's tracer (bench/spans.py)
+# patches it under this module's name
+from .core import ConfigurationError, _orbits, _trim_heap, orbit
+from .index import (IndexProtocol, _divergence_step, _run_ensembles,
+                    ensemble_to_csv, estimate_echo_index, estimate_echo_indices,
+                    pullback_fibre, run_ensemble, separatrix_bisect)
 from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
 from .sequences import (_kind, d_prod, gen_context_task, gen_two_symbol,
-                        gen_uniform_scaled, splice_large_input, write_csv)
+                        gen_uniform_scaled, json_text, splice_large_input,
+                        write_csv)
 from .training import (ReservoirConfig, TrainedModel, closed_loop_eval, nrmse,
                        pca_project, ridge_readout, save_model,
                        teacher_forced_states)
@@ -122,8 +125,8 @@ def resolve_config(preset, seed=None, overrides=None):
     """Merge defaults with overrides, each cast to its default's type (a
     list element by element), so runners read every value as is.
     Unknown keys or presets are errors, and so is an override of another
-    _kind than its default's, or a non-integral number for an int (or
-    list-of-int) key."""
+    _kind than its default's, a non-integral number for an int (or
+    list-of-int) key, or a number its default's type cannot hold."""
     if preset not in DEFAULTS:
         raise KeyError(f"unknown preset {preset!r}; choose from "
                        f"{sorted(DEFAULTS)}")
@@ -137,17 +140,18 @@ def resolve_config(preset, seed=None, overrides=None):
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
                              f"a {_kind(default)}, got {value!r}")
         cast = type(default[0] if isinstance(default, list) else default)
-        if cast is int and not np.all(np.mod(value, 1) == 0):
+        try:
+            if cast is int and not np.all(np.mod(value, 1) == 0):
+                raise ValueError(f"config key {key!r} of preset {preset!r} "
+                                 f"takes integers, got {value!r}")
+            cfg[key] = (list(map(cast, value)) if isinstance(default, list)
+                        else cast(value))
+        except OverflowError:
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
-                             f"integers, got {value!r}")
-        cfg[key] = (list(map(cast, value)) if isinstance(default, list)
-                    else cast(value))
+                             f"a {cast.__name__}, got {value!r}, out of its "
+                             "range") from None
     cfg["seed"] = int(DEFAULT_SEEDS[preset] if seed is None else seed)
     return cfg
-
-
-def _write_json(doc, path):
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _bisect(on_hi_side, lo, hi, tol=0.0):
@@ -318,9 +322,10 @@ def _run_switching2d(cfg, out):
     if report.is_definite and report.index == 2:
         last_transient = report.diagnostics["rungs"][-1][1]
         t_end = last_transient + protocol.horizon
-        for name in ("R+", "R-"):
-            p0 = np.asarray(fibres[name]["point"])
-            state = orbit(params, seq, p0, t_end).final
+        names = ("R+", "R-")
+        ends = _orbits(params, seq, [fibres[name]["point"] for name in names],
+                       t_end)[:, -1]
+        for name, state in zip(names, ends):
             side = 1.0 if name == "R+" else -1.0
             reps = [c.final_state for c in report.clusters
                     if np.sign(c.final_state[1]) == side]
@@ -356,7 +361,7 @@ def _run_switching2d(cfg, out):
     direction = np.array([0.0, 1.0])
     pa = sep.boundary - 5e-12 * direction
     pb = sep.boundary + 5e-12 * direction
-    sa, sb = (orbit(params, seq, p, sep_horizon).states for p in (pa, pb))
+    sa, sb = _orbits(params, seq, [pa, pb], sep_horizon)
     div_step = _divergence_step(sa, sb, threshold=0.1)
     split_ok = (div_step is not None
                 and float(np.linalg.norm(sa[-1] - sb[-1])) > 0.5)
@@ -498,10 +503,10 @@ def _run_scalar_sweep(cfg, out):
                   map(itemgetter(*cols), table))
         outputs["sweep_results"] = str(path)
         steps = cfg["sample_steps"]
-        for w in w_list:
-            seq = gen_uniform_scaled(w, first, steps, seed)
-            run = run_ensemble(params, seq, cfg["sample_ics"],
-                               transient=0, horizon=steps, ic_seed=seed)
+        samples = _run_ensembles(
+            params, [gen_uniform_scaled(w, first, steps, seed) for w in w_list],
+            cfg["sample_ics"], transient=0, horizon=steps, ic_seed=seed)
+        for w, run in zip(w_list, samples):
             sample = out / f"sample_w{w:g}.csv"
             ensemble_to_csv(run, sample)
             outputs[f"sample_w{w:g}"] = str(sample)
@@ -687,8 +692,8 @@ def _run_context_task(cfg, out):
     ens_report = estimate_echo_index(params, task.pulses_off_input(), protocol,
                                      keep_rung=None if out is None else -1)
     if out is not None:
-        # read z1 now and drop the kept rung, whose arrays also hold the
-        # shift check's lane, before the outputs are written
+        # read z1 now and drop the kept rung, a view of the ladder's
+        # window buffer, before the outputs are written
         run = ens_report.ensemble
         z1_ks = range(run.tail_anchor, run.tail_anchor + run.horizon + 1)
         z1 = np.stack([tail @ params.w_out[0] for tail in run.trajectories])
@@ -766,16 +771,18 @@ def run_preset(preset, seed=None, out_dir=None, overrides=None):
     summary, assertions, outputs = _RUNNERS[preset](cfg, out)
     if out is not None:
         report_path = out / "report.json"
-        _write_json({"preset": preset, "ok": all(a.ok for a in assertions),
-                     "assertions": [a.to_dict() for a in assertions],
-                     "summary": summary}, report_path)
+        report_path.write_text(json_text(
+            {"preset": preset, "ok": all(a.ok for a in assertions),
+             "assertions": [a.to_dict() for a in assertions],
+             "summary": summary}, sort_keys=True))
         outputs["report"] = str(report_path)
         manifest_path = out / "manifest.json"
-        _write_json({"preset": preset, "seed": cfg["seed"],
-                     "overrides": {key: cfg[key] for key in overrides or {}},
-                     "resolved": cfg,
-                     "outputs": sorted(Path(p).name for p in outputs.values())},
-                    manifest_path)
+        manifest_path.write_text(json_text(
+            {"preset": preset, "seed": cfg["seed"],
+             "overrides": {key: cfg[key] for key in overrides or {}},
+             "resolved": cfg,
+             "outputs": sorted(Path(p).name for p in outputs.values())},
+            sort_keys=True))
         outputs["manifest"] = str(manifest_path)
     return ExperimentResult(preset=preset, config=cfg, assertions=assertions,
                             summary=summary, outputs=outputs)

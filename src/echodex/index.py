@@ -21,7 +21,9 @@ run under two bit-exact contracts:
 - Lockstep batching.  The members of every lane in one ladder rung
   form one (lanes, members, d) array, each row under its own lane's
   drive, and so do the midpoints of one separatrix round
-  (_bisect_round).  An input's lanes are its own and its shift lane,
+  (_bisect_round), the separatrix's two representatives, pair
+  divergence's two orbits (core._orbits) and the lanes of
+  _run_ensembles.  An input's lanes are its own and its shift lane,
   the input shifted by the protocol's shift_check, whose tails are the
   shift check's ensemble.  `orbit` is the kernel's one-member case, so
   each row is its solo orbit by construction; numpy must only compute
@@ -30,21 +32,33 @@ run under two bit-exact contracts:
   contiguous groups, one per CPU the process may use, on a thread pool
   shut down before the call returns; since rows are independent, they
   give the same bits at any CPU count.
-- Continuation.  A ladder rung whose transient does not shrink
-  restarts each member it shares with the previous rung from its state
-  at the new window's first step (its final state if that comes
-  first), evolving any overlap of the windows again.  A separatrix
-  round evolves its midpoints chunk by chunk, each chunk continuing
-  from the states the last one ended in.  By the cocycle identity
-  (iterating s steps and then t more equals iterating s + t steps under
-  the same input) the tails equal a fresh run's bit for bit.
+- Continuation.  An ensemble runs in two phases: one lockstep call
+  evolves every lane's members to the window's first step and writes
+  no tails (_evolve), then one call per lane group evolves that group's
+  window on from the states it reached (_Rung.window); a ladder rung
+  windows its shift lanes, then its main lanes.  A ladder rung whose
+  transient does not shrink restarts each member it shares with the
+  previous rung from its state at the new window's first step (its
+  final state if that comes first), evolving any overlap of the windows
+  again.  A separatrix round evolves its midpoints chunk by chunk, each
+  chunk continuing from the states the last one ended in.  By the
+  cocycle identity (iterating s steps and then t more equals iterating
+  s + t steps under the same input) every row still equals its solo
+  orbit, and the tails a fresh run's, bit for bit.
 
-A caller that also needs a rung's ensemble (to write it out) passes
-estimate_echo_indices' keep_rung; each report then holds that rung's
-EnsembleRun in report.ensemble, so no ensemble is evolved twice.
-Clustering deals a large ensemble's rows to groups, one per CPU the
-process may use, with the same bits at any CPU count; the groups share
-one scratch budget of 1 MiB for their pair differences
+A ladder holds one window of tails at a time: a buffer it allocates
+once, for the most members any rung windows in one lane group, and
+reuses for each rung's shift-lane window and then its main-lane window.
+The shift lanes are read before the main lanes' window overwrites them:
+their verdicts where the input could stabilise at that rung, and the
+states the next rung continues from.  A caller that also needs a rung's
+ensemble (to write it out) passes estimate_echo_indices' keep_rung;
+each report then holds that rung's EnsembleRun in report.ensemble, so no
+ensemble is evolved twice.  The kept run is a view of the buffer only
+for one input at a rung after which no window reuses the buffer; it is
+a copy otherwise.  Clustering deals a large ensemble's rows to groups,
+one per CPU the process may use, with the same bits at any CPU count;
+the groups share one scratch budget of 1 MiB for their pair differences
 (_PAIR_SCRATCH_BYTES), whatever the ensemble's size, beside one row of
 (m - 1) x W squared distances each.  A pullback fibre's one diameter,
 measured on its final points, keeps its scratch in one block of about
@@ -52,8 +66,9 @@ measured on its final points, keeps its scratch in one block of about
 
 A ladder makes one exact clustering pass per input: the report it
 keeps, of the rung where the input stabilises or of its last rung, is
-cluster_asymptotics itself.  Every other rung and every shift check
-reads only an index, from _rung_verdict: the triangle inequality
+cluster_asymptotics itself, and at the last rung its index is that
+rung's verdict.  Every other rung and every shift check reads only an
+index, from _rung_verdict: the triangle inequality
 through a few pivot members, widened by a rounding bound, decides it
 wherever each pair lies surely below tol/4 or surely beyond 4 tol, and
 the exact pass decides the rest.  So every verdict equals the exact
@@ -68,8 +83,10 @@ from functools import partial
 
 import numpy as np
 
+# orbit is not called here; the benchmark's tracer (bench/spans.py)
+# patches it under this module's name
 from .core import (ConfigurationError, RnnParams, _advance_groups, _group_count,
-                   _require_input, _run_groups, orbit, step_batch)
+                   _orbits, _require_input, _run_groups, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
 from .sequences import shift, write_csv
@@ -107,52 +124,67 @@ class EnsembleRun:
 
 @dataclass(frozen=True)
 class _Rung:
-    """Members of one ladder rung for several lanes at one anchor.
+    """Members of one ensemble for several lanes at one anchor, evolved
+    to the first step of their window, anchor + transient.
 
-    ics is (lanes, m, d); tails (lanes, m, horizon + 1, d) holds each
-    member's window, ending at anchor + transient + horizon.
+    ics and starts are (lanes, m, d): each member's IC and its state at
+    the window's first step, lane i under seqs[i].  window() evolves a
+    group of lanes on through the window; every row stays its solo orbit.
     """
 
+    system: object
+    seqs: list
     ics: np.ndarray
-    tails: np.ndarray
+    starts: np.ndarray
+    anchor: int
     transient: int
+    horizon: int
 
-    def carry(self, rows, transient):
-        """(states, s) for a next rung of `rows` with `transient`: each
-        member's state s steps past the anchor, s being the next window's
-        first step or the member's final step, whichever comes first.
-        None if the transient shrinks: every member restarts at the anchor."""
+    def window(self, lanes, tails):
+        """Write the windows of the lanes in the slice `lanes` into tails
+        (lanes, m, horizon + 1, d), each member's states from anchor +
+        transient to anchor + transient + horizon, and return tails."""
+        t0 = self.anchor + self.transient
+        _advance_groups(self.system, self.seqs[lanes], self.starts[lanes], t0,
+                        t0 + self.horizon, tails, t0)
+        return tails
+
+    def carry(self, tails, transient):
+        """(states, s) for a next ensemble with `transient`, from the
+        window tails of some of this one's lanes: a copy of each member's
+        state s steps past the anchor, s being the next window's first step
+        or the member's final step, whichever comes first.  None if the
+        transient shrinks: every member restarts at the anchor."""
         if transient < self.transient:
             return None
-        s = min(transient, self.transient + self.tails.shape[2] - 1)
-        return self.tails[rows, :, s - self.transient], s
+        s = min(transient, self.transient + self.horizon)
+        return tails[:, :, s - self.transient].copy(), s
 
 
 def _evolve(system, seqs, ics, transient, horizon, anchor, carried=None):
-    """Tails (inputs, m, horizon + 1, d) of members ics[i] under seqs[i].
+    """_Rung of members ics[i] (lanes, m, d) under seqs[i], evolved in one
+    lockstep run to their window's first step, anchor + transient, with
+    no tails written.
 
-    `carried` is (states, s) from _Rung.carry of an earlier rung of the
-    same inputs, ICs and anchor: the members the two rungs share restart
+    `carried` is (states, s) from _Rung.carry of an earlier ensemble of
+    the same lanes, ICs and anchor: the members the two share restart
     from their states at s steps past the anchor, where the others join
-    them once evolved from the anchor.  Any part of this window that the
-    earlier rung also held is evolved again, bit-exact by the cocycle
+    them once evolved from the anchor.  Any part of the new window that
+    the earlier one also held is evolved again, bit-exact by the cocycle
     identity.  Without it every member starts at the anchor.
     """
     if transient < 0 or horizon < 1:
         raise ConfigurationError("need transient >= 0 and horizon >= 1")
     for seq in seqs:
         _require_input(system, seq, anchor + 1, anchor + transient + horizon)
-    tail_t0 = anchor + transient
-    tails = np.empty(ics.shape[:2] + (horizon + 1,) + ics.shape[2:])
     join, xs = anchor, ics
     if carried is not None:
         states, s = carried
         keep, join = min(ics.shape[1], states.shape[1]), anchor + s
-        fresh = _advance_groups(system, seqs, ics[:, keep:], anchor, join,
-                                tails[:, keep:], tail_t0)
+        fresh = _advance_groups(system, seqs, ics[:, keep:], anchor, join)
         xs = np.concatenate([states[:, :keep], fresh], axis=1)
-    _advance_groups(system, seqs, xs, join, tail_t0 + horizon, tails, tail_t0)
-    return tails
+    starts = _advance_groups(system, seqs, xs, join, anchor + transient)
+    return _Rung(system, seqs, ics, starts, anchor, transient, horizon)
 
 
 def _draw_ics(system, ic_seed, count):
@@ -179,6 +211,15 @@ def run_ensemble(system, input_seq, ics, transient, horizon, anchor=0, ic_seed=0
         Steps discarded / retained.  The input window must cover
         [anchor + 1, anchor + transient + horizon].
     """
+    return _run_ensembles(system, [input_seq], ics, transient, horizon, anchor,
+                          ic_seed)[0]
+
+
+def _run_ensembles(system, input_seqs, ics, transient, horizon, anchor=0,
+                   ic_seed=0):
+    """run_ensemble for each input sequence, all from the same ICs, as
+    one lockstep ensemble of a lane per input: one run to the window's
+    first step, then one for every lane's window."""
     d = system.state_dim
     if np.isscalar(ics):
         ics_arr = _draw_ics(system, ic_seed, ics)
@@ -188,12 +229,17 @@ def run_ensemble(system, input_seq, ics, transient, horizon, anchor=0, ic_seed=0
             ics_arr = ics_arr[:, None]
         if ics_arr.ndim != 2 or ics_arr.shape[1] != d:
             raise ConfigurationError(f"explicit ICs must be (m, {d}), got {ics_arr.shape}")
-    tails = _evolve(system, [input_seq], ics_arr[None], transient, horizon, anchor)[0]
-    return EnsembleRun(system=system, input_seq=input_seq,
-                       initial_conditions=ics_arr, transient=int(transient),
-                       horizon=int(horizon), anchor=int(anchor),
-                       ic_seed=int(ic_seed) if np.isscalar(ics) else -1,
-                       trajectories=tails)
+    seqs = list(input_seqs)
+    rung = _evolve(system, seqs, np.stack([ics_arr] * len(seqs)), transient,
+                   horizon, anchor)
+    tails = rung.window(slice(None), np.empty(
+        (len(seqs), ics_arr.shape[0], horizon + 1, d)))
+    return [EnsembleRun(system=system, input_seq=seq, initial_conditions=ics_arr,
+                        transient=int(transient), horizon=int(horizon),
+                        anchor=int(anchor),
+                        ic_seed=int(ic_seed) if np.isscalar(ics) else -1,
+                        trajectories=lane)
+            for seq, lane in zip(seqs, tails)]
 
 
 def ensemble_to_csv(run, path):
@@ -544,9 +590,15 @@ class IndexProtocol:
     shift_check: int = 13
 
     def __post_init__(self):
-        if len(self.ic_counts) != len(self.transients) or len(self.ic_counts) < 2:
+        if len(self.transients) < 2:
             raise ConfigurationError(
-                "protocol needs matching ic_counts/transients with >= 2 rungs")
+                "the ladder needs two or more transients, one per rung, got "
+                f"{tuple(self.transients)}")
+        if len(self.ic_counts) != len(self.transients):
+            raise ConfigurationError(
+                f"the ladder needs one IC count per transient, got "
+                f"{len(self.ic_counts)} IC counts for {len(self.transients)} "
+                "transients")
         if min(self.ic_counts) < 1 or min(self.transients) < 0:
             raise ConfigurationError(
                 "protocol needs ic_counts >= 1 and transients >= 0, got "
@@ -568,26 +620,31 @@ class IndexProtocol:
 
 
 def _ladder_rung(system, seqs, seeds, protocol, r, anchor, carried=None):
-    """Rung r of the protocol for every lane, continuing the `carried`
-    states of an earlier rung of the same lanes (_Rung.carry).  Each
-    distinct IC seed's ICs are drawn once, however many lanes share it."""
+    """Rung r of the protocol for every lane, evolved to its window's first
+    step (_evolve), continuing the `carried` states of an earlier rung of
+    the same lanes (_Rung.carry).  Each distinct IC seed's ICs are drawn
+    once, however many lanes share it."""
     count, transient = protocol.ic_counts[r], protocol.transients[r]
     drawn = {seed: _draw_ics(system, seed, count) for seed in set(seeds)}
     ics = np.stack([drawn[seed] for seed in seeds])
-    return _Rung(ics, _evolve(system, seqs, ics, transient, protocol.horizon,
-                              anchor, carried), int(transient))
+    return _evolve(system, seqs, ics, int(transient), protocol.horizon, anchor,
+                   carried)
 
 
-def _rung_runs(system, seqs, seeds, protocol, rung, anchor, rows, own=False):
-    """EnsembleRun of the members of each lane in `rows` of a rung
-    (seqs[k] and seeds[k] are lane k's): views of the rung's arrays, or
-    with `own` copies that do not hold the whole rung alive."""
-    return [EnsembleRun(system=system, input_seq=seqs[k],
-                        initial_conditions=rung.ics[k].copy() if own else rung.ics[k],
-                        transient=rung.transient, horizon=int(protocol.horizon),
-                        anchor=int(anchor), ic_seed=seeds[k],
-                        trajectories=rung.tails[k].copy() if own else rung.tails[k])
-            for k in rows]
+def _rung_runs(rung, seeds, tails):
+    """EnsembleRun of each lane's members of a rung whose window `tails`
+    holds (seeds[k] is lane k's): views of the rung's arrays."""
+    return [EnsembleRun(system=rung.system, input_seq=rung.seqs[k],
+                        initial_conditions=rung.ics[k], transient=rung.transient,
+                        horizon=int(rung.horizon), anchor=int(rung.anchor),
+                        ic_seed=seeds[k], trajectories=tails[k])
+            for k in range(tails.shape[0])]
+
+
+def _owned(run):
+    """run with copies of its arrays, which hold no buffer alive."""
+    return replace(run, initial_conditions=run.initial_conditions.copy(),
+                   trajectories=run.trajectories.copy())
 
 
 def _window(tails, protocol):
@@ -633,9 +690,15 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     i runs as two lanes of every rung it reaches: its own, and its shift
     lane, shift(seq_i, protocol.shift_check) at `anchor` with the same
     ICs, which is seq_i's ensemble at anchor + shift_check.  Every rung
-    evolves the lanes of the inputs still open as one batch; where the
-    protocol allows, each member the previous rung shares restarts from
-    the one state carried from it (_Rung.carry).  An input that
+    evolves the lanes of the inputs still open to their window's first
+    step as one batch; where the protocol allows, each member the
+    previous rung shares restarts from the one state carried from it
+    (_Rung.carry).  Then the shift lanes' window and the main lanes'
+    window are evolved, in that order, into one buffer of tails the
+    ladder allocates once and reuses at every rung.  From the shift
+    lanes' window the ladder reads their carried states and, for each
+    input whose previous rung's verdict is definite (the inputs that can
+    stabilise at this rung), its shift verdict.  An input that
     stabilises at a rung has its shift lane checked there and leaves the
     ladder with both lanes; an input that never stabilises evolves its
     shift lane through every rung too.
@@ -646,19 +709,21 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     distances where they suffice and by the exact pass otherwise.  The
     one report kept, of the rung where the input stabilises or of the
     last rung, is the exact cluster_asymptotics call, so each input makes
-    one exact pair pass where the bounds decide.
+    one exact pair pass where the bounds decide; at the last rung the
+    report's index is the rung's verdict.
 
     keep_rung (a protocol rung index, negative from the end) makes each
     report carry that rung's ensemble at `anchor` in report.ensemble,
     bit-identical to run_ensemble(system, seq, ic_counts[r],
     transients[r], horizon, anchor, ic_seed), or None if the ladder
-    stopped before that rung.  It is built from the rung's own arrays
-    (views for one input, which hold its shift lane too, and a copy per
-    input for several), so keeping a rung evolves nothing more.  Beyond
-    the rungs' tails, clustering needs only (m, m) results, 1 MiB of pair
-    scratch shared by its row groups and one row of (m - 1) x W squared
-    distances per group (_pair_distances); a verdict needs one block of
-    that scratch and one (m, W) row.
+    stopped before that rung.  It is built from the rung's own arrays:
+    for one input, views of its ICs and of the buffer, unless a later
+    rung's window reuses the buffer; otherwise a copy per input, which
+    holds no other input's tails.  So keeping a rung evolves nothing
+    more.  Beyond one lane group's window of tails, clustering needs only
+    (m, m) results, 1 MiB of pair scratch shared by its row groups and one
+    row of (m - 1) x W squared distances per group (_pair_distances); a
+    verdict needs one block of that scratch and one (m, W) row.
     """
     protocol = protocol or IndexProtocol()
     seqs = list(input_seqs)
@@ -673,40 +738,57 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
             raise ConfigurationError(
                 f"keep_rung {keep_rung} outside a {n_rungs}-rung protocol")
         keep_rung %= n_rungs
-    n, tol = len(seqs), protocol.cluster_tol
+    n, tol, horizon = len(seqs), protocol.cluster_tol, protocol.horizon
     shifted_seqs = [shift(seq, protocol.shift_check) for seq in seqs]
     history = [[] for _ in seqs]
     reports, kept, shifted = [None] * n, [None] * n, [None] * n
     open_, carried = list(range(n)), None
+    # one window of one lane group, the most any rung holds: each window
+    # of each rung is a view of its first m x count x (horizon + 1) x d
+    buffer = np.empty(n * max(protocol.ic_counts) * (horizon + 1)
+                      * system.state_dim)
     for r in range(n_rungs):
         if not open_:
             break
         # lane row is input open_[row], lane m + row its shift lane
-        m = len(open_)
+        m, last = len(open_), r + 1 == n_rungs
         rung_seqs = [seqs[i] for i in open_] + [shifted_seqs[i] for i in open_]
         rung_seeds = [seeds[i] for i in open_] * 2
         rung = _ladder_rung(system, rung_seqs, rung_seeds, protocol, r, anchor,
                             carried)
-        runs = _rung_runs(system, rung_seqs, rung_seeds, protocol, rung, anchor,
-                          range(m), own=r == keep_rung and m > 1)
+        count, d = rung.ics.shape[1:]
+        tails = buffer[:m * count * (horizon + 1) * d].reshape(
+            m, count, horizon + 1, d)
+        # the shift lanes' window first, read before the main lanes' window
+        # overwrites it: the verdicts of inputs that could stabilise at this
+        # rung, and the states the next rung continues from
+        rung.window(slice(m, None), tails)
+        for row, i in enumerate(open_):
+            if history[i] and history[i][-1] is not None:
+                shifted[i] = _rung_verdict(_window(tails[row], protocol), tol)
+        shift_carry = None if last else rung.carry(tails, protocol.transients[r + 1])
+        rung.window(slice(0, m), tails)
+        runs = _rung_runs(rung, rung_seeds, tails)
         rows = []
         for row, i in enumerate(open_):
-            if r == keep_rung:
-                kept[i] = runs[row]
-            history[i].append(_rung_verdict(_window(rung.tails[row], protocol), tol))
-            stable = _stable(history[i])
-            if stable:
-                shifted[i] = _rung_verdict(_window(rung.tails[m + row], protocol),
-                                           tol)
-            if stable or r + 1 == n_rungs:
+            if last:  # the report is the exact pass: its index is the verdict
+                reports[i] = cluster_asymptotics(runs[row], tol, protocol.window)
+                history[i].append(reports[i].index)
+                continue
+            history[i].append(_rung_verdict(_window(tails[row], protocol), tol))
+            if _stable(history[i]):
                 reports[i] = cluster_asymptotics(runs[row], tol, protocol.window)
             else:
                 rows.append(row)
-        if r + 1 < n_rungs:
-            carried = rung.carry(rows + [m + row for row in rows],
-                                 protocol.transients[r + 1])
-        # free the full tails before the next rung allocates its own
-        rung = runs = None
+        if r == keep_rung:
+            # a view only while no later window reuses the buffer, and of
+            # one input, whose run then holds no other input's tails
+            for row, i in enumerate(open_):
+                kept[i] = _owned(runs[row]) if m > 1 or rows else runs[row]
+        carried = None  # the last rung, or a shrinking transient
+        if shift_carry is not None:
+            states, s = rung.carry(tails, protocol.transients[r + 1])
+            carried = np.concatenate([states[rows], shift_carry[0][rows]]), s
         open_ = [open_[row] for row in rows]
     return [replace(_final_report(reports[i], history[i], shifted[i], protocol,
                                   anchor), ensemble=kept[i])
@@ -931,8 +1013,7 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
     _check_tol(cluster_tol)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    rep_a = orbit(system, input_seq, lo, horizon, anchor=anchor).states
-    rep_b = orbit(system, input_seq, hi, horizon, anchor=anchor).states
+    rep_a, rep_b = _orbits(system, input_seq, [lo, hi], horizon, anchor)
     if np.linalg.norm(rep_a[-1] - rep_b[-1]) <= 10 * cluster_tol:
         raise ConfigurationError("lo and hi converge to the same basin")
     a, b = lo.copy(), hi.copy()
@@ -965,9 +1046,8 @@ def separatrix_bisect(system, input_seq, lo, hi, horizon=600, max_iters=80,
 
 def pair_divergence_step(system, input_seq, a, b, threshold, horizon, anchor=0):
     """First step at which two orbits drift more than `threshold` apart."""
-    sa = orbit(system, input_seq, a, horizon, anchor=anchor).states
-    sb = orbit(system, input_seq, b, horizon, anchor=anchor).states
-    return _divergence_step(sa, sb, threshold)
+    return _divergence_step(*_orbits(system, input_seq, [a, b], horizon, anchor),
+                            threshold)
 
 
 def _divergence_step(sa, sb, threshold):

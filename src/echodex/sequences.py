@@ -315,6 +315,43 @@ def write_csv(path, header, fmt, rows):
         f.writelines(map((fmt + "\n").__mod__, rows))
 
 
+def json_text(doc, sort_keys=False):
+    """doc as json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n" spells
+    it.  Every JSON file and printout of the package goes through here.
+    A list of floats is joined in one pass with float.__repr__, json's
+    spelling of a finite float, where the pure-Python encoder an indent
+    forces on json would write it item by item."""
+    parts = []
+    _json_parts(doc, "\n", sort_keys, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_parts(value, pad, sort_keys, parts):
+    """Append value's text to parts at the indent of `pad`, a newline
+    and one space per level, as json.dumps(indent=1) writes it."""
+    inner = pad + " "
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" not in text:  # nan and inf, which json spells NaN, Infinity
+                parts += ("[", inner, text, pad, "]")
+                return
+        for k, item in enumerate(value):
+            parts += ("," if k else "[", inner)
+            _json_parts(item, inner, sort_keys, parts)
+        parts += (pad, "]")
+    elif isinstance(value, dict) and value:
+        items = sorted(value.items()) if sort_keys else value.items()
+        for k, (key, item) in enumerate(items):
+            name = key if isinstance(key, str) else json.dumps(key)
+            parts += ("," if k else "{", inner, json.dumps(name), ": ")
+            _json_parts(item, inner, sort_keys, parts)
+        parts += (pad, "}")
+    else:
+        parts.append(json.dumps(value))
+
+
 def save_sequence(seq, path):
     """Write CSV with header k,u_1..u_{n_i}."""
     write_csv(path, "k," + ",".join(f"u_{j + 1}" for j in range(seq.n_i)),

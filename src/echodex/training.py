@@ -18,6 +18,7 @@ import numpy as np
 from .core import (ConfigurationError, RnnParams, _advance, _require_input,
                    _rows_gemv, orbit)
 from .rng import DOMAIN_NOISE, DOMAIN_WEIGHTS, substream
+from .sequences import json_text
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class TrainedModel:
 
 
 def save_model(model, path):
-    Path(path).write_text(json.dumps(model.to_dict(), indent=1) + "\n")
+    Path(path).write_text(json_text(model.to_dict()))
 
 
 def load_model(path):

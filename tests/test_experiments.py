@@ -179,9 +179,11 @@ def test_ladder_presets_take_one_rung_per_transient(capsys):
     result = run_switching2d(transients=[200, 400, 800])
     assert result.ok, result.failures()
     assert result.summary["index"] == "2"
-    # a ladder needs two rungs to agree
+    # a ladder needs two rungs to agree, and the refusal names the key a
+    # preset sets
     code, doc = run_cli(capsys, ["switching2d", "--set", "transients=[400]"])
-    assert code == 2 and ">= 2 rungs" in doc["error"]
+    assert code == 2 and "two or more transients" in doc["error"]
+    assert "ic_counts" not in doc["error"]
 
 
 def test_removed_window_and_bracket_keys_are_rejected(capsys):
@@ -246,6 +248,16 @@ def test_cli_override_of_the_wrong_kind_exits_two(capsys, preset, pair, key):
     code, doc = run_cli(capsys, [preset, "--set", pair])
     assert code == 2 and doc["ok"] is False
     assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
+
+
+@pytest.mark.parametrize("pair, key", [
+    ("a=1" + "0" * 400, "a"), ("ics=1" + "0" * 29 + "1", "ics")],
+    ids=["beyond-a-float", "beyond-a-64-bit-integer"])
+def test_cli_override_out_of_its_types_range_exits_two(capsys, pair, key):
+    code, doc = run_cli(capsys, ["kloeden", "--set", pair])
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
+    assert "out of its range" in doc["error"]
 
 
 def test_context_task_refuses_a_window_beyond_its_horizon_before_training(

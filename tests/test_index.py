@@ -79,6 +79,20 @@ def test_scalar_fast_path_matches_solo_orbits():
         assert np.array_equal(run.trajectories[i], ref[50:])
 
 
+def rung_window(rung):
+    """Window tails (lanes, m, horizon + 1, d) of every lane of a _Rung,
+    evolved in one call."""
+    return rung.window(slice(None), np.empty(
+        rung.ics.shape[:2] + (rung.horizon + 1,) + rung.ics.shape[2:]))
+
+
+def lockstep_tails(system, seqs, ics, transient, horizon, anchor):
+    """Tails of members ics[i] under seqs[i]: evolved to the window's first
+    step in one lockstep run, then through the window in another."""
+    return rung_window(index._evolve(system, seqs, ics, transient, horizon,
+                                     anchor))
+
+
 @pytest.mark.parametrize("n_r", [2, 30, 200])
 @pytest.mark.parametrize("wiring", ["none", "feedback", "context"])
 def test_lockstep_rows_equal_solo_orbits(n_r, wiring):
@@ -91,7 +105,7 @@ def test_lockstep_rows_equal_solo_orbits(n_r, wiring):
             for scale in (0.1, 1.0, 3.0)]
     for m in (1, 7, 100):
         ics = np.stack([rng.uniform(-1, 1, (m, n_r)) for _ in seqs])
-        tails = index._evolve(params, seqs, ics, transient=25, horizon=30, anchor=0)
+        tails = lockstep_tails(params, seqs, ics, transient=25, horizon=30, anchor=0)
         for i, seq in enumerate(seqs):
             for k in range(m):
                 ref = orbit(params, seq, ics[i, k], 55).states[25:]
@@ -116,7 +130,7 @@ def test_lockstep_rows_equal_step_one_on_a_kloeden_system():
             InputSequence(anchor=-40, values=rng.uniform(0.7, 1.5, (101, 1))),
             InputSequence(anchor=-40, values=rng.uniform(1.2, 3.0, (101, 1)))]
     ics = rng.uniform(-1, 1, (3, 7, 1))
-    tails = index._evolve(system, seqs, ics, transient=60, horizon=40, anchor=-40)
+    tails = lockstep_tails(system, seqs, ics, transient=60, horizon=40, anchor=-40)
     for i, seq in enumerate(seqs):
         for k in range(7):
             x = ics[i, k]
@@ -787,25 +801,31 @@ def test_shift_lanes_reproduce_the_two_phase_ladder(shift_check, anchor,
             gen_uniform_scaled(1.1, -5, 400, seed=1)]
     seeds = [3, 1, 0, 2, 0]
     protocol = replace(SHORT_LADDER, shift_check=shift_check)
-    rungs, outside = [], []
-    ladder_rung, advance = index._ladder_rung, core._advance
+    rungs, windows, inside, outside = [], [], [], []
+    advance = core._advance
 
-    def counting_rung(*args, **kwargs):
-        rungs.append(True)
-        try:
-            return ladder_rung(*args, **kwargs)
-        finally:
-            rungs[-1] = False
+    def counted(fn, calls):
+        def run(*args, **kwargs):
+            calls.append(True)
+            inside.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
 
     def checking_advance(*args):
-        outside.append(not (rungs and rungs[-1]))
+        outside.append(not inside)
         return advance(*args)
-    monkeypatch.setattr(index, "_ladder_rung", counting_rung)
+    monkeypatch.setattr(index, "_ladder_rung", counted(index._ladder_rung, rungs))
+    monkeypatch.setattr(index._Rung, "window", counted(index._Rung.window, windows))
     monkeypatch.setattr(core, "_advance", checking_advance)
     many = estimate_echo_indices(params, seqs, protocol, anchor=anchor,
                                  ic_seeds=seeds)
-    # one evolution per rung, each inside a rung; no second pass
+    # one evolution to the window per rung, then one window per lane group
+    # (shift lanes, main lanes); no second pass
     assert len(rungs) == max(len(r.diagnostics["rungs"]) for r in many) == 3
+    assert len(windows) == 2 * len(rungs)
     assert not any(outside)
     monkeypatch.undo()
     for seq, seed, rep in zip(seqs, seeds, many):
@@ -844,8 +864,9 @@ def test_a_ladder_makes_one_exact_pass_per_input(monkeypatch):
 def continued_rung(system, seqs, seeds, protocol, r):
     """Tails of rung r continued from rung r - 1, as the ladder does it."""
     prev = index._ladder_rung(system, seqs, seeds, protocol, r - 1, 0)
-    carried = prev.carry(list(range(len(seqs))), protocol.transients[r])
-    return index._ladder_rung(system, seqs, seeds, protocol, r, 0, carried).tails
+    carried = prev.carry(rung_window(prev), protocol.transients[r])
+    return rung_window(index._ladder_rung(system, seqs, seeds, protocol, r, 0,
+                                          carried))
 
 
 def fresh_rung(system, seq, seed, protocol, r):
@@ -883,9 +904,11 @@ def test_continued_rung_is_bit_exact_on_the_scalar_path(monkeypatch):
         steps.clear()
         tails = continued_rung(params, seqs, seeds, SHORT_LADDER, r)
         if r == 1:
-            # the shared members restart from their states at 60, the
-            # next window's first step; the overlap 60..70 is evolved again
-            assert steps == [(8, 70), (4, 60), (12, 30)]
+            # rung 0 runs to its window's first step, 40, then through its
+            # window; the shared members restart from their states at 60,
+            # the next window's first step, so every member is there at
+            # once, and the overlap 60..70 is evolved again
+            assert steps == [(8, 40), (8, 30), (4, 60), (12, 0), (12, 30)]
         for i, (seq, seed) in enumerate(zip(seqs, seeds)):
             assert np.array_equal(tails[i],
                                   fresh_rung(params, seq, seed, SHORT_LADDER, r))
@@ -904,8 +927,9 @@ def test_continued_rung_is_bit_exact_on_a_reservoir_with_feedback(monkeypatch):
                           window=30)
     steps = count_advanced_steps(monkeypatch)
     tails = continued_rung(params, [seq], [7], proto, 1)[0]
-    # rung 2 continues all five members for 100 steps, no restart
-    assert steps == [(5, 90), (5, 100)]
+    # rung 2 continues all five members from rung 1's last step, 90, to
+    # its window's first step, 150, no restart
+    assert steps == [(5, 50), (5, 40), (5, 60), (5, 40)]
     assert np.array_equal(tails, fresh_rung(params, seq, 7, proto, 1))
 
 
@@ -919,10 +943,12 @@ def test_continued_rung_is_bit_exact_under_the_default_protocol(
         tails = continued_rung(switching_system, [seq], [5], proto, r)
         shared, count = proto.ic_counts[r - 1], proto.ic_counts[r]
         join = proto.transients[r - 1] + proto.horizon
-        # rung r - 1 runs from the anchor; rung r runs its new members from
-        # the anchor to rung r - 1's end, then every member on from there
-        assert steps == [(shared, join), (count - shared, join),
-                         (count, proto.transients[r] - proto.transients[r - 1])]
+        # rung r - 1 runs from the anchor to its window, then through it;
+        # rung r runs its new members from the anchor to rung r - 1's end,
+        # then every member on from there to its window, then through it
+        assert steps == [(shared, proto.transients[r - 1]), (shared, proto.horizon),
+                         (count - shared, join),
+                         (count, proto.transients[r] - join), (count, proto.horizon)]
         assert shared < count
         assert np.array_equal(tails[0], fresh_rung(switching_system, seq, 5,
                                                    proto, r))
@@ -933,7 +959,8 @@ def test_shrinking_transient_falls_back_to_fresh_evolution(
     proto = IndexProtocol(ic_counts=(6, 6), transients=(300, 150), horizon=120)
     steps = count_advanced_steps(monkeypatch)
     tails = continued_rung(switching_system, [switching_input], [2], proto, 1)
-    assert steps[1:] == [(6, 270)]  # every member restarts at the anchor
+    # after rung 0's two calls every member restarts at the anchor
+    assert steps[2:] == [(6, 150), (6, 120)]
     assert np.array_equal(tails[0], fresh_rung(switching_system, switching_input,
                                                2, proto, 1))
 
@@ -1027,6 +1054,36 @@ def test_many_input_ladder_keeps_one_run_per_input(monkeypatch):
                            for b in runs if b is not a)
 
 
+@pytest.mark.parametrize("keep_rung", [None, -1])
+def test_a_ladder_holds_one_lane_groups_window_at_a_time(keep_rung, monkeypatch):
+    # one lane's window is 2.9 MB here: the shift lanes' window and the
+    # main lanes' share one buffer, and a kept last rung is a view of it
+    n_r, m, horizon = 50, 60, 120
+    rng = np.random.default_rng(8)
+    w = rng.uniform(-1, 1, (n_r, n_r))
+    params = RnnParams(alpha=1.0, w_r=0.8 * w / np.linalg.norm(w, 2),
+                       w_in=rng.uniform(-1, 1, (n_r, 1)))
+    proto = IndexProtocol(ic_counts=(m, m), transients=(20, 40), horizon=horizon,
+                          window=100)
+    seq = gen_uniform_scaled(0.5, -5, proto.reach, seed=2)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        rep = estimate_echo_index(params, seq, proto, keep_rung=keep_rung)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict() == "1" and len(rep.diagnostics["rungs"]) == 2
+    if keep_rung is not None:
+        assert rep.ensemble.trajectories.base is not None
+    # one lane's window, the exact pass's scratch, results and row of
+    # squares (test_pair_distances_scratch_is_bounded), and a few arrays
+    # of both lanes' states; holding both lanes' windows adds 2.9 MB
+    window, states = m * (horizon + 1) * n_r * 8, 2 * m * n_r * 8
+    assert peak < (window + index._PAIR_SCRATCH_BYTES + 12 * m * m * 8
+                   + m * proto.window * 8 + 4 * states)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_member_groups_give_the_bits_of_one_run(cpus, monkeypatch):
     # every network ensemble split into groups on `cpus` threads: the
@@ -1062,10 +1119,12 @@ def test_member_groups_give_the_bits_of_one_run(cpus, monkeypatch):
 
 
 def test_protocol_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="two or more transients"):
         IndexProtocol(ic_counts=(16,), transients=(100,))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="two or more transients"):
         IndexProtocol(ic_counts=(16, 24), transients=(100,))
+    with pytest.raises(ConfigurationError, match="one IC count per transient"):
+        IndexProtocol(ic_counts=(16,), transients=(100, 200))
     # refused when built, not once a rung starts
     for ics, transients in (((0, 24), (100, 200)), ((16, -1), (100, 200)),
                             ((16, 24), (-5, 10)), ((16, 24), (100, -1))):
@@ -1268,7 +1327,7 @@ def test_clustering_and_bisection_refuse_a_tol_that_is_not_positive(
     # and no bisection midpoint could commit: refused before any orbit
     def no_orbit(*args, **kwargs):
         raise AssertionError("an orbit was evolved")
-    monkeypatch.setattr(index, "orbit", no_orbit)
+    monkeypatch.setattr(core, "_advance", no_orbit)
     with pytest.raises(ConfigurationError,
                        match="cluster_tol must be positive and finite"):
         separatrix_bisect(bistable_scalar(), const_seq(0.0, -1, 300),
@@ -1327,14 +1386,15 @@ def test_other_systems_orbits_are_checked_like_reservoir_orbits():
 
 
 def count_orbit_steps(monkeypatch):
-    """Record (anchor, n) of every orbit call made through index."""
+    """Record (orbits, anchor, n) of every lockstep run of solo orbits
+    (core._orbits) made through index."""
     calls = []
 
-    def counted(params, seq, x0, n, anchor=0):
-        calls.append((anchor, n))
-        return orbit(params, seq, x0, n, anchor=anchor)
+    def counted(params, seq, x0s, n, anchor=0):
+        calls.append((len(x0s), anchor, n))
+        return core._orbits(params, seq, x0s, n, anchor)
 
-    monkeypatch.setattr(index, "orbit", counted)
+    monkeypatch.setattr(index, "_orbits", counted)
     return calls
 
 
@@ -1482,11 +1542,12 @@ def test_separatrix_midpoints_stop_at_commit(switching_system, switching_input,
         monkeypatch.undo()
         assert_same_bisection(res, full)
         assert (res.warning is not None) == warns
-        # the representatives run the full horizon as solo orbits; each
-        # chunk continues the last or starts a round's midpoints at the
-        # anchor, and a round stops at the chunk that decides its path:
-        # before the horizon, unless a midpoint on it never commits
-        assert calls == [(0, horizon), (0, horizon)]
+        # the representatives run the full horizon as a lockstep pair of
+        # solo orbits; each chunk continues the last or starts a round's
+        # midpoints at the anchor, and a round stops at the chunk that
+        # decides its path: before the horizon, unless a midpoint on it
+        # never commits
+        assert calls == [(2, 0, horizon)]
         assert all(t0 in (0, last[2]) for last, (_, t0, _)
                    in zip([(0, 0, 0)] + chunks, chunks))
         starts = [i for i, (_, t0, _) in enumerate(chunks) if t0 == 0]
@@ -1533,11 +1594,11 @@ def test_separatrix_rounds_cut_the_kernel_steps(switching_system,
     levels, chunk = index._BISECT_LEVELS, index._COMMIT_CHUNK
     assert res.warning is None and len(res.trace) == len(commits)
     assert rounds == [levels] * -(-len(commits) // levels)
-    # the representatives, then the rounds' chunks, against the chunks a
-    # midpoint at a time would need
-    assert steps[:2] == [(1, 600), (1, 600)]
+    # the representatives as one lockstep pair, then the rounds' chunks,
+    # against the chunks a midpoint at a time would need
+    assert steps[:1] == [(2, 600)]
     sequential = sum(min(600, chunk * max(1, -(-t // chunk))) for t in commits)
-    assert 3 * sum(n for _, n in steps[2:]) <= sequential
+    assert 3 * sum(n for _, n in steps[1:]) <= sequential
 
 
 def brute_hausdorff(a, b):

@@ -8,7 +8,7 @@ from echodex import (InputSequence, WindowExhausted, d_prod, d_unif,
                      gen_context_task, gen_two_symbol, gen_uniform_scaled,
                      load_input, load_sequence, save_sequence, shift,
                      splice_large_input)
-from echodex.sequences import write_csv
+from echodex.sequences import json_text, write_csv
 
 
 def rand_seq(rng, n_i=2, first=-6, last=6):
@@ -254,6 +254,26 @@ def test_write_csv_formats_every_column_kind(tmp_path):
         f"{w:g},{s},{i},{int(f)},{x:.17g}" for w, s, i, f, x in rows]
     write_csv(path, "k", "%d", [])
     assert path.read_bytes() == b"k\n"
+
+
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_spells_what_json_dumps_does(sort_keys):
+    # float lists (fast) with nan, inf and -0.0 among them (json's
+    # spelling), float subclasses, mixed and nested lists, tuples, empty
+    # containers, non-ASCII text and a non-str key
+    rng = np.random.default_rng(0)
+    doc = {"w_r": rng.standard_normal((3, 4)).tolist(), "alpha": 1.0,
+           "finite": [0.1, -0.0, 1e-300, 5e300, 2.0], "n": 3,
+           "odd": [1.0, math.nan, math.inf, -math.inf],
+           "mixed": [1, 2.5, True, None, "ü\"\n", np.float64(0.1)],
+           "pair": (1.5, 2.5), "empty": {"list": [], "dict": {}, "tuple": ()},
+           "nested": [[[]], [{}], {"k": [{"a": [0.5]}]}], "flag": False}
+    docs = [doc, [], {}, 0.1, math.nan, "x", None, [np.float64(0.25)]]
+    if not sort_keys:
+        docs.append({1.5: "a float key", 2: [3.0]})
+    for d in docs:
+        assert json_text(d, sort_keys) == json.dumps(d, indent=1,
+                                                     sort_keys=sort_keys) + "\n"
 
 
 def test_generator_spec_json_loads_to_the_generators_sequence(tmp_path):

@@ -39,6 +39,8 @@ EXPERIMENTS = "tests/test_experiments.py::"
 
 CONTRACTION = "tests/test_contraction.py::"
 
+SEQUENCES = "tests/test_sequences.py::"
+
 MUTANTS = [
     # the thread pool (core._run_groups) and member groups on it
     # (core._advance_groups)
@@ -77,14 +79,29 @@ MUTANTS = [
            (EXPERIMENTS + "test_small_presets_never_build_a_thread_pool",)),
     # continued rungs (index._Rung.carry)
     Mutant("carry index off by one", "index.py",
-           "self.tails[rows, :, s - self.transient], s",
-           "self.tails[rows, :, s - self.transient - 1], s",
+           "tails[:, :, s - self.transient].copy(), s",
+           "tails[:, :, s - self.transient - 1].copy(), s",
            (INDEX + "test_continued_rung_is_bit_exact_on_the_scalar_path",
             INDEX + "test_continued_rung_is_bit_exact_under_the_default_protocol")),
     Mutant("shrinking-transient guard removed", "index.py",
            "if transient < self.transient:",
            "if False:",
            (INDEX + "test_shrinking_transient_falls_back_to_fresh_evolution",)),
+    # the ladder's one window buffer (index.estimate_echo_indices): the
+    # shift lanes' window is read before the main lanes' overwrites it
+    Mutant("a shift verdict read from a main lane", "index.py",
+           "rung.window(slice(m, None), tails)",
+           "rung.window(slice(0, m), tails)",
+           (INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder",
+            INDEX + "test_many_input_ladder_matches_one_input_ladders")),
+    Mutant("early shift verdict's condition inverted", "index.py",
+           "if history[i] and history[i][-1] is not None:",
+           "if history[i] and history[i][-1] is None:",
+           (INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder",)),
+    Mutant("a kept view left uncopied before the buffer is reused", "index.py",
+           "_owned(runs[row]) if m > 1 or rows else runs[row]",
+           "_owned(runs[row]) if m > 1 else runs[row]",
+           (INDEX + "test_kept_rung_equals_a_fresh_run",)),
     # the ladder's stabilisation rule (index._stable) and shift check
     # (index._final_report)
     Mutant("stable only after three rungs", "index.py",
@@ -201,6 +218,11 @@ MUTANTS = [
            "if False:",
            (CONTRACTION + "test_region_refuses_bounds_that_are_not_finite",
             EXPERIMENTS + "test_cli_certify_refuses_a_region_bound_that_is_not_finite")),
+    # the one JSON writer (sequences.json_text)
+    Mutant("nan and inf in a float list spelled by repr", "sequences.py",
+           'if "n" not in text:',
+           "if True:",
+           (SEQUENCES + "test_json_text_spells_what_json_dumps_does",)),
     # presets' config: typed where it enters (experiments.resolve_config),
     # and context_task's refusals before training
     Mutant("every override cast to float", "experiments.py",
@@ -208,6 +230,10 @@ MUTANTS = [
            "cast = float",
            (EXPERIMENTS + "test_overrides_take_their_defaults_types",
             EXPERIMENTS + "test_manifest_records_each_override_in_its_defaults_type")),
+    Mutant("an override its type cannot hold let through", "experiments.py",
+           "except OverflowError:",
+           "except ZeroDivisionError:",
+           (EXPERIMENTS + "test_cli_override_out_of_its_types_range_exits_two",)),
     Mutant("two rungs whatever the transients", "experiments.py",
            '(cfg["ic_count"],) * len(cfg["transients"])',
            '(cfg["ic_count"],) * 2',
