@@ -24,7 +24,8 @@ index module's ensembles its many-member cases (so their rows equal
 solo orbits by construction), and
 training.teacher_forced_states one run under W_in u[k] plus the
 fed-back target plus noise.  _advance steps a copy of its states in
-place.  Two loops evolve states apart from it: index.pullback_fibre's
+place, in a run that writes no tails each lane's bit-identical members
+once.  Two loops evolve states apart from it: index.pullback_fibre's
 step_batch point cloud, and experiments._escapes_basin, fold_bisect's
 scalar orbit, which stops at its first escape.  numpy must only compute
 each stacked row on its own (stacked matmul runs one gemv per row).
@@ -403,6 +404,43 @@ def _drive(system, seqs, t0, t1):
         yield raw[:n] if w_in is None else w_in(raw[:n], out=mapped[:n])[:, :, None]
 
 
+def _distinct_rows(x):
+    """(rows, inverse) that keep each lane's distinct rows of x (lanes, r,
+    d) once, or None when no lane has fewer than r.  rows (lanes, w) holds
+    the rows kept, each lane's in order and padded with its row 0 to the
+    widest lane's count w; inverse (lanes, r) holds the kept row, counted
+    in rows, that each row's bits are in.
+
+    Rows are compared by their bits, never by value (0.0 and -0.0 stay
+    apart), and only within a lane.  A row is keyed by the wrapping sum of
+    its int64 words and merges onto the first row of its lane with its key
+    only if all their bits agree, so a key shared by unequal rows merges
+    none of them."""
+    lanes, r = x.shape[:2]
+    own = np.arange(r)
+    bits = x.view(np.int64)
+    key = bits.sum(axis=-1)
+    first = (key[:, :, None] == key[:, None, :]).argmax(axis=-1)
+    # confirm only the rows keyed as an earlier row: no state-sized gather
+    i, j = (first != own).nonzero()
+    differ = (bits[i, first[i, j]] != bits[i, j]).any(axis=-1)
+    first[i[differ], j[differ]] = j[differ]
+    kept = first == own
+    w = kept.sum(axis=1).max()
+    if w == r:
+        return None
+    new = kept.cumsum(axis=1) - 1
+    rows = np.zeros((lanes, w), dtype=np.intp)
+    i, j = kept.nonzero()
+    rows[i, new[i, j]] = j
+    return rows, np.take_along_axis(new, first, axis=1)
+
+
+def _front(a, shape):
+    """The first values of the C-contiguous array a, as an array of shape."""
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
     """Evolve members xs[i, k] (lanes, members, d) in lockstep from time
     t0, a step per drive block row (see _drive), lane i's members under
@@ -412,8 +450,19 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
     then _update's arithmetic; other systems step through
     step_batch(row[i], ...).  The states are copied once into part 0 of
     one _aligned_empty buffer (pre is part 1 for a network) and stepped
-    in place."""
-    if xs.shape[1] == 0:
+    in place.
+
+    A run that writes no tails steps each lane's bit-identical members
+    once.  Before each drive block, _distinct_rows keeps one row per
+    distinct state of each lane in the front of the same buffers; the
+    map from members to rows is applied once, to the final states.  This
+    is exact: every row is computed on its own (one gemv per row, an
+    elementwise tanh, or a rowwise step_batch), so rows with equal bits
+    under one lane's drive stay equal, and each row is still its solo
+    orbit bit for bit.  A run with tails steps every member: its tails
+    are full width."""
+    lanes, members = xs.shape[:2]
+    if members == 0:
         return xs
     rnn = isinstance(system, RnnParams)
     x, *scratch = _aligned_empty(xs.shape, 1 + rnn)
@@ -423,8 +472,18 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
     if rnn:
         m, pre, alpha = _matvec_rows(system.effective_matrix), scratch[0], system.alpha
         om, leak_free = 1.0 - alpha, alpha == 1.0
+    lane, inverse = np.arange(lanes)[:, None], None
     steps = count(t0 + 1)
     for block in drive:
+        merged = _distinct_rows(x) if tails is None and x.shape[1] > 1 else None
+        if merged is not None:
+            rows, rowmap = merged
+            inverse = rowmap if inverse is None else rowmap[lane, inverse]
+            kept = x[lane, rows]
+            x = _front(x, kept.shape)
+            x[...] = kept
+            if rnn:
+                pre = _front(scratch[0], kept.shape)
         for u, t in zip(block, steps):
             if rnn:
                 # inlined and in place: a Python call per step slows the
@@ -442,7 +501,7 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
                 x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
             if t >= tail_t0:
                 tails[:, :, t - tail_t0] = x
-    return x
+    return x if inverse is None else x[lane, inverse]
 
 
 # per-step multiply-adds (lanes x members x n_r**2) a network ensemble

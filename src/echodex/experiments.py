@@ -126,7 +126,8 @@ def resolve_config(preset, seed=None, overrides=None):
     list element by element), so runners read every value as is.
     Unknown keys or presets are errors, and so is an override of another
     _kind than its default's, a non-integral number for an int (or
-    list-of-int) key, or a number its default's type cannot hold."""
+    list-of-int) key, or a number its default's type cannot hold (an int
+    key's, or a list-of-int element's, beyond int64)."""
     if preset not in DEFAULTS:
         raise KeyError(f"unknown preset {preset!r}; choose from "
                        f"{sorted(DEFAULTS)}")
@@ -146,6 +147,8 @@ def resolve_config(preset, seed=None, overrides=None):
                                  f"takes integers, got {value!r}")
             cfg[key] = (list(map(cast, value)) if isinstance(default, list)
                         else cast(value))
+            if cast is int:  # every int the runners read fits an int64
+                np.array(cfg[key], dtype=np.int64)  # else OverflowError
         except OverflowError:
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
                              f"a {cast.__name__}, got {value!r}, out of its "

@@ -34,7 +34,8 @@ run under two bit-exact contracts:
   give the same bits at any CPU count.
 - Continuation.  An ensemble runs in two phases: one lockstep call
   evolves every lane's members to the window's first step and writes
-  no tails (_evolve), then one call per lane group evolves that group's
+  no tails (_evolve), stepping a lane's bit-identical members once
+  (core._advance), then one call per lane group evolves that group's
   window on from the states it reached (_Rung.window); a ladder rung
   windows its shift lanes, then its main lanes.  A ladder rung whose
   transient does not shrink restarts each member it shares with the

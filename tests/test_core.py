@@ -380,6 +380,104 @@ def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
             assert final[i, k].tobytes() == x.tobytes()
 
 
+def record_merges(monkeypatch):
+    """The widths _advance steps its drive blocks at, one for each block
+    it tries to merge."""
+    widths, distinct = [], core._distinct_rows
+
+    def recording(x):
+        merged = distinct(x)
+        widths.append(x.shape[1] if merged is None else merged[0].shape[1])
+        return merged
+    monkeypatch.setattr(core, "_distinct_rows", recording)
+    return widths
+
+
+def duplicate_members(system, rng):
+    """A lane of five members: +0.0 and -0.0 (equal values, unequal bits),
+    two with the same bits, and for a state of several coordinates one
+    that sums to the same int64 key with other bits."""
+    d = system.state_dim
+    v = rng.uniform(-1, 1, d)
+    last = v[::-1] if d > 1 else -v
+    return np.stack([np.zeros(d), -np.zeros(d), v, v, last])[None]
+
+
+@pytest.mark.parametrize("system", [
+    KloedenSystem(a=1.5),
+    lockstep_reservoir(np.random.default_rng(89), 1, "none", 1.0),
+    lockstep_reservoir(np.random.default_rng(89), 30, "context")],
+    ids=["kloeden", "1-leak-free", "30-context"])
+def test_a_lanes_bit_identical_members_keep_their_own_bits(system, monkeypatch):
+    rng = np.random.default_rng(97)
+    if isinstance(system, KloedenSystem):
+        seq = system.arrival_sequence(0, 50)
+    else:
+        seq = make_seq(rng, system.n_i, 0, 50)
+    xs = duplicate_members(system, rng)
+    widths = record_merges(monkeypatch)
+    final = core._advance_groups(system, [seq], xs, 0, 50)
+    assert widths[0] == 4  # the two equal members step as one row
+    # a run that writes tails steps every member
+    del widths[:]
+    states = core._orbits(system, seq, list(xs[0]), 50)
+    assert widths == []
+    for k, x0 in enumerate(xs[0]):
+        solo = orbit(system, seq, x0, 50)
+        assert final[0, k].tobytes() == solo.final.tobytes()
+        assert states[k].tobytes() == solo.states.tobytes()
+    if isinstance(system, KloedenSystem):  # both zeros are fixed points
+        assert final[0, 0].tobytes() == np.float64(0.0).tobytes()
+        assert final[0, 1].tobytes() == np.float64(-0.0).tobytes()
+
+
+def test_lanes_with_the_same_members_never_merge_across_lanes(monkeypatch):
+    # both lanes start from the same members under their own drives; a
+    # 64-byte drive bound puts a block seam, so a merge, every 4 steps.
+    # Each lane's pairs in one basin of the contracting Kloeden map share
+    # their bits from step 72 on, when the two lanes' states long differ.
+    # The run ends 8 steps later: a lane stepped on from the other's rows
+    # would by then not yet have forgotten them.
+    monkeypatch.setattr(core, "_DRIVE_BYTES", 64)
+    rng = np.random.default_rng(5)
+    system = KloedenSystem(a=1.5)
+    seqs = [InputSequence(anchor=0, values=rng.uniform(1.2, 2.0, (201, 1)),
+                          lo=np.array([1.2]), hi=np.array([2.0]))
+            for _ in range(2)]
+    ics = np.array([[0.5], [0.7], [-0.4], [-0.6]])
+    widths = record_merges(monkeypatch)
+    final = core._advance_groups(system, seqs, np.stack([ics, ics]), 0, 80)
+    assert widths == [4] * 18 + [2] * 2
+    for i, seq in enumerate(seqs):
+        for k, x0 in enumerate(ics):
+            assert final[i, k].tobytes() == orbit(system, seq, x0, 80).final.tobytes()
+    assert final[0].tobytes() != final[1].tobytes()
+
+
+def test_scalar_sweep_ladder_steps_two_rows_a_lane_past_its_first_transient(
+        monkeypatch):
+    # the gain of stepping bit-identical members once: every lane of the
+    # committed seed holds one or two distinct states from step ~5,000 on
+    from echodex import experiments
+    transient = experiments.DEFAULTS["scalar_sweep"]["transients"][0]
+    runs, advance, distinct = [], core._advance, core._distinct_rows
+
+    def recording_advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
+        runs.append((t0, tails is None, []))
+        return advance(system, drive, xs, t0, tails, tail_t0)
+
+    def recording_distinct(x):
+        merged = distinct(x)
+        runs[-1][2].append(x.shape[1] if merged is None else merged[0].shape[1])
+        return merged
+    monkeypatch.setattr(core, "_advance", recording_advance)
+    monkeypatch.setattr(core, "_distinct_rows", recording_distinct)
+    assert experiments.run_scalar_sweep().ok
+    late = [widths for t0, tail_free, widths in runs
+            if tail_free and t0 >= transient]
+    assert late and all(widths and max(widths) <= 2 for widths in late)
+
+
 def offset_copy(a, offset):
     """Copy of a whose data starts `offset` bytes past a 64-byte boundary."""
     buf = np.empty(a.size + 16)

@@ -54,6 +54,28 @@ MUTANTS = [
            "[h.result() for h in helpers[1:]]",
            (CORE + "test_member_groups_leave_no_thread_behind",
             INDEX + "test_pair_groups_leave_no_thread_behind")),
+    # a lane's bit-identical members stepped once in a tail-free run
+    # (core._distinct_rows, core._advance)
+    Mutant("members merged by value, not by bits", "core.py",
+           "bits = x.view(np.int64)",
+           "bits = x",
+           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
+    Mutant("a shared key merged unconfirmed", "core.py",
+           "first[i[differ], j[differ]] = j[differ]",
+           "pass",
+           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
+    Mutant("every lane merged onto lane 0's rows", "core.py",
+           "kept = x[lane, rows]",
+           "kept = x[0, rows]",
+           (CORE + "test_lanes_with_the_same_members_never_merge_across_lanes",)),
+    Mutant("merged rows returned unexpanded", "core.py",
+           "return x if inverse is None else x[lane, inverse]",
+           "return x",
+           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
+    Mutant("members merged in a run that writes tails", "core.py",
+           "_distinct_rows(x) if tails is None and x.shape[1] > 1 else None",
+           "_distinct_rows(x) if x.shape[1] > 1 else None",
+           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
     # the one squared-distance loop (index._squared_distances) and the
     # pair kernel's row groups on it (index._pair_distances)
     Mutant("a group's rows dealt off by one", "index.py",
