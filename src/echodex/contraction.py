@@ -235,17 +235,11 @@ class LargeInputSpec:
         cosines = np.abs(self.w_in @ u) / (row_norms * norm)
         return bool(np.all(cosines >= self.epsilon))
 
-    def far_value(self, direction=None, slack=1.0):
-        """A convenient member: slack * max(R) along `direction`.
-
-        The default direction is the first row of W_in, which has
-        |cos| = 1 against itself; callers with several non-parallel
-        rows must supply their own direction.
-        """
-        d = self.w_in[0] if direction is None else np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        r = float(np.max(self.radii)) * float(slack)
-        return r * d
+    def far_value(self):
+        """A convenient member: max(R) along the first row of W_in, which
+        has |cos| = 1 against itself."""
+        d = self.w_in[0] / np.linalg.norm(self.w_in[0])
+        return float(np.max(self.radii)) * d
 
 
 def large_input_radius(params, epsilon, mu):

@@ -56,7 +56,6 @@ many threads.
 import ctypes
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
 import json
 import math
 import os
@@ -75,12 +74,6 @@ class ConfigurationError(ValueError):
 # parameters
 # ----------------------------------------------------------------------
 
-def _frozen_array(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 def _aligned_empty(shape, parts=1):
     """A list of `parts` uninitialised C-contiguous float64 arrays of
     `shape`, carved from one buffer, each starting on a 64-byte boundary
@@ -91,14 +84,6 @@ def _aligned_empty(shape, parts=1):
     start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
     return [buf[i:i + size].reshape(shape)
             for i in range(start, start + parts * stride, stride)]
-
-
-def _trim_heap():
-    """Hand free heap pages back to the OS where glibc's malloc_trim is."""
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):
-        pass
 
 
 def _frozen_matrix(a):
@@ -354,7 +339,7 @@ class Trajectory:
     states: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", _frozen_array(self.states))
+        object.__setattr__(self, "states", _frozen_matrix(self.states))
 
     @property
     def n_steps(self):
@@ -441,16 +426,16 @@ def _front(a, shape):
     return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
-    """Evolve members xs[i, k] (lanes, members, d) in lockstep from time
-    t0, a step per drive block row (see _drive), lane i's members under
-    row[i]; return their final states, writing the state at each
-    t >= tail_t0 to tails[i, k, t - tail_t0]; without tails it writes
-    none.  A network step is M x with M the effective matrix, then + row,
-    then _update's arithmetic; other systems step through
-    step_batch(row[i], ...).  The states are copied once into part 0 of
-    one _aligned_empty buffer (pre is part 1 for a network) and stepped
-    in place.
+def _advance(system, drive, xs, tails=None):
+    """Evolve members xs[i, k] (lanes, members, d) in lockstep, a step per
+    drive block row (see _drive), lane i's members under row[i]; return
+    their final states.  With tails (lanes, members, steps + 1, d) it
+    writes member k's start state to tails[i, k, 0] and its state after
+    step j to tails[i, k, j]; without tails it writes none.  A network
+    step is M x with M the effective matrix, then + row, then _update's
+    arithmetic; other systems step through step_batch(row[i], ...).  The
+    states are copied once into part 0 of one _aligned_empty buffer (pre
+    is part 1 for a network) and stepped in place.
 
     A run that writes no tails steps each lane's bit-identical members
     once.  Before each drive block, _distinct_rows keeps one row per
@@ -467,13 +452,12 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
     rnn = isinstance(system, RnnParams)
     x, *scratch = _aligned_empty(xs.shape, 1 + rnn)
     x[...] = xs
-    if t0 >= tail_t0:
-        tails[:, :, t0 - tail_t0] = x
+    if tails is not None:
+        tails[:, :, 0] = x
     if rnn:
         m, pre, alpha = _matvec_rows(system.effective_matrix), scratch[0], system.alpha
         om, leak_free = 1.0 - alpha, alpha == 1.0
-    lane, inverse = np.arange(lanes)[:, None], None
-    steps = count(t0 + 1)
+    lane, inverse, k = np.arange(lanes)[:, None], None, 0
     for block in drive:
         merged = _distinct_rows(x) if tails is None and x.shape[1] > 1 else None
         if merged is not None:
@@ -484,7 +468,7 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
             x[...] = kept
             if rnn:
                 pre = _front(scratch[0], kept.shape)
-        for u, t in zip(block, steps):
+        for k, u in enumerate(block, k + 1):
             if rnn:
                 # inlined and in place: a Python call per step slows the
                 # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
@@ -499,8 +483,8 @@ def _advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
                     x += pre
             else:
                 x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
-            if t >= tail_t0:
-                tails[:, :, t - tail_t0] = x
+            if tails is not None:
+                tails[:, :, k] = x
     return x if inverse is None else x[lane, inverse]
 
 
@@ -541,9 +525,11 @@ def _run_groups(run, groups):
         return [run(0)] + [h.result() for h in helpers]
 
 
-def _advance_groups(system, seqs, xs, t0, t1, tails=None, tail_t0=math.inf):
-    """_advance(system, _drive(system, seqs, t0, t1), xs, t0, tails,
-    tail_t0), the one way into the kernel from input sequences.
+def _advance_groups(system, seqs, xs, t0, t1, tails=None):
+    """_advance(system, _drive(system, seqs, t0, t1), xs, tails), the one
+    way into the kernel from input sequences: members start at time t0,
+    and tails (lanes, members, t1 - t0 + 1, d), if given, take their
+    states at t0 .. t1.
 
     A network ensemble runs as g contiguous groups of members, g the
     least of the members, the CPUs the process may use and lanes x
@@ -562,8 +548,8 @@ def _advance_groups(system, seqs, xs, t0, t1, tails=None, tail_t0=math.inf):
 
     def run(i):
         part = slice(cuts[i], cuts[i + 1])
-        return _advance(system, _drive(system, seqs, t0, t1), xs[:, part], t0,
-                        None if tails is None else tails[:, part], tail_t0)
+        return _advance(system, _drive(system, seqs, t0, t1), xs[:, part],
+                        None if tails is None else tails[:, part])
 
     return np.concatenate(_run_groups(run, groups), axis=1)
 
@@ -600,7 +586,7 @@ def _orbits(system, input_seq, x0s, n, anchor=0):
     _require_input(system, input_seq, anchor + 1, anchor + n)
     states = np.empty((1, len(x0s), n + 1, d))
     _advance_groups(system, [input_seq], np.stack(x0s)[None], anchor, anchor + n,
-                    states, anchor)
+                    states)
     return states[0]
 
 

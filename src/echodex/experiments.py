@@ -26,7 +26,7 @@ from .contraction import (Region, large_input_radius, region_contraction_check,
                           region_invariance_check, strip_bounds_closed_form)
 # orbit is not called here; the benchmark's tracer (bench/spans.py)
 # patches it under this module's name
-from .core import ConfigurationError, _orbits, _trim_heap, orbit
+from .core import ConfigurationError, _orbits, orbit
 from .index import (IndexProtocol, _divergence_step, _run_ensembles,
                     ensemble_to_csv, estimate_echo_index, estimate_echo_indices,
                     pullback_fibre, run_ensemble, separatrix_bisect)
@@ -150,8 +150,9 @@ def resolve_config(preset, seed=None, overrides=None):
             if cast is int:  # every int the runners read fits an int64
                 np.array(cfg[key], dtype=np.int64)  # else OverflowError
         except OverflowError:
+            kind = "an int" if cast is int else "a float"
             raise ValueError(f"config key {key!r} of preset {preset!r} takes "
-                             f"a {cast.__name__}, got {value!r}, out of its "
+                             f"{kind}, got {value!r}, out of its "
                              "range") from None
     cfg["seed"] = int(DEFAULT_SEEDS[preset] if seed is None else seed)
     return cfg
@@ -174,9 +175,10 @@ def _root(fn, lo, hi):
     return _bisect(lambda x: (fn(x) > 0) == up, lo, hi)[1]
 
 
-def _scan_roots(fn, lo=-0.9999, hi=0.9999, samples=4001):
-    """All simple roots of fn on [lo, hi] via sign changes + bisection."""
-    xs = np.linspace(lo, hi, samples)
+def _scan_roots(fn):
+    """All simple roots of fn on [-0.9999, 0.9999] via sign changes at
+    4001 points + bisection."""
+    xs = np.linspace(-0.9999, 0.9999, 4001)
     vals = np.array([fn(x) for x in xs])
     return [_root(fn, float(xs[i]), float(xs[i + 1]))
             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
@@ -686,10 +688,9 @@ def _run_context_task(cfg, out):
     accuracy = float(np.mean(pred_sign[scored] == true_sign[scored]))
 
     projections, cumvar = pca_project(traj.states, 2)
-    # not read again; frees them before the ensemble ladder and hands the
-    # pages back (glibc kept ~17 MiB of them or not, by heap layout)
+    # not read again: kept alive, their ~17 MiB would sit under the
+    # ladder's own allocations and raise the run's peak by as much
     del states, traj, inputs
-    _trim_heap()
 
     # with --out, ensemble_z1.csv holds the tails of the ladder's final rung
     ens_report = estimate_echo_index(params, task.pulses_off_input(), protocol,

@@ -147,7 +147,7 @@ class _Rung:
         transient to anchor + transient + horizon, and return tails."""
         t0 = self.anchor + self.transient
         _advance_groups(self.system, self.seqs[lanes], self.starts[lanes], t0,
-                        t0 + self.horizon, tails, t0)
+                        t0 + self.horizon, tails)
         return tails
 
     def carry(self, tails, transient):
@@ -969,7 +969,7 @@ def _bisect_round(system, input_seq, a, b, levels, anchor, rep_a, rep_b,
     while True:
         n = min(_COMMIT_CHUNK, horizon - t)
         xs = _advance_groups(system, [input_seq], xs, anchor + t, anchor + t + n,
-                             tails, anchor + t)
+                             tails)
         commits = _commit_steps(tails[0, :, :n + 1], rep_a[t:t + n + 1],
                                 rep_b[t:t + n + 1], cluster_tol)
         for i, (side, hit) in enumerate(commits):

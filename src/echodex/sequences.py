@@ -359,7 +359,7 @@ def save_sequence(seq, path):
               zip(range(seq.first, seq.last + 1), *seq.values.T.tolist()))
 
 
-def load_sequence(path, lo=None, hi=None):
+def load_sequence(path):
     """Read a sequence CSV written by save_sequence."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or not lines[0].startswith("k,"):
@@ -375,7 +375,7 @@ def load_sequence(path, lo=None, hi=None):
         raise ValueError(f"{path}: empty sequence")
     if np.any(np.diff(ks) != 1):
         raise ValueError(f"{path}: time indices must be consecutive")
-    return InputSequence(anchor=int(ks[0]), values=np.asarray(rows), lo=lo, hi=hi)
+    return InputSequence(anchor=int(ks[0]), values=np.asarray(rows))
 
 
 _GENERATORS = {

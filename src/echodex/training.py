@@ -108,8 +108,8 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
         drive += substream(seed, DOMAIN_NOISE, 0).normal(0.0, noise_std,
                                                          size=drive.shape)
     states = np.empty((input_seq.length, params.n_r))
-    _advance(open_loop, [drive], np.zeros((1, 1, params.n_r)), 0,
-             states[None, None], 0)
+    _advance(open_loop, [drive], np.zeros((1, 1, params.n_r)),
+             states[None, None])
     return states
 
 

@@ -225,14 +225,14 @@ def test_member_groups_leave_no_thread_behind(failing, monkeypatch):
 
     before = threading.active_count()
     if failing == "none":
-        final = core._advance_groups(params, seqs, xs, 0, 40, tails, 30)
+        final = core._advance_groups(params, seqs, xs, 30, 40, tails)
         want = np.empty_like(tails)
         assert final.tobytes() == advance(
-            params, core._drive(params, seqs, 0, 40), xs, 0, want, 30).tobytes()
+            params, core._drive(params, seqs, 30, 40), xs, want).tobytes()
         assert tails.tobytes() == want.tobytes()
     else:
         with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
-            core._advance_groups(params, seqs, xs, 0, 40, tails, 30)
+            core._advance_groups(params, seqs, xs, 30, 40, tails)
     assert sorted(callers) == [False, False, True]
     assert threading.active_count() == before
 
@@ -365,18 +365,17 @@ def test_advance_steps_a_copy_and_leaves_its_states_unchanged(
     seqs = [make_seq(rng, params.n_i, -1, n) for _ in range(3)]
     xs = rng.uniform(-1, 1, (3, 4, n_r))
     before = xs.copy()
-    tails = np.empty((3, 4, 11, n_r))
-    final = core._advance(params, core._drive(params, seqs, 0, n), xs, 0, tails,
-                          n - 10)
+    tails = np.full((3, 4, n + 1, n_r), np.nan)
+    final = core._advance(params, core._drive(params, seqs, 0, n), xs, tails)
     assert xs.tobytes() == before.tobytes()
     assert not np.shares_memory(final, xs)
     for i, seq in enumerate(seqs):
         for k in range(4):
             x = xs[i, k]
+            assert tails[i, k, 0].tobytes() == x.tobytes()
             for t in range(1, n + 1):
                 x = step(params, seq.at(t), x)
-                if t >= n - 10:
-                    assert tails[i, k, t - n + 10].tobytes() == x.tobytes()
+                assert tails[i, k, t].tobytes() == x.tobytes()
             assert final[i, k].tobytes() == x.tobytes()
 
 
@@ -458,19 +457,19 @@ def test_scalar_sweep_ladder_steps_two_rows_a_lane_past_its_first_transient(
         monkeypatch):
     # the gain of stepping bit-identical members once: every lane of the
     # committed seed holds one or two distinct states from step ~5,000 on
-    from echodex import experiments
+    from echodex import experiments, index
     transient = experiments.DEFAULTS["scalar_sweep"]["transients"][0]
-    runs, advance, distinct = [], core._advance, core._distinct_rows
+    runs, advance_groups, distinct = [], index._advance_groups, core._distinct_rows
 
-    def recording_advance(system, drive, xs, t0, tails=None, tail_t0=math.inf):
+    def recording_advance_groups(system, seqs, xs, t0, t1, tails=None):
         runs.append((t0, tails is None, []))
-        return advance(system, drive, xs, t0, tails, tail_t0)
+        return advance_groups(system, seqs, xs, t0, t1, tails)
 
     def recording_distinct(x):
         merged = distinct(x)
         runs[-1][2].append(x.shape[1] if merged is None else merged[0].shape[1])
         return merged
-    monkeypatch.setattr(core, "_advance", recording_advance)
+    monkeypatch.setattr(index, "_advance_groups", recording_advance_groups)
     monkeypatch.setattr(core, "_distinct_rows", recording_distinct)
     assert experiments.run_scalar_sweep().ok
     late = [widths for t0, tail_free, widths in runs
@@ -500,7 +499,7 @@ def test_advance_rows_do_not_depend_on_where_the_states_sit(n_r, wiring, alpha):
     for offset in range(0, 64, 8):
         tails = np.empty((2, 3, n + 1, n_r))
         final = core._advance(params, core._drive(params, seqs, 0, n),
-                              offset_copy(xs, offset), 0, tails, 0)
+                              offset_copy(xs, offset), tails)
         runs.append(tails.tobytes() + final.tobytes())
     assert len(set(runs)) == 1
 
@@ -550,11 +549,11 @@ def test_advance_scratch_is_bounded(inputs, members, n_r, steps):
     params = lockstep_reservoir(rng, n_r, "none")
     seqs = [make_seq(rng, params.n_i, 0, steps) for _ in range(inputs)]
     xs = rng.uniform(-1, 1, (inputs, members, n_r))
-    tails = np.empty((inputs, members, 10, n_r))
+    # the tails are the run's output, not its scratch: allocated untraced
+    tails = np.empty((inputs, members, steps + 1, n_r))
     tracemalloc.start()
     try:
-        core._advance(params, core._drive(params, seqs, 0, steps), xs, 0, tails,
-                      steps - 9)
+        core._advance(params, core._drive(params, seqs, 0, steps), xs, tails)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -250,17 +250,19 @@ def test_cli_override_of_the_wrong_kind_exits_two(capsys, preset, pair, key):
     assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
 
 
-@pytest.mark.parametrize("preset, pair, key", [
-    ("kloeden", "a=1" + "0" * 400, "a"),
-    ("kloeden", "ics=1" + "0" * 29 + "1", "ics"),
-    ("switching2d", "transients=[1" + "0" * 40 + ",400]", "transients")],
+@pytest.mark.parametrize("preset, pair, key, kind", [
+    ("kloeden", "a=1" + "0" * 400, "a", "a float"),
+    ("kloeden", "ics=1" + "0" * 29 + "1", "ics", "an int"),
+    ("switching2d", "transients=[1" + "0" * 40 + ",400]", "transients",
+     "an int")],
     ids=["beyond-a-float", "beyond-a-64-bit-integer",
          "list-element-beyond-a-64-bit-integer"])
 def test_cli_override_out_of_its_types_range_exits_two(capsys, preset, pair,
-                                                       key):
+                                                       key, kind):
     code, doc = run_cli(capsys, [preset, "--set", pair])
     assert code == 2 and doc["ok"] is False
     assert doc["error"].startswith("ValueError") and repr(key) in doc["error"]
+    assert f"takes {kind}, got " in doc["error"]
     assert "out of its range" in doc["error"]
 
 

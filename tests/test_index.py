@@ -880,16 +880,16 @@ def count_advanced_steps(monkeypatch):
     steps = []
     advance = core._advance
 
-    def counting(system, drive, xs, t0, tails, tail_t0):
+    def counting(system, drive, xs, tails):
         if not xs.shape[1]:
-            return advance(system, drive, xs, t0, tails, tail_t0)
+            return advance(system, drive, xs, tails)
         steps.append((xs.shape[1], 0))
 
         def counted():
             for block in drive:
                 steps[-1] = (xs.shape[1], steps[-1][1] + len(block))
                 yield block
-        return advance(system, counted(), xs, t0, tails, tail_t0)
+        return advance(system, counted(), xs, tails)
     monkeypatch.setattr(core, "_advance", counting)
     return steps
 
@@ -1403,9 +1403,9 @@ def record_round_chunks(monkeypatch):
     index itself, which a bisection makes once per chunk of a round."""
     chunks = []
 
-    def recorded(system, seqs, xs, t0, t1, tails, tail_t0):
+    def recorded(system, seqs, xs, t0, t1, tails):
         chunks.append((xs.shape[1], t0, t1))
-        return core._advance_groups(system, seqs, xs, t0, t1, tails, tail_t0)
+        return core._advance_groups(system, seqs, xs, t0, t1, tails)
 
     monkeypatch.setattr(index, "_advance_groups", recorded)
     return chunks

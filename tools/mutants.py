@@ -76,6 +76,17 @@ MUTANTS = [
            "_distinct_rows(x) if tails is None and x.shape[1] > 1 else None",
            "_distinct_rows(x) if x.shape[1] > 1 else None",
            (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
+    # the tails rule (core._advance): the start state at index 0, the
+    # state after step k at index k
+    Mutant("a tail written one index early", "core.py",
+           "tails[:, :, k] = x",
+           "tails[:, :, k - 1] = x",
+           (CORE + "test_advance_steps_a_copy_and_leaves_its_states_unchanged",
+            CORE + "test_orbit_consumes_inputs_at_arrival_times")),
+    Mutant("the start state left out of the tails", "core.py",
+           "tails[:, :, 0] = x",
+           "pass",
+           (CORE + "test_advance_steps_a_copy_and_leaves_its_states_unchanged",)),
     # the one squared-distance loop (index._squared_distances) and the
     # pair kernel's row groups on it (index._pair_distances)
     Mutant("a group's rows dealt off by one", "index.py",
