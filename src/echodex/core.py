@@ -17,8 +17,11 @@ changes nothing but the sign of a zero state.
 One kernel, _advance, evolves (lanes, members, d) states of any system
 in lockstep, each lane under its own drive, one block row per step:
 W_in u[k] plus any state-independent terms for a network, u[k]
-otherwise.  _drive maps input sequences to blocks of about _DRIVE_BYTES
-(64 KiB), however many lanes and steps.  orbit is the kernel's
+otherwise.  _drive maps input sequences into one drive block of about
+_DRIVE_BYTES (64 KiB), however many lanes and steps; a network whose
+states fit as many bytes again steps on the block's rows widened to the
+states' shape, so that each step adds two arrays of one shape (numpy's
+contiguous fast path, not a broadcast).  orbit is the kernel's
 one-member case, _orbits (several solo orbits of one input) and the
 index module's ensembles its many-member cases (so their rows equal
 solo orbits by construction), and
@@ -232,10 +235,11 @@ def load_params(path):
 
 def _matvec_rows(w):
     """(x, out=None) -> w @ v for every row v of x (..., n), one gemv per
-    row, written to `out` when given; a 1 x 1 w is one multiply, bound
-    without a Python call per step."""
+    row, written to `out` when given; a 1 x 1 w is one multiply by a 0-d
+    array (with a np.float64 scalar it took ~1.5x as long at a (30, 2, 1)
+    state), bound without a Python call per step."""
     if w.shape == (1, 1):
-        return partial(np.multiply, w[0, 0])
+        return partial(np.multiply, w.reshape(()))
     return lambda x, out=None: np.matmul(
         w, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
@@ -250,7 +254,7 @@ def _rows_gemm(w, xs):
     """w applied to every row of xs (m, n) as one GEMM; a 1 x 1 w is
     _matvec_rows' one multiply, so that signs of zero agree with it."""
     if w.shape == (1, 1):
-        return np.multiply(w[0, 0], xs)
+        return np.multiply(w.reshape(()), xs)
     return xs @ w.T
 
 
@@ -368,25 +372,32 @@ def _require_input(system, input_seq, first, last):
     input_seq.require_window(first, last)
 
 
-# bytes of input values one _drive block holds, and as many again once
-# they are mapped through W_in, whatever the lane count and run length
+# bytes one _drive block holds, and as many again in _advance's widened
+# drive rows, whatever the lane count and run length
 _DRIVE_BYTES = 64 * 1024
 
 
 def _drive(system, seqs, t0, t1):
     """Blocks of the drive into times t0 + 1 .. t1 of lanes seqs[i]:
     row j of a block holds each lane's W_in u as (lanes, 1, n_r) for
-    RnnParams, its u as (lanes, n_i) for other systems.  Each block is
-    overwritten by the next."""
-    n_i, d = seqs[0].n_i, system.state_dim
-    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * max(n_i, d))))
-    raw, mapped = np.empty((chunk, len(seqs), n_i)), np.empty((chunk, len(seqs), d))
-    w_in = _matvec_rows(system.w_in) if isinstance(system, RnnParams) else None
+    RnnParams, its u as (lanes, n_i) for other systems.  Every block is
+    a view of one buffer of up to _DRIVE_BYTES, overwritten by the next;
+    a network maps each lane's inputs straight into its column of it,
+    one gemv per (step, lane) row."""
+    rnn = isinstance(system, RnnParams)
+    width = system.state_dim if rnn else seqs[0].n_i
+    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * width)))
+    block = np.empty((chunk, len(seqs), width))
+    w_in = _matvec_rows(system.w_in) if rnn else None
     for c0 in range(t0 + 1, t1 + 1, chunk):
         n = min(chunk, t1 + 1 - c0)
-        np.stack([s.values[c0 - s.anchor:c0 - s.anchor + n] for s in seqs],
-                 axis=1, out=raw[:n])
-        yield raw[:n] if w_in is None else w_in(raw[:n], out=mapped[:n])[:, :, None]
+        inputs = [s.values[c0 - s.anchor:c0 - s.anchor + n] for s in seqs]
+        if w_in is None:
+            yield np.stack(inputs, axis=1, out=block[:n])
+        else:
+            for i, u in enumerate(inputs):
+                w_in(u, out=block[:n, i])
+            yield block[:n, :, None]
 
 
 def _distinct_rows(x):
@@ -402,10 +413,15 @@ def _distinct_rows(x):
     only if all their bits agree, so a key shared by unequal rows merges
     none of them."""
     lanes, r = x.shape[:2]
-    own = np.arange(r)
     bits = x.view(np.int64)
     key = bits.sum(axis=-1)
-    first = (key[:, :, None] == key[:, None, :]).argmax(axis=-1)
+    same = key[:, :, None] == key[:, None, :]
+    # equal bits share a key: where each row's key is only its own,
+    # nothing merges
+    if np.count_nonzero(same) == lanes * r:
+        return None
+    own = np.arange(r)
+    first = same.argmax(axis=-1)
     # confirm only the rows keyed as an earlier row: no state-sized gather
     i, j = (first != own).nonzero()
     differ = (bits[i, first[i, j]] != bits[i, j]).any(axis=-1)
@@ -426,6 +442,25 @@ def _front(a, shape):
     return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
+def _widened(block, shape, buf):
+    """The rows of a network's drive block (steps, lanes, 1, d) widened
+    to the states' shape (lanes, w, d), so that each step adds two arrays
+    of one shape: numpy's contiguous fast path (the broadcast add took
+    2-3x as long at a (30, 2, 1) state).  They come in sub-blocks of the
+    flat buffer buf, as many steps each as it holds, each filled by one
+    np.copyto.  Without buf, or when the rows already have the shape,
+    the block itself."""
+    if buf is None or block.shape[1:] == shape:
+        yield block
+        return
+    per = buf.size // math.prod(shape)
+    for s0 in range(0, len(block), per):
+        part = block[s0:s0 + per]
+        wide = _front(buf, part.shape[:1] + shape)
+        np.copyto(wide, part)
+        yield wide
+
+
 def _advance(system, drive, xs, tails=None):
     """Evolve members xs[i, k] (lanes, members, d) in lockstep, a step per
     drive block row (see _drive), lane i's members under row[i]; return
@@ -436,6 +471,12 @@ def _advance(system, drive, xs, tails=None):
     arithmetic; other systems step through step_batch(row[i], ...).  The
     states are copied once into part 0 of one _aligned_empty buffer (pre
     is part 1 for a network) and stepped in place.
+
+    A network whose states fit _DRIVE_BYTES takes the rows of each
+    block through _widened, at the width that block is stepped at: a
+    merge narrows the states, so the next block is widened less.  Rows
+    that already have the states' shape (one member a lane), and every
+    row of a network whose states do not fit, are used as they come.
 
     A run that writes no tails steps each lane's bit-identical members
     once.  Before each drive block, _distinct_rows keeps one row per
@@ -450,6 +491,9 @@ def _advance(system, drive, xs, tails=None):
     if members == 0:
         return xs
     rnn = isinstance(system, RnnParams)
+    # one member a lane: the rows already have the states' shape
+    fits = rnn and members > 1 and xs.nbytes <= _DRIVE_BYTES
+    wide = np.empty(_DRIVE_BYTES // 8) if fits else None
     x, *scratch = _aligned_empty(xs.shape, 1 + rnn)
     x[...] = xs
     if tails is not None:
@@ -468,23 +512,26 @@ def _advance(system, drive, xs, tails=None):
             x[...] = kept
             if rnn:
                 pre = _front(scratch[0], kept.shape)
-        for k, u in enumerate(block, k + 1):
-            if rnn:
-                # inlined and in place: a Python call per step slows the
-                # n_r = 1 loop by 7-8 %, a new array per operation by 2-8 %
-                m(x, out=pre)
-                pre += u
-                if leak_free:
-                    np.tanh(pre, out=x)
+        for sub in _widened(block, x.shape, wide):
+            for k, u in enumerate(sub, k + 1):
+                if rnn:
+                    # inlined and in place: a Python call per step slows
+                    # the n_r = 1 loop by 7-8 %, a new array per
+                    # operation by 2-8 %
+                    m(x, out=pre)
+                    pre += u
+                    if leak_free:
+                        np.tanh(pre, out=x)
+                    else:
+                        np.tanh(pre, out=pre)
+                        pre *= alpha
+                        x *= om
+                        x += pre
                 else:
-                    np.tanh(pre, out=pre)
-                    pre *= alpha
-                    x *= om
-                    x += pre
-            else:
-                x = np.stack([system.step_batch(ui, xi) for ui, xi in zip(u, x)])
-            if tails is not None:
-                tails[:, :, k] = x
+                    x = np.stack([system.step_batch(ui, xi)
+                                  for ui, xi in zip(u, x)])
+                if tails is not None:
+                    tails[:, :, k] = x
     return x if inverse is None else x[lane, inverse]
 
 

@@ -323,7 +323,7 @@ def test_orbit_consumes_inputs_at_arrival_times():
     assert np.array_equal(traj.final, x)
     # orbit runs the lockstep kernel; step is the per-step reference
     # beside it.  2100 steps cross the kernel's drive-chunk seams wherever
-    # a chunk of _DRIVE_BYTES holds fewer steps (n_r >= 30, or n_i = 4).
+    # a chunk of _DRIVE_BYTES holds fewer steps (n_r >= 30).
     n = 2100
     for n_r in (1, 2, 30, 200):
         for wiring in ("none", "feedback", "context"):
@@ -477,6 +477,83 @@ def test_scalar_sweep_ladder_steps_two_rows_a_lane_past_its_first_transient(
     assert late and all(widths and max(widths) <= 2 for widths in late)
 
 
+def record_widening(monkeypatch):
+    """(block steps, width stepped at, sub-block steps) for each drive
+    block _advance steps, the sub-block steps [] when it steps the
+    block's own rows."""
+    log, widened = [], core._widened
+
+    def recording(block, shape, buf):
+        subs = []
+        for sub in widened(block, shape, buf):
+            if sub is not block:
+                subs.append(len(sub))
+            yield sub
+        log.append((len(block), shape[1], subs))
+    monkeypatch.setattr(core, "_widened", recording)
+    return log
+
+
+@pytest.mark.parametrize("n_r,alpha,drive_bytes,widened", [
+    (1, 1.0, 160, True), (2, 0.7, 240, True), (30, 0.7, 1024, False)],
+    ids=["1-leak-free", "2-leaky", "30-over-budget"])
+def test_widened_drive_rows_step_like_solo_orbits(n_r, alpha, drive_bytes,
+                                                 widened, monkeypatch):
+    # a drive bound of a few steps widens each block in sub-blocks of
+    # fewer steps, with a remainder at some width; members 1 and 3 merge
+    # before the first block, the others as the contracting network
+    # brings them onto the same bits, so the width shrinks between
+    # blocks.  A state over the bound steps on the block's own rows.
+    monkeypatch.setattr(core, "_DRIVE_BYTES", drive_bytes)
+    rng = np.random.default_rng(101)
+    params = lockstep_reservoir(rng, n_r, "none", alpha)
+    n = 300
+    seqs = [make_seq(rng, params.n_i, 0, n) for _ in range(2)]
+    xs = rng.uniform(-1, 1, (2, 5, n_r))
+    xs[:, 3] = xs[:, 1]
+    log = record_widening(monkeypatch)
+    final = core._advance(params, core._drive(params, seqs, 0, n), xs)
+    widths = [w for _, w, _ in log]
+    if widened:
+        assert widths[0] == 4 and widths[-1] == 1
+        assert any(len(subs) > 1 and subs[-1] < subs[0] for _, _, subs in log)
+        assert all(sum(subs) == steps for steps, w, subs in log if w > 1)
+    else:
+        assert all(subs == [] for _, _, subs in log)
+    del log[:]
+    tails = np.empty((2, 5, n + 1, n_r))
+    core._advance(params, core._drive(params, seqs, 0, n), xs, tails)
+    assert all(w == 5 and bool(subs) == widened for _, w, subs in log)
+    for i, seq in enumerate(seqs):
+        for k in range(5):
+            x = xs[i, k]
+            for t in range(1, n + 1):
+                x = step(params, seq.at(t), x)
+                assert tails[i, k, t].tobytes() == x.tobytes()
+            assert final[i, k].tobytes() == orbit(params, seq, xs[i, k], n).final.tobytes()
+            assert final[i, k].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n_r", [1, 30])
+def test_network_drive_maps_each_lanes_own_inputs(n_r, monkeypatch):
+    # three lanes of four input channels; a 200-byte bound puts a block
+    # seam every 8 steps or fewer.  Each row is that lane's W_in u, one
+    # gemv.
+    monkeypatch.setattr(core, "_DRIVE_BYTES", 200)
+    rng = np.random.default_rng(103)
+    params = lockstep_reservoir(rng, n_r, "feedback")
+    seqs = [make_seq(rng, params.n_i, -3, 60) for _ in range(3)]
+    t = 0
+    for block in core._drive(params, seqs, 0, 60):
+        assert block.shape[1:] == (3, 1, n_r)
+        for row in block:
+            t += 1
+            for i, seq in enumerate(seqs):
+                want = core._rows_gemv(params.w_in, seq.at(t))
+                assert row[i, 0].tobytes() == want.tobytes()
+    assert t == 60
+
+
 def offset_copy(a, offset):
     """Copy of a whose data starts `offset` bytes past a 64-byte boundary."""
     buf = np.empty(a.size + 16)
@@ -558,7 +635,7 @@ def test_advance_scratch_is_bounded(inputs, members, n_r, steps):
     finally:
         tracemalloc.stop()
     # beyond the tails and two state-sized arrays (the stepped copy and
-    # its pre-activation), the raw and the W_in-mapped drive hold up to
+    # its pre-activation), the drive block and the widened rows hold up to
     # _DRIVE_BYTES each, whatever the inputs and steps; 32 KiB is left for
     # per-chunk views and numpy's own loop buffers
     assert peak - 2 * xs.nbytes < 2 * core._DRIVE_BYTES + 32 * 1024

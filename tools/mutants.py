@@ -56,6 +56,10 @@ MUTANTS = [
             INDEX + "test_pair_groups_leave_no_thread_behind")),
     # a lane's bit-identical members stepped once in a tail-free run
     # (core._distinct_rows, core._advance)
+    Mutant("the early exit taken when keys are shared", "core.py",
+           "if np.count_nonzero(same) == lanes * r:",
+           "if np.count_nonzero(same) >= lanes * r:",
+           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
     Mutant("members merged by value, not by bits", "core.py",
            "bits = x.view(np.int64)",
            "bits = x",
@@ -76,6 +80,16 @@ MUTANTS = [
            "_distinct_rows(x) if tails is None and x.shape[1] > 1 else None",
            "_distinct_rows(x) if x.shape[1] > 1 else None",
            (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
+    # the drive block (core._drive) and its rows widened to the states'
+    # shape (core._widened)
+    Mutant("a widened sub-block that starts one row late", "core.py",
+           "part = block[s0:s0 + per]",
+           "part = block[s0 + 1:s0 + 1 + per]",
+           (CORE + "test_widened_drive_rows_step_like_solo_orbits",)),
+    Mutant("lane 0's inputs mapped into every lane", "core.py",
+           "w_in(u, out=block[:n, i])",
+           "w_in(inputs[0], out=block[:n, i])",
+           (CORE + "test_network_drive_maps_each_lanes_own_inputs",)),
     # the tails rule (core._advance): the start state at index 0, the
     # state after step k at index k
     Mutant("a tail written one index early", "core.py",
