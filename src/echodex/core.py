@@ -30,8 +30,16 @@ fed-back target plus noise.  _advance steps a copy of its states in
 place, in a run that writes no tails each lane's bit-identical members
 once.  Two loops evolve states apart from it: index.pullback_fibre's
 step_batch point cloud, and experiments._escapes_basin, fold_bisect's
-scalar orbit, which stops at its first escape.  numpy must only compute
-each stacked row on its own (stacked matmul runs one gemv per row).
+scalar orbit, which stops at its first escape.
+
+Rows equal solo orbits and step bit for bit, at any CPU count, because
+_matvec_rows maps every row of a network on its own.  For a matrix of
+at most 300 rows and columns (_GEMM_MAX_SIDE) a row is a row of a 4-row
+OpenBLAS GEMM, padded with zero rows to whole blocks: its bits depend
+neither on the other rows nor on its place in the block, nor on the
+BLAS thread count, and a solo state is a block of its own.  A larger
+matrix maps one gemv per row; a 1 x 1 one multiplies.
+
 _advance_groups, the one way into the kernel from input sequences, may
 step a large network ensemble's members as contiguous groups, one per
 CPU the process may use: a row's bits are the same at any CPU count and
@@ -233,21 +241,55 @@ def load_params(path):
 # the map and its Jacobian
 # ----------------------------------------------------------------------
 
+# rows per block of a GEMM row map, and the largest side of a matrix
+# that takes one: at n = 350 the 4-row GEMM ran slower than one gemv per
+# row, and from n = 400 its bits changed with the BLAS thread count
+_BLOCK = 4
+_GEMM_MAX_SIDE = 300
+
+
+def _block_rows(w):
+    """Rows per block of _matvec_rows(w): _BLOCK when it maps rows by
+    GEMM, 1 when it maps them one at a time."""
+    return _BLOCK if 1 < max(w.shape) <= _GEMM_MAX_SIDE else 1
+
+
 def _matvec_rows(w):
-    """(x, out=None) -> w @ v for every row v of x (..., n), one gemv per
-    row, written to `out` when given; a 1 x 1 w is one multiply by a 0-d
-    array (with a np.float64 scalar it took ~1.5x as long at a (30, 2, 1)
-    state), bound without a Python call per step."""
+    """(x, out=None) -> w @ v for every row v of x (..., b, n), written to
+    `out` when given, b = _block_rows(w); x and out hold whole blocks of
+    rows (_matvec pads any others), and out is C-contiguous.
+
+    - A w with 1 < max(w.shape) <= _GEMM_MAX_SIDE maps each block of 4
+      rows as one GEMM, every block in one np.matmul (blocks, 4, n) by
+      w^T.  In OpenBLAS's 4-row GEMM a row's bits depend neither on the
+      other rows' values nor on its place in the block, nor on the BLAS
+      thread count (a measured property the tests pin), so a state
+      padded with three zero rows gets the bits it gets in any block.
+      They differ from one gemv's in the last ulps.
+    - A 1 x 1 w is one multiply by a 0-d array (with a np.float64 scalar
+      it took ~1.5x as long at a (30, 2, 1) state), bound without a
+      Python call per step.
+    - A larger w runs one gemv per row.
+    """
     if w.shape == (1, 1):
         return partial(np.multiply, w.reshape(()))
-    return lambda x, out=None: np.matmul(
-        w, x[..., None], out=None if out is None else out[..., None])[..., 0]
+    if _block_rows(w) == 1:
+        return lambda x, out=None: np.matmul(
+            w, x[..., None], out=None if out is None else out[..., None])[..., 0]
+    wt = w.T
+    return lambda x, out=None: np.matmul(x, wt, out=out)
 
 
-def _rows_gemv(w, x):
-    """w applied to every row of x through _matvec_rows, as _advance
-    applies it."""
-    return _matvec_rows(w)(x)
+def _matvec(w, x):
+    """w applied to every row of x (..., n) through _matvec_rows, its rows
+    padded with zero rows to whole blocks in a new array: the bits _advance
+    gives each row."""
+    lead, n, b = x.shape[:-1], x.shape[-1], _block_rows(w)
+    rows = math.prod(lead)
+    padded = np.zeros((-(-rows // b), b, n))
+    padded.reshape(-1, n)[:rows] = x.reshape(rows, n)
+    y = _matvec_rows(w)(padded)
+    return y.reshape(-1, w.shape[0])[:rows].reshape(lead + w.shape[:1])
 
 
 def _rows_gemm(w, xs):
@@ -258,7 +300,7 @@ def _rows_gemm(w, xs):
     return xs @ w.T
 
 
-def _preactivation(params, u, x, matvec=_rows_gemv):
+def _preactivation(params, u, x, matvec=_matvec):
     """M x, then + W_in u (M the effective matrix): the one fixed order.
 
     matvec(w, x) applies w to every row of x; the batch maps pass
@@ -302,7 +344,10 @@ def step_batch(params, u, xs):
     checks) where exactness is not a contract: row results equal step()
     only up to last-ulp BLAS variation and depend on the batch.
     Orbits and ensembles, whose rows must equal step() bit for bit, are
-    stepped by _advance with one gemv per row instead.
+    stepped by _advance through _matvec_rows instead: rows of 4-row
+    GEMMs up to n = 300, one gemv per row above.  4-row blocks cost
+    more here: they cut switching2d's 1,089-point fibres into 273 small
+    GEMMs, and its preset's run went from 0.10 to 0.12-0.15 s.
     """
     u, xs = _check_uq(params, u, xs, batch=True)
     return _update(params.alpha, xs,
@@ -381,23 +426,38 @@ def _drive(system, seqs, t0, t1):
     """Blocks of the drive into times t0 + 1 .. t1 of lanes seqs[i]:
     row j of a block holds each lane's W_in u as (lanes, 1, n_r) for
     RnnParams, its u as (lanes, n_i) for other systems.  Every block is
-    a view of one buffer of up to _DRIVE_BYTES, overwritten by the next;
-    a network maps each lane's inputs straight into its column of it,
-    one gemv per (step, lane) row."""
+    a view of one buffer of up to _DRIVE_BYTES (and at most 3 padding
+    rows a lane), overwritten by the next; a network maps each lane's
+    inputs straight into its own rows of it, one _matvec_rows call a
+    lane, padded with zero rows to whole blocks where the steps do not
+    fill them."""
     rnn = isinstance(system, RnnParams)
+    lanes = len(seqs)
     width = system.state_dim if rnn else seqs[0].n_i
-    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * len(seqs) * width)))
-    block = np.empty((chunk, len(seqs), width))
-    w_in = _matvec_rows(system.w_in) if rnn else None
+    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * lanes * width)))
+    if rnn:
+        b, n_i = _block_rows(system.w_in), system.n_i
+        w_in, k = _matvec_rows(system.w_in), -(-chunk // b)
+        block = np.empty((lanes, k, b, width))
+        # zero rows that fill a last block; a map of one-row blocks needs none
+        pad = np.zeros((k, b, n_i)) if b > 1 else None
+    else:
+        block = np.empty((chunk, lanes, width))
     for c0 in range(t0 + 1, t1 + 1, chunk):
         n = min(chunk, t1 + 1 - c0)
         inputs = [s.values[c0 - s.anchor:c0 - s.anchor + n] for s in seqs]
-        if w_in is None:
+        if not rnn:
             yield np.stack(inputs, axis=1, out=block[:n])
-        else:
-            for i, u in enumerate(inputs):
-                w_in(u, out=block[:n, i])
-            yield block[:n, :, None]
+            continue
+        k = -(-n // b)
+        for i, u in enumerate(inputs):
+            if n % b:
+                rows = pad.reshape(-1, n_i)
+                rows[:n] = u
+                rows[n:] = 0.0
+                u = pad[:k]
+            w_in(u.reshape(k, b, n_i), out=block[i, :k])
+        yield block.reshape(lanes, -1, width)[:, :n, None].swapaxes(0, 1)
 
 
 def _distinct_rows(x):
@@ -461,6 +521,12 @@ def _widened(block, shape, buf):
         yield wide
 
 
+def _blocks(buf, rows, b):
+    """The first `rows` rows of buf (..., d) padded to whole blocks of b
+    rows, as (blocks, b, d)."""
+    return _front(buf, (-(-rows // b), b, buf.shape[-1]))
+
+
 def _advance(system, drive, xs, tails=None):
     """Evolve members xs[i, k] (lanes, members, d) in lockstep, a step per
     drive block row (see _drive), lane i's members under row[i]; return
@@ -470,7 +536,10 @@ def _advance(system, drive, xs, tails=None):
     step is M x with M the effective matrix, then + row, then _update's
     arithmetic; other systems step through step_batch(row[i], ...).  The
     states are copied once into part 0 of one _aligned_empty buffer (pre
-    is part 1 for a network) and stepped in place.
+    is part 1 for a network) and stepped in place.  For a network both
+    parts hold the states' rows padded with zero rows to whole blocks of
+    _block_rows(M), at most 3 rows more, and M maps the padded blocks:
+    the step allocates nothing.
 
     A network whose states fit _DRIVE_BYTES takes the rows of each
     block through _widened, at the width that block is stepped at: a
@@ -480,45 +549,58 @@ def _advance(system, drive, xs, tails=None):
 
     A run that writes no tails steps each lane's bit-identical members
     once.  Before each drive block, _distinct_rows keeps one row per
-    distinct state of each lane in the front of the same buffers; the
-    map from members to rows is applied once, to the final states.  This
-    is exact: every row is computed on its own (one gemv per row, an
+    distinct state of each lane in the front of the same buffers, and the
+    padded blocks shrink to the rows kept (the padding rows zeroed again);
+    the map from members to rows is applied once, to the final states.
+    This is exact: every row is computed on its own (a row of a 4-row
+    GEMM whose bits do not depend on the other rows, one gemv per row, an
     elementwise tanh, or a rowwise step_batch), so rows with equal bits
     under one lane's drive stay equal, and each row is still its solo
     orbit bit for bit.  A run with tails steps every member: its tails
     are full width."""
-    lanes, members = xs.shape[:2]
+    lanes, members, d = xs.shape
     if members == 0:
         return xs
     rnn = isinstance(system, RnnParams)
     # one member a lane: the rows already have the states' shape
     fits = rnn and members > 1 and xs.nbytes <= _DRIVE_BYTES
     wide = np.empty(_DRIVE_BYTES // 8) if fits else None
-    x, *scratch = _aligned_empty(xs.shape, 1 + rnn)
+    b = _block_rows(system.effective_matrix) if rnn else 1
+    rows = lanes * members
+    x_buf, *pre_buf = _aligned_empty((rows + -rows % b, d), 1 + rnn)
+    x_buf[rows:] = 0.0
+    x = _front(x_buf, xs.shape)
     x[...] = xs
     if tails is not None:
         tails[:, :, 0] = x
     if rnn:
-        m, pre, alpha = _matvec_rows(system.effective_matrix), scratch[0], system.alpha
+        m, alpha = _matvec_rows(system.effective_matrix), system.alpha
         om, leak_free = 1.0 - alpha, alpha == 1.0
+        pre_buf, = pre_buf
+        pre = _front(pre_buf, xs.shape)
+        x_blocks, pre_blocks = _blocks(x_buf, rows, b), _blocks(pre_buf, rows, b)
     lane, inverse, k = np.arange(lanes)[:, None], None, 0
     for block in drive:
         merged = _distinct_rows(x) if tails is None and x.shape[1] > 1 else None
         if merged is not None:
-            rows, rowmap = merged
+            kept_rows, rowmap = merged
             inverse = rowmap if inverse is None else rowmap[lane, inverse]
-            kept = x[lane, rows]
-            x = _front(x, kept.shape)
+            kept = x[lane, kept_rows]
+            x = _front(x_buf, kept.shape)
             x[...] = kept
             if rnn:
-                pre = _front(scratch[0], kept.shape)
+                rows = kept.size // d
+                pre = _front(pre_buf, kept.shape)
+                x_blocks = _blocks(x_buf, rows, b)
+                pre_blocks = _blocks(pre_buf, rows, b)
+                x_blocks.reshape(-1, d)[rows:] = 0.0
         for sub in _widened(block, x.shape, wide):
             for k, u in enumerate(sub, k + 1):
                 if rnn:
                     # inlined and in place: a Python call per step slows
                     # the n_r = 1 loop by 7-8 %, a new array per
                     # operation by 2-8 %
-                    m(x, out=pre)
+                    m(x_blocks, out=pre_blocks)
                     pre += u
                     if leak_free:
                         np.tanh(pre, out=x)

@@ -808,7 +808,8 @@ def estimate_echo_index(system, input_seq, protocol=None, anchor=0,
     ensemble in the same rungs.  Its tails, the shift lane's included,
     are bit-identical to fresh run_ensemble calls and to solo orbits:
     all of them are core._advance runs, whose rows are computed on their
-    own (one gemv per reservoir row, step_batch rowwise otherwise), and
+    own (a reservoir row as a row of a 4-row GEMM up to n_r = 300 and one
+    gemv above, step_batch rowwise otherwise), and
     a rung that restarts members from carried states is exact by the
     cocycle identity.  keep_rung is estimate_echo_indices'.
     """

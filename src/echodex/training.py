@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ConfigurationError, RnnParams, _advance, _require_input,
-                   _rows_gemv, orbit)
+                   _matvec, orbit)
 from .rng import DOMAIN_NOISE, DOMAIN_WEIGHTS, substream
 from .sequences import json_text
 
@@ -102,7 +102,7 @@ def teacher_forced_states(params, input_seq, target_z1, noise_std, seed):
             "only the first output channel may feed back during teacher forcing")
     open_loop = RnnParams(alpha=params.alpha, w_r=params.w_r, w_in=params.w_in)
     fb_col = params.w_fb[:, 0] if params.n_o else np.zeros(params.n_r)
-    drive = _rows_gemv(open_loop.w_in, input_seq.values[1:, None, None])
+    drive = _matvec(open_loop.w_in, input_seq.values[1:, None, None])
     drive += fb_col * target_z1[:-1, None, None, None]
     if noise_std > 0.0:
         drive += substream(seed, DOMAIN_NOISE, 0).normal(0.0, noise_std,

@@ -65,7 +65,11 @@ def test_leak_one_is_pure_activation_update():
     params = random_params(rng, n_r=4, n_i=2, alpha=1.0)
     u = rng.uniform(-1, 1, 2)
     x = rng.uniform(-1, 1, 4)
-    want = np.tanh(params.w_r @ x + params.w_in @ u)
+    # the 4-row form: each vector padded with three zero rows, one
+    # matmul by the transposed matrix, row 0
+    def row0(w, v):
+        return np.matmul(np.vstack([v, np.zeros((3, v.size))]), w.T)[0]
+    want = np.tanh(row0(params.w_r, x) + row0(params.w_in, u))
     assert step(params, u, x).tobytes() == want.tobytes()
 
 
@@ -495,7 +499,7 @@ def record_widening(monkeypatch):
 
 
 @pytest.mark.parametrize("n_r,alpha,drive_bytes,widened", [
-    (1, 1.0, 160, True), (2, 0.7, 240, True), (30, 0.7, 1024, False)],
+    (1, 1.0, 160, True), (2, 0.7, 480, True), (30, 0.7, 1024, False)],
     ids=["1-leak-free", "2-leaky", "30-over-budget"])
 def test_widened_drive_rows_step_like_solo_orbits(n_r, alpha, drive_bytes,
                                                  widened, monkeypatch):
@@ -504,6 +508,9 @@ def test_widened_drive_rows_step_like_solo_orbits(n_r, alpha, drive_bytes,
     # before the first block, the others as the contracting network
     # brings them onto the same bits, so the width shrinks between
     # blocks.  A state over the bound steps on the block's own rows.
+    # At n_r = 2 the 480-byte bound makes 15-step blocks, and the width
+    # goes 4 -> 2 -> 1 with sub-blocks [7, 7, 1] at width 2: a merge
+    # check falls between the steps where the members meet.
     monkeypatch.setattr(core, "_DRIVE_BYTES", drive_bytes)
     rng = np.random.default_rng(101)
     params = lockstep_reservoir(rng, n_r, "none", alpha)
@@ -537,8 +544,8 @@ def test_widened_drive_rows_step_like_solo_orbits(n_r, alpha, drive_bytes,
 @pytest.mark.parametrize("n_r", [1, 30])
 def test_network_drive_maps_each_lanes_own_inputs(n_r, monkeypatch):
     # three lanes of four input channels; a 200-byte bound puts a block
-    # seam every 8 steps or fewer.  Each row is that lane's W_in u, one
-    # gemv.
+    # seam every 8 steps or fewer.  Each row is that lane's W_in u, with
+    # the bits core._matvec gives it.
     monkeypatch.setattr(core, "_DRIVE_BYTES", 200)
     rng = np.random.default_rng(103)
     params = lockstep_reservoir(rng, n_r, "feedback")
@@ -549,7 +556,7 @@ def test_network_drive_maps_each_lanes_own_inputs(n_r, monkeypatch):
         for row in block:
             t += 1
             for i, seq in enumerate(seqs):
-                want = core._rows_gemv(params.w_in, seq.at(t))
+                want = core._matvec(params.w_in, seq.at(t))
                 assert row[i, 0].tobytes() == want.tobytes()
     assert t == 60
 
@@ -616,6 +623,66 @@ def test_orbits_do_not_depend_on_the_memory_order_of_the_parameters():
     x0 = rng.uniform(-1, 1, 200)
     assert (orbit(params, seq, x0, 300).states.tobytes()
             == orbit(back, seq, x0, 300).states.tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 200])
+def test_a_rows_bits_in_a_4_row_gemm_depend_on_no_other_row(n):
+    # the row contract ensembles rest on: in a GEMM of 4 rows, a row's
+    # bits depend neither on the other rows' values nor on its place in
+    # the block, and a state padded with three zero rows gets the same
+    # bits; the package's row map gives a state those bits alone and
+    # among other states
+    rng = np.random.default_rng(107)
+    w = core._frozen_matrix(rng.uniform(-1, 1, (n, n)))
+    x = rng.uniform(-1, 1, n)
+    padded = np.zeros((4, n))
+    padded[0] = x
+    want = np.matmul(padded, w.T)[0].tobytes()
+    for place in range(4):
+        for _ in range(3):
+            blocks = rng.uniform(-1, 1, (3, 4, n))
+            blocks[1, place] = x
+            assert np.matmul(blocks, w.T)[1, place].tobytes() == want
+    assert core._matvec(w, x).tobytes() == want
+    xs = rng.uniform(-1, 1, (7, n))
+    xs[5] = x
+    assert core._matvec(w, xs)[5].tobytes() == want
+
+
+def test_advance_tails_do_not_depend_on_the_blas_thread_count():
+    # n_r = 200 steps as rows of 4-row GEMMs, whose bits are the same at
+    # one BLAS thread and at two: 2 x 5 members, so a block holds two
+    # padding rows, in a run with tails and a tail-free run that merges
+    code = """if True:
+        import hashlib
+        import numpy as np
+        from echodex import RnnParams, core
+        from echodex.sequences import InputSequence
+        rng = np.random.default_rng(109)
+        # no eigen- or singular value solve: LAPACK's bits may change
+        # with the BLAS thread count
+        params = RnnParams(alpha=0.7, w_r=rng.uniform(-1, 1, (200, 200)) / 200,
+                           w_in=rng.uniform(-1, 1, (200, 2)))
+        seqs = [InputSequence(anchor=0, values=rng.uniform(-1, 1, (61, 2)),
+                              lo=-np.ones(2), hi=np.ones(2)) for _ in range(2)]
+        xs = rng.uniform(-1, 1, (2, 5, 200))
+        xs[:, 4] = xs[:, 0]
+        tails = np.empty((2, 5, 61, 200))
+        core._advance(params, core._drive(params, seqs, 0, 60), xs, tails)
+        final = core._advance(params, core._drive(params, seqs, 0, 60), xs)
+        print(hashlib.sha256(tails.tobytes() + final.tobytes()).hexdigest())
+    """
+    src = str(Path(core.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("inputs,members,n_r,steps",

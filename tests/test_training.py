@@ -8,7 +8,7 @@ from echodex import (ConfigurationError, ReservoirConfig, RnnParams,
                      init_reservoir, load_model, nrmse, orbit, pca_project,
                      ridge_readout, save_model, save_params,
                      teacher_forced_states)
-from echodex.core import _rows_gemv
+from echodex.core import _matvec
 from echodex.rng import DOMAIN_NOISE, substream
 from echodex.sequences import InputSequence
 
@@ -82,9 +82,9 @@ def hand_teacher_forcing(params, drive, z1, noise_std, seed):
     x = np.zeros(params.n_r)
     states = [x]
     for j in range(1, drive.length):
-        forced = _rows_gemv(params.w_in, drive.values[j]) + params.w_fb[:, 0] * z1[j - 1]
+        forced = _matvec(params.w_in, drive.values[j]) + params.w_fb[:, 0] * z1[j - 1]
         forced = forced + noise.normal(0.0, noise_std, size=params.n_r)
-        pre = _rows_gemv(params.w_r, x) + forced
+        pre = _matvec(params.w_r, x) + forced
         x = np.tanh(pre) if alpha == 1.0 else (1.0 - alpha) * x + alpha * np.tanh(pre)
         states.append(x)
     return np.array(states)

@@ -69,8 +69,8 @@ MUTANTS = [
            "pass",
            (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
     Mutant("every lane merged onto lane 0's rows", "core.py",
-           "kept = x[lane, rows]",
-           "kept = x[0, rows]",
+           "kept = x[lane, kept_rows]",
+           "kept = x[0, kept_rows]",
            (CORE + "test_lanes_with_the_same_members_never_merge_across_lanes",)),
     Mutant("merged rows returned unexpanded", "core.py",
            "return x if inverse is None else x[lane, inverse]",
@@ -87,9 +87,20 @@ MUTANTS = [
            "part = block[s0 + 1:s0 + 1 + per]",
            (CORE + "test_widened_drive_rows_step_like_solo_orbits",)),
     Mutant("lane 0's inputs mapped into every lane", "core.py",
-           "w_in(u, out=block[:n, i])",
-           "w_in(inputs[0], out=block[:n, i])",
+           "for i, u in enumerate(inputs):",
+           "for i, u in enumerate(inputs[:1] * len(inputs)):",
            (CORE + "test_network_drive_maps_each_lanes_own_inputs",)),
+    # the row map (core._matvec_rows): rows of networks up to n = 300 as
+    # rows of 4-row GEMMs, a solo state padded with three zero rows
+    Mutant("step maps an unpadded single row", "core.py",
+           "return _update(params.alpha, x, _preactivation(params, u, x))",
+           "return _update(params.alpha, x, _preactivation(params, u, x, _rows_gemm))",
+           (CORE + "test_leak_one_is_pure_activation_update",
+            CORE + "test_widened_drive_rows_step_like_solo_orbits")),
+    Mutant("blocks of 8 rows, not 4", "core.py",
+           "_BLOCK = 4",
+           "_BLOCK = 8",
+           (CORE + "test_a_rows_bits_in_a_4_row_gemm_depend_on_no_other_row",)),
     # the tails rule (core._advance): the start state at index 0, the
     # state after step k at index k
     Mutant("a tail written one index early", "core.py",
