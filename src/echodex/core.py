@@ -18,9 +18,10 @@ One kernel, _advance, evolves (lanes, members, d) states of any system
 in lockstep, each lane under its own drive, one block row per step:
 W_in u[k] plus any state-independent terms for a network, u[k]
 otherwise.  _drive maps input sequences into one drive block of about
-_DRIVE_BYTES (64 KiB), however many lanes and steps; a network whose
-states fit as many bytes again steps on the block's rows widened to the
-states' shape, so that each step adds two arrays of one shape (numpy's
+_DRIVE_BYTES (64 KiB), however many lanes and steps, every lane of a
+network in one _matvec_rows call a block; a network whose states fit
+as many bytes again steps on the block's rows widened to the states'
+shape, so that each step adds two arrays of one shape (numpy's
 contiguous fast path, not a broadcast).  orbit is the kernel's
 one-member case, _orbits (several solo orbits of one input) and the
 index module's ensembles its many-member cases (so their rows equal
@@ -417,8 +418,8 @@ def _require_input(system, input_seq, first, last):
     input_seq.require_window(first, last)
 
 
-# bytes one _drive block holds, and as many again in _advance's widened
-# drive rows, whatever the lane count and run length
+# bytes one _drive block and its mapped inputs hold, and as many again in
+# _advance's widened drive rows, whatever the lane count and run length
 _DRIVE_BYTES = 64 * 1024
 
 
@@ -426,21 +427,24 @@ def _drive(system, seqs, t0, t1):
     """Blocks of the drive into times t0 + 1 .. t1 of lanes seqs[i]:
     row j of a block holds each lane's W_in u as (lanes, 1, n_r) for
     RnnParams, its u as (lanes, n_i) for other systems.  Every block is
-    a view of one buffer of up to _DRIVE_BYTES (and at most 3 padding
-    rows a lane), overwritten by the next; a network maps each lane's
-    inputs straight into its own rows of it, one _matvec_rows call a
-    lane, padded with zero rows to whole blocks where the steps do not
-    fill them."""
+    a view of one buffer, overwritten by the next.  A network stacks
+    every lane's inputs, padded with zero rows to whole blocks where the
+    steps do not fill them, and maps them all with one _matvec_rows call
+    a block: a 1 x 1 W_in multiplies them in place in the block itself,
+    any other maps them from a second buffer of (lanes, steps, n_i).  The
+    block and that buffer hold up to _DRIVE_BYTES together (and at most
+    3 padding rows a lane)."""
     rnn = isinstance(system, RnnParams)
     lanes = len(seqs)
     width = system.state_dim if rnn else seqs[0].n_i
-    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // (8 * lanes * width)))
+    in_place = not rnn or system.w_in.shape == (1, 1)
+    per_step = 8 * lanes * (width + (0 if in_place else system.n_i))
+    chunk = max(1, min(t1 - t0, _DRIVE_BYTES // per_step))
     if rnn:
         b, n_i = _block_rows(system.w_in), system.n_i
         w_in, k = _matvec_rows(system.w_in), -(-chunk // b)
-        block = np.empty((lanes, k, b, width))
-        # zero rows that fill a last block; a map of one-row blocks needs none
-        pad = np.zeros((k, b, n_i)) if b > 1 else None
+        buf = np.empty(lanes * k * b * width)
+        raw = buf if in_place else np.empty(lanes * k * b * n_i)
     else:
         block = np.empty((chunk, lanes, width))
     for c0 in range(t0 + 1, t1 + 1, chunk):
@@ -450,13 +454,11 @@ def _drive(system, seqs, t0, t1):
             yield np.stack(inputs, axis=1, out=block[:n])
             continue
         k = -(-n // b)
-        for i, u in enumerate(inputs):
-            if n % b:
-                rows = pad.reshape(-1, n_i)
-                rows[:n] = u
-                rows[n:] = 0.0
-                u = pad[:k]
-            w_in(u.reshape(k, b, n_i), out=block[i, :k])
+        u = _front(raw, (lanes, k * b, n_i))
+        np.stack(inputs, out=u[:, :n])
+        u[:, n:] = 0.0
+        block = _front(buf, (lanes, k, b, width))
+        w_in(u.reshape(lanes, k, b, n_i), out=block)
         yield block.reshape(lanes, -1, width)[:, :n, None].swapaxes(0, 1)
 
 

@@ -34,7 +34,7 @@ from .presets import (KloedenSystem, context_reservoir, scalar_params,
                       switching_inputs, switching_params)
 from .sequences import (_kind, d_prod, gen_context_task, gen_two_symbol,
                         gen_uniform_scaled, json_text, splice_large_input,
-                        write_csv)
+                        write_csv, write_member_csv)
 from .training import (ReservoirConfig, TrainedModel, closed_loop_eval, nrmse,
                        pca_project, ridge_readout, save_model,
                        teacher_forced_states)
@@ -242,10 +242,7 @@ def _run_kloeden(cfg, out):
     outputs = {}
     if out is not None:
         path = out / "trajectories.csv"
-        ks = range(k0, k1 + 1)
-        write_csv(path, "ic_id,k,x", "%d,%d,%.17g",
-                  ((i, k, x) for i, row in enumerate(runs.tolist())
-                   for k, x in zip(ks, row)))
+        write_member_csv(path, "ic_id,k,x", range(k0, k1 + 1), runs)
         outputs["trajectories"] = str(path)
     return summary, assertions, outputs
 
@@ -744,9 +741,7 @@ def _run_context_task(cfg, out):
         outputs["pca"] = str(pca_path)
 
         z1_path = out / "ensemble_z1.csv"
-        write_csv(z1_path, "ic_id,k,z1", "%d,%d,%.17g",
-                  ((i, k, z) for i, row in enumerate(z1.tolist())
-                   for k, z in zip(z1_ks, row)))
+        write_member_csv(z1_path, "ic_id,k,z1", z1_ks, z1)
         outputs["ensemble_z1"] = str(z1_path)
     return summary, assertions, outputs
 

@@ -90,7 +90,7 @@ from .core import (ConfigurationError, RnnParams, _advance_groups, _group_count,
                    _orbits, _require_input, _run_groups, orbit, step_batch)
 from .contraction import Region
 from .rng import DOMAIN_FIBRE, DOMAIN_IC, substream
-from .sequences import shift, write_csv
+from .sequences import shift, write_member_csv
 
 
 # ----------------------------------------------------------------------
@@ -245,12 +245,9 @@ def _run_ensembles(system, input_seqs, ics, transient, horizon, anchor=0,
 
 def ensemble_to_csv(run, path):
     """Plot-ready CSV: one row per IC per retained step."""
-    m, n, d = run.trajectories.shape
-    ids = np.repeat(np.arange(m), n).tolist()
-    ks = np.tile(np.arange(run.tail_anchor, run.tail_anchor + n), m).tolist()
-    write_csv(path, "ic_id,k," + ",".join(f"x_{j + 1}" for j in range(d)),
-              "%d,%d" + ",%.17g" * d,
-              zip(ids, ks, *run.trajectories.reshape(-1, d).T.tolist()))
+    n, d = run.trajectories.shape[1:]
+    write_member_csv(path, "ic_id,k," + ",".join(f"x_{j + 1}" for j in range(d)),
+                     range(run.tail_anchor, run.tail_anchor + n), run.trajectories)
 
 
 # ----------------------------------------------------------------------
@@ -620,14 +617,30 @@ class IndexProtocol:
         return max(0, self.shift_check) + max(self.transients) + self.horizon
 
 
-def _ladder_rung(system, seqs, seeds, protocol, r, anchor, carried=None):
-    """Rung r of the protocol for every lane, evolved to its window's first
-    step (_evolve), continuing the `carried` states of an earlier rung of
-    the same lanes (_Rung.carry).  Each distinct IC seed's ICs are drawn
-    once, however many lanes share it."""
+def _ladder_ics(system, seeds, protocol):
+    """(table, rows): each distinct seed's ICs for every rung of the
+    protocol as one array, drawn once however many lanes and rungs share
+    the seed, and the table row of each seed in `seeds`.  A row holds
+    max(ic_counts) ICs, of which rung r takes the first ic_counts[r] (a
+    larger count extends a smaller one)."""
+    distinct = sorted(set(seeds))
+    count = max(protocol.ic_counts)
+    table = np.stack([_draw_ics(system, seed, count) for seed in distinct])
+    return table, [distinct.index(seed) for seed in seeds]
+
+
+def _ladder_rung(system, seqs, table, rows, protocol, r, anchor, carried=None):
+    """Rung r of the protocol for every lane, lane i from the first
+    ic_counts[r] ICs of row rows[i] of the _ladder_ics table, evolved to
+    its window's first step (_evolve), continuing the `carried` states of
+    an earlier rung of the same lanes (_Rung.carry).  Lanes that all take
+    one row share it as one read-only view, not a copy a lane."""
     count, transient = protocol.ic_counts[r], protocol.transients[r]
-    drawn = {seed: _draw_ics(system, seed, count) for seed in set(seeds)}
-    ics = np.stack([drawn[seed] for seed in seeds])
+    firsts = table[:, :count]
+    if len(set(rows)) == 1:
+        ics = np.broadcast_to(firsts[rows[0]], (len(rows),) + firsts.shape[1:])
+    else:
+        ics = firsts[rows]
     return _evolve(system, seqs, ics, int(transient), protocol.horizon, anchor,
                    carried)
 
@@ -744,6 +757,7 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
     history = [[] for _ in seqs]
     reports, kept, shifted = [None] * n, [None] * n, [None] * n
     open_, carried = list(range(n)), None
+    table, seed_rows = _ladder_ics(system, seeds, protocol)
     # one window of one lane group, the most any rung holds: each window
     # of each rung is a view of its first m x count x (horizon + 1) x d
     buffer = np.empty(n * max(protocol.ic_counts) * (horizon + 1)
@@ -755,8 +769,9 @@ def estimate_echo_indices(system, input_seqs, protocol=None, anchor=0,
         m, last = len(open_), r + 1 == n_rungs
         rung_seqs = [seqs[i] for i in open_] + [shifted_seqs[i] for i in open_]
         rung_seeds = [seeds[i] for i in open_] * 2
-        rung = _ladder_rung(system, rung_seqs, rung_seeds, protocol, r, anchor,
-                            carried)
+        rung = _ladder_rung(system, rung_seqs, table,
+                            [seed_rows[i] for i in open_] * 2, protocol, r,
+                            anchor, carried)
         count, d = rung.ics.shape[1:]
         tails = buffer[:m * count * (horizon + 1) * d].reshape(
             m, count, horizon + 1, d)

@@ -11,6 +11,7 @@ same sequence bit-exactly regardless of thread count or platform.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 import json
 import math
 import numbers
@@ -304,15 +305,55 @@ def splice_large_input(u, m, far_value, admissible=None):
 # file formats
 # ----------------------------------------------------------------------
 
+# rows one % call formats: a block's text is kilobytes, never a file's
+_CSV_BLOCK = 1024
+
+
 def write_csv(path, header, fmt, rows):
     """Write `header`, then `fmt % row` for each row tuple, one per
-    LF-terminated line.  Every CSV of the package goes through here;
-    floats use %.17g, which round-trips every double exactly, so reruns
-    reproduce the files byte for byte.  Lines are streamed, not joined,
-    so no copy of the whole text is held."""
+    LF-terminated line.  Every CSV of the package goes through here or
+    through write_member_csv; floats use %.17g, which round-trips every
+    double exactly, so reruns reproduce the files byte for byte.  Rows
+    are formatted a block of _CSV_BLOCK at a time, one % call a block:
+    never a call per row, and never the whole file's text."""
+    line, rows = fmt + "\n", iter(rows)
+    _write_blocks(path, header, (
+        (line * len(block)) % tuple(chain.from_iterable(block))
+        for block in iter(lambda: list(islice(rows, _CSV_BLOCK)), [])))
+
+
+def write_member_csv(path, header, ks, members):
+    """Write `header`, then the line "i,k,x_1,...,x_d" (%d, %d, then
+    %.17g each) for each member i of members (m, n) or (m, n, d) and each
+    of its states x = members[i, j], k = ks[j]: the member-major CSV of
+    an ensemble.  The k column is spelled once per file and each id once
+    per member, into a format whose only placeholders are the member's
+    floats; one member's floats and one block of its text are held at a
+    time, one % call a block of _CSV_BLOCK lines."""
+    members = np.asarray(members, dtype=float)
+    n, d = members.shape[1], math.prod(members.shape[2:])
+    lines = [",%d" % k + ",%.17g" * d + "\n" for k in ks]
+    if len(lines) != n:
+        raise ValueError(f"{len(lines)} k values for {n} states a member")
+    # each block's first float, and its lines after a "": joined on a
+    # member's id, they put the id before every line
+    blocks = [(j * d, [""] + lines[j:j + _CSV_BLOCK])
+              for j in range(0, n, _CSV_BLOCK)]
+
+    def texts():
+        for i, member in enumerate(members):
+            ic, values = "%d" % i, member.reshape(-1).tolist()
+            for start, block in blocks:
+                yield ic.join(block) % tuple(
+                    values[start:start + (len(block) - 1) * d])
+    _write_blocks(path, header, texts())
+
+
+def _write_blocks(path, header, texts):
+    """The CSV at path: header, then each text of `texts` as it comes."""
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
-        f.writelines(map((fmt + "\n").__mod__, rows))
+        f.writelines(texts)
 
 
 def json_text(doc, sort_keys=False):

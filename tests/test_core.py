@@ -543,22 +543,24 @@ def test_widened_drive_rows_step_like_solo_orbits(n_r, alpha, drive_bytes,
 
 @pytest.mark.parametrize("n_r", [1, 30])
 def test_network_drive_maps_each_lanes_own_inputs(n_r, monkeypatch):
-    # three lanes of four input channels; a 200-byte bound puts a block
-    # seam every 8 steps or fewer.  Each row is that lane's W_in u, with
-    # the bits core._matvec gives it.
+    # three lanes of four input channels, or of one (at n_r = 1 a 1 x 1
+    # W_in, which maps in place); a 200-byte bound puts a block seam every
+    # 8 steps or fewer.  Each row is that lane's W_in u, with the bits
+    # core._matvec gives it.
     monkeypatch.setattr(core, "_DRIVE_BYTES", 200)
     rng = np.random.default_rng(103)
-    params = lockstep_reservoir(rng, n_r, "feedback")
-    seqs = [make_seq(rng, params.n_i, -3, 60) for _ in range(3)]
-    t = 0
-    for block in core._drive(params, seqs, 0, 60):
-        assert block.shape[1:] == (3, 1, n_r)
-        for row in block:
-            t += 1
-            for i, seq in enumerate(seqs):
-                want = core._matvec(params.w_in, seq.at(t))
-                assert row[i, 0].tobytes() == want.tobytes()
-    assert t == 60
+    for wiring in ("feedback", "none"):
+        params = lockstep_reservoir(rng, n_r, wiring)
+        seqs = [make_seq(rng, params.n_i, -3, 60) for _ in range(3)]
+        t = 0
+        for block in core._drive(params, seqs, 0, 60):
+            assert block.shape[1:] == (3, 1, n_r)
+            for row in block:
+                t += 1
+                for i, seq in enumerate(seqs):
+                    want = core._matvec(params.w_in, seq.at(t))
+                    assert row[i, 0].tobytes() == want.tobytes()
+        assert t == 60
 
 
 def offset_copy(a, offset):

@@ -141,16 +141,34 @@ def test_lockstep_rows_equal_step_one_on_a_kloeden_system():
 
 
 def test_ensemble_csv_format(tmp_path):
+    # every byte is ("%d,%d" + ",%.17g" * d) % row, row by row, for one
+    # member and several, d = 1 and 2, tails anchored before and after 0,
+    # a member longer than a block of lines, and the values %.17g spells
+    # apart: nan, +-inf, -0.0 and the least subnormal
     params = scalar_expander(0.0)
-    seq = const_seq(0.0, -1, 40)
-    run = run_ensemble(params, seq, 3, transient=10, horizon=5, ic_seed=0)
+    runs = [run_ensemble(params, const_seq(0.0, -1, 40), 3, transient=10,
+                         horizon=5, ic_seed=0)]
+    rng = np.random.default_rng(8)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    for m, d, n, anchor in [(1, 1, 6, 4), (3, 2, 40, -25), (2, 1, 2500, -1300)]:
+        tails = rng.uniform(-1, 1, (m, n, d))
+        tails.reshape(-1)[1:1 + len(special)] = special
+        runs.append(EnsembleRun(system=None, input_seq=None,
+                                initial_conditions=np.zeros((m, d)), transient=7,
+                                horizon=n - 1, anchor=anchor, ic_seed=0,
+                                trajectories=tails))
     path = tmp_path / "ens.csv"
-    ensemble_to_csv(run, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ic_id,k,x_1"
-    assert len(lines) == 1 + 3 * 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and int(first[1]) == 10
+    for run in runs:
+        m, n, d = run.trajectories.shape
+        ensemble_to_csv(run, path)
+        fmt = "%d,%d" + ",%.17g" * d
+        lines = ["ic_id,k," + ",".join(f"x_{j + 1}" for j in range(d))]
+        lines += [fmt % (i, run.tail_anchor + j, *run.trajectories[i, j].tolist())
+                  for i in range(m) for j in range(n)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    text = path.read_text()
+    assert all(f",{v}\n" in text for v in ("nan", "inf", "-inf", "-0",
+                                           "4.9406564584124654e-324"))
 
 
 def synthetic_run(tails):
@@ -861,12 +879,45 @@ def test_a_ladder_makes_one_exact_pass_per_input(monkeypatch):
         assert len(calls) == 3
 
 
+@pytest.mark.parametrize("seeds", [[3, 1, 3], [2, 2]])
+@pytest.mark.parametrize("ic_counts", [(16, 24, 32), (32, 16)])
+def test_a_ladder_draws_each_seeds_ics_once(ic_counts, seeds, monkeypatch):
+    # max(ic_counts) ICs per distinct seed, drawn once; each rung takes
+    # the first ic_counts[r] of them, the bits of a draw of that count
+    # (with one seed, as one view shared by every lane)
+    system = RotationSystem()  # never stabilises: every rung runs
+    seqs = [const_seq(0.0, -5, 200)] * len(seeds)
+    protocol = IndexProtocol(ic_counts=ic_counts, transients=(10, 20, 30)[:len(ic_counts)],
+                             horizon=12, window=10)
+    draw, evolve, draws, rung_ics = index._draw_ics, index._evolve, [], []
+
+    def counted_draw(system, seed, count):
+        draws.append((seed, count))
+        return draw(system, seed, count)
+
+    def recording_evolve(system, seqs, ics, *args):
+        rung_ics.append(ics.copy())
+        return evolve(system, seqs, ics, *args)
+    monkeypatch.setattr(index, "_draw_ics", counted_draw)
+    monkeypatch.setattr(index, "_evolve", recording_evolve)
+    reports = estimate_echo_indices(system, seqs, protocol, ic_seeds=seeds)
+    assert not any(r.diagnostics["stabilized"] for r in reports)
+    assert sorted(draws) == [(seed, max(ic_counts)) for seed in sorted(set(seeds))]
+    assert len(rung_ics) == len(ic_counts)
+    for count, ics in zip(ic_counts, rung_ics):
+        # each input's lane, then its shift lane, from the same ICs
+        assert ics.shape == (2 * len(seeds), count, 2)
+        for lane, seed in enumerate(seeds * 2):
+            assert np.array_equal(ics[lane], draw(system, seed, count))
+
+
 def continued_rung(system, seqs, seeds, protocol, r):
     """Tails of rung r continued from rung r - 1, as the ladder does it."""
-    prev = index._ladder_rung(system, seqs, seeds, protocol, r - 1, 0)
+    table, rows = index._ladder_ics(system, seeds, protocol)
+    prev = index._ladder_rung(system, seqs, table, rows, protocol, r - 1, 0)
     carried = prev.carry(rung_window(prev), protocol.transients[r])
-    return rung_window(index._ladder_rung(system, seqs, seeds, protocol, r, 0,
-                                          carried))
+    return rung_window(index._ladder_rung(system, seqs, table, rows, protocol, r,
+                                          0, carried))
 
 
 def fresh_rung(system, seq, seed, protocol, r):

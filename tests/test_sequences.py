@@ -8,7 +8,8 @@ from echodex import (InputSequence, WindowExhausted, d_prod, d_unif,
                      gen_context_task, gen_two_symbol, gen_uniform_scaled,
                      load_input, load_sequence, save_sequence, shift,
                      splice_large_input)
-from echodex.sequences import json_text, write_csv
+from echodex import sequences
+from echodex.sequences import json_text, write_csv, write_member_csv
 
 
 def rand_seq(rng, n_i=2, first=-6, last=6):
@@ -252,8 +253,35 @@ def test_write_csv_formats_every_column_kind(tmp_path):
                                  b"0.01,6,1,0,0.10000000000000001\n")
     assert path.read_text().splitlines()[1:] == [
         f"{w:g},{s},{i},{int(f)},{x:.17g}" for w, s, i, f, x in rows]
+    # more rows than a block of lines, the last block not full, given
+    # as an iterator: every line is still fmt % row
+    many = [(1e-3 * j, j, str(j % 3), j % 2, j / 7) for j in
+            range(2 * sequences._CSV_BLOCK + 5)]
+    write_csv(path, "w,seed,index,flag,x", "%g,%d,%s,%d,%.17g", iter(many))
+    assert path.read_text() == "".join(
+        ["w,seed,index,flag,x\n"]
+        + ["%g,%d,%s,%d,%.17g\n" % row for row in many])
     write_csv(path, "k", "%d", [])
     assert path.read_bytes() == b"k\n"
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (5, 40), (2, 2100), (3, 9, 2), (0, 4)])
+def test_write_member_csv_spells_what_write_csv_does(shape, tmp_path):
+    # member i's state j as the row (i, ks[j], *state), as write_csv
+    # writes ("%d,%d" + ",%.17g" * d) % row, ks below zero included
+    rng = np.random.default_rng(len(shape) + shape[1])
+    members = rng.uniform(-1, 1, shape)
+    members.reshape(-1)[:3] = [-0.0, math.nan, -math.inf][:members.size]
+    d = shape[2] if len(shape) > 2 else 1
+    ks = range(-7, shape[1] - 7)
+    member_path, row_path = tmp_path / "members.csv", tmp_path / "rows.csv"
+    write_member_csv(member_path, "ic_id,k,x", ks, members)
+    write_csv(row_path, "ic_id,k,x", "%d,%d" + ",%.17g" * d,
+              ((i, k, *np.atleast_1d(x).tolist()) for i, member in enumerate(members)
+               for k, x in zip(ks, member)))
+    assert member_path.read_bytes() == row_path.read_bytes()
+    with pytest.raises(ValueError):
+        write_member_csv(member_path, "ic_id,k,x", range(shape[1] + 1), members)
 
 
 @pytest.mark.parametrize("sort_keys", [False, True])

@@ -87,8 +87,8 @@ MUTANTS = [
            "part = block[s0 + 1:s0 + 1 + per]",
            (CORE + "test_widened_drive_rows_step_like_solo_orbits",)),
     Mutant("lane 0's inputs mapped into every lane", "core.py",
-           "for i, u in enumerate(inputs):",
-           "for i, u in enumerate(inputs[:1] * len(inputs)):",
+           "np.stack(inputs, out=u[:, :n])",
+           "np.stack(inputs[:1] * lanes, out=u[:, :n])",
            (CORE + "test_network_drive_maps_each_lanes_own_inputs",)),
     # the row map (core._matvec_rows): rows of networks up to n = 300 as
     # rows of 4-row GEMMs, a solo state padded with three zero rows
@@ -135,6 +135,12 @@ MUTANTS = [
            "_MIN_PAIR_WORK = 2 ** 22",
            "_MIN_PAIR_WORK = 1",
            (EXPERIMENTS + "test_small_presets_never_build_a_thread_pool",)),
+    # each seed's ICs drawn once per ladder (index._ladder_ics), a rung
+    # taking the first ic_counts[r] of them (index._ladder_rung)
+    Mutant("a rung given the last rows of its seed's ICs", "index.py",
+           "firsts = table[:, :count]",
+           "firsts = table[:, -count:]",
+           (INDEX + "test_a_ladder_draws_each_seeds_ics_once",)),
     # continued rungs (index._Rung.carry)
     Mutant("carry index off by one", "index.py",
            "tails[:, :, s - self.transient].copy(), s",
@@ -276,6 +282,18 @@ MUTANTS = [
            "if False:",
            (CONTRACTION + "test_region_refuses_bounds_that_are_not_finite",
             EXPERIMENTS + "test_cli_certify_refuses_a_region_bound_that_is_not_finite")),
+    # the CSV writers (sequences.write_csv, write_member_csv): a block of
+    # lines per % call
+    Mutant("a table's last partial block dropped", "sequences.py",
+           "for block in iter(lambda: list(islice(rows, _CSV_BLOCK)), []))",
+           "for block in iter(lambda: list(islice(rows, _CSV_BLOCK)), [])\n"
+           "        if len(block) == _CSV_BLOCK)",
+           (SEQUENCES + "test_write_csv_formats_every_column_kind",)),
+    Mutant("the member template's k column one step late", "sequences.py",
+           '",%d" % k + ",%.17g" * d',
+           '",%d" % (k + 1) + ",%.17g" * d',
+           (INDEX + "test_ensemble_csv_format",
+            SEQUENCES + "test_write_member_csv_spells_what_write_csv_does")),
     # the one JSON writer (sequences.json_text)
     Mutant("nan and inf in a float list spelled by repr", "sequences.py",
            'if "n" not in text:',
