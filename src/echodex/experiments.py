@@ -179,7 +179,7 @@ def _scan_roots(fn):
     """All simple roots of fn on [-0.9999, 0.9999] via sign changes at
     4001 points + bisection."""
     xs = np.linspace(-0.9999, 0.9999, 4001)
-    vals = np.array([fn(x) for x in xs])
+    vals = np.array([fn(x) for x in xs.tolist()])
     return [_root(fn, float(xs[i]), float(xs[i + 1]))
             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
 

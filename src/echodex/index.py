@@ -62,8 +62,9 @@ one per CPU the process may use, with the same bits at any CPU count;
 the groups share one scratch budget of 1 MiB for their pair differences
 (_PAIR_SCRATCH_BYTES), whatever the ensemble's size, beside one row of
 (m - 1) x W squared distances each.  A pullback fibre's one diameter,
-measured on its final points, keeps its scratch in one block of about
-512 KiB (_PAIR_BLOCK_BYTES; see pullback_fibre).
+measured on its final points, pairs only the points a certified
+triangle screen keeps, with pdist's bits, and keeps its scratch in one
+block of about 512 KiB (_PAIR_BLOCK_BYTES; see pullback_fibre).
 
 A ladder makes one exact clustering pass per input: the report it
 keeps, of the rung where the input stabilises or of its last rung, is
@@ -474,6 +475,20 @@ def cluster_asymptotics(run, cluster_tol=1e-3, window=None):
                            diagnostics=diagnostics)
 
 
+def _rounding(d):
+    """(eps, eta) = ((d + 4) 2**-52, 1e-150).  A computed distance c and
+    the exact one D of the same float vectors in d coordinates, squares
+    summed in any order, have |c - D| <= eps/4 D + eta/2: the difference,
+    its square and the sqrt each round once (relative 2**-53), a sum of d
+    nonnegative terms is within (d - 1) 2**-53 relative, and the sqrt
+    halves the squares' part: (d + 4) 2**-54 to first order; an
+    underflowed square loses at most 2**-1075, under eta/2 after the
+    sqrt.  So c (1 + eps) + eta >= D, and eps, four times the need, also
+    covers the roundings in forming a bound such as (hi_i + hi_j)
+    (1 + eps) + eta."""
+    return (d + 4) * 2.0 ** -52, 1e-150
+
+
 # pivots a certified verdict (_rung_verdict) measures at most before it
 # runs the exact pass.  A pivot costs m of the exact pass's m (m - 1) / 2
 # pair rows: with k tight clusters a verdict measures k pivots, and took
@@ -499,35 +514,25 @@ def _rung_verdict(tails, cluster_tol):
     Member i's sup rho_ik and inf sigma_ik over the window to pivot k
     tighten the (m, m) bounds below in place as each pivot is measured.
 
-    Rounding.  A computed distance c and the exact Euclidean distance D of
-    the same float vectors satisfy |c - D| <= eps/4 D + eta/2, with
-    eps = (d + 4) 2**-52 and eta = 1e-150, whatever order numpy sums in:
-    the difference, its square and the sqrt each round once (relative
-    2**-53), a sum of d nonnegative terms in any order is within
-    (d - 1) 2**-53 relative of its exact value, and the sqrt halves the
-    squares' part, which gives (d + 4) 2**-54 to first order; an underflowed
-    square loses at most 2**-1075, under eta/2 after the sqrt for any
-    practical d.  So hi = rho (1 + eps) + eta and lo = sigma (1 - eps) -
-    eta bound the exact pivot distances at every step of the window, and
-    by the triangle inequality the pair (i, j) has
+    Rounding (eps, eta from _rounding).  hi = rho (1 + eps) + eta and lo
+    = sigma (1 - eps) - eta bound the exact pivot distances at every step
+    of the window, and by the triangle inequality the pair (i, j) has
 
         computed d_max <= U = min_k (hi_ik + hi_jk) (1 + eps) + eta,
         computed d_min >= L = max_k max(lo_ik - hi_jk, lo_jk - hi_ik)
                               (1 - eps) - eta.
 
-    The eps used is four times the first-order need, so the few roundings
-    in forming U and L themselves are covered too.  If every pair has
-    U < tol/4 or L > 4 tol, the exact pass would link exactly the pairs
-    U < tol/4 (each d_max < tol/4 <= tol), find none in the band [tol/4,
-    4 tol], and see every cross-cluster pair's d_min above 4 tol > tol:
-    its index is the component count of {U < tol/4}.  Otherwise, or if a
-    pivot distance is not finite (a nan or inf in the window, or an
-    overflow), the exact pass decides.  Beyond (m, m) bounds its scratch
-    is one block of the pair kernel's 1 MiB (_PAIR_SCRATCH_BYTES) and one
-    (m, W) row of squared distances.
+    If every pair has U < tol/4 or L > 4 tol, the exact pass would link
+    exactly the pairs U < tol/4 (each d_max < tol/4 <= tol), find none in
+    the band [tol/4, 4 tol], and see every cross-cluster pair's d_min
+    above 4 tol > tol: its index is the component count of {U < tol/4}.
+    Otherwise, or if a pivot distance is not finite (a nan or inf in the
+    window, or an overflow), the exact pass decides.  Beyond (m, m) bounds
+    its scratch is one block of the pair kernel's 1 MiB
+    (_PAIR_SCRATCH_BYTES) and one (m, W) row of squared distances.
     """
     m, window, d = tails.shape
-    eps, eta = (d + 4) * 2.0 ** -52, 1e-150
+    eps, eta = _rounding(d)
     block = min(max(1, _PAIR_SCRATCH_BYTES // (window * d * 8)), m)
     buf, squares = np.empty((block, window, d)), np.empty((m, window))
     upper, lower = np.full((m, m), np.inf), np.full((m, m), -np.inf)
@@ -852,15 +857,49 @@ _FIBRE_GRID = 33
 _FIBRE_CLOUD = 1000
 
 
+def _squares_to(xs, ref):
+    """Each row's squared distance to ref, summed in coordinate order."""
+    acc = np.zeros(xs.shape[0])
+    for col, r in zip(xs.T, ref):
+        acc += np.square(col - r)
+    return acc
+
+
+def _screen(xs):
+    """(order, k): the rows by falling hi = c (1 + eps) + eta, c a row's
+    computed distance to the box centre (eps, eta from _rounding), and
+    the count k of leading rows a with (hi_a + hi_(a+1)) (1 + eps) + eta
+    >= low, low the first row's largest computed pair distance.  Rows
+    after k pair at a computed distance below low <= the answer.  A nan
+    or inf keeps all rows in order; an infinite low keeps all rows."""
+    n, d = xs.shape
+    lo, up = xs.min(axis=0), xs.max(axis=0)
+    if not np.isfinite([lo, up]).all():
+        return np.arange(n), n - 1
+    eps, eta = _rounding(d)
+    with np.errstate(over="ignore"):  # an overflow only keeps rows
+        hi = np.sqrt(_squares_to(xs, lo / 2 + up / 2)) * (1 + eps) + eta
+        order = np.argsort(-hi, kind="stable")
+        low = np.sqrt(_squares_to(xs, xs[order[0]]).max())
+    hi = hi[order]
+    k = np.count_nonzero((hi[:-1] + hi[1:]) * (1 + eps) + eta >= low)
+    return order, n - 1 if np.isinf(low) else k
+
+
 def _max_pair_distance(xs):
     """Largest sqrt(sum_k (xs[i, k] - xs[j, k])**2) over pairs i != j, the
     squares summed in coordinate order (nan if any is nan; 0.0 for one
-    row), in blocks of rows whose two scratch arrays fit _PAIR_BLOCK_BYTES."""
-    n = xs.shape[0]
-    block, xt = max(1, _PAIR_BLOCK_BYTES // (16 * n)), np.ascontiguousarray(xs.T)
-    scratch, best = np.empty(2 * min(block, n - 1) * (n - 1)), np.float64(0.0)
-    for i0 in range(0, n - 1, block):
-        i1 = min(i0 + block, n - 1)
+    row): pdist(xs).max() bit for bit.  Each row _screen keeps is paired
+    with every later row in its order, from one coordinate-major copy of
+    xs, in blocks of rows whose two scratch arrays fit _PAIR_BLOCK_BYTES."""
+    n, d = xs.shape
+    order, k = _screen(xs)
+    block, xt = max(1, _PAIR_BLOCK_BYTES // (16 * n)), np.empty((d, n))
+    for row, col in zip(xt, xs.T):
+        row[:] = col[order]
+    scratch, best = np.empty(2 * min(block, k) * (n - 1)), np.float64(0.0)
+    for i0 in range(0, k, block):
+        i1 = min(i0 + block, k)
         acc, diff = scratch[:2 * (i1 - i0) * (n - 1 - i0)].reshape(2, i1 - i0, -1)
         acc.fill(0.0)
         for rows, cols in zip(xt[:, i0:i1, None], xt[:, None, i0 + 1:]):
@@ -877,9 +916,10 @@ def pullback_fibre(system, input_seq, n, depth, region=None, cloud_seed=0):
     dimension <= 2) or a fixed-seed 1000-point cloud (higher dimension),
     evolves it from time n - depth to n, and measures the final points'
     diameter: max sqrt(sum_k (p_k - q_k)**2) over pairs (p, q), squares
-    summed in coordinate order, so it equals scipy's pdist(points).max()
-    bit for bit (0.0 for a single point).  In certified contraction
-    regions it shrinks at least like mu^depth.
+    summed in coordinate order, from the pairs of the few points a
+    certified screen keeps (_screen), so it equals scipy's
+    pdist(points).max() bit for bit (0.0 for a single point).  In
+    certified contraction regions it shrinks at least like mu^depth.
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")

@@ -716,6 +716,73 @@ def test_max_pair_distance_scratch_is_bounded():
     assert peak <= index._PAIR_BLOCK_BYTES + xs.nbytes + 160 * 1024
 
 
+def assert_pdist_bits(xs):
+    got = index._max_pair_distance(xs)
+    assert np.float64(got).tobytes() == pdist(xs).max().tobytes(), xs
+
+
+def test_max_pair_distance_on_sets_where_the_screen_bound_is_tight():
+    # collinear points symmetric about the box centre: the maximal pair's
+    # bound (hi_i + hi_j) (1 + eps) + eta sits within rounding of its
+    # distance
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        v = rng.standard_normal(d)
+        for scale in (1.0, 1e-10, 1e-155, 1e-300):
+            for t in ([-1, 1, 0], [-1, -0.5, 0.5, 1], [-1, 1, -1, 1, 0.25, -0.25],
+                      [-1, -1 + 1e-9, 0.3, -0.3, 1 - 1e-9, 1]):
+                assert_pdist_bits(np.outer(t, scale * v))
+                assert_pdist_bits(0.5 + np.outer(t, scale * v))
+    # the bound is kept whole: a row whose pair bound reaches the first
+    # row's largest distance only through the (1 + eps) widening is kept
+    eps = index._rounding(1)[0]
+    for scale in (1.0, 1e-10):
+        for shy, kept in ((3 * eps, 2), (5 * eps, 1)):
+            xs = scale * np.array([[-1.0], [1.0], [1.0 - shy]])
+            assert index._screen(xs)[1] == kept, (scale, shy)
+            assert_pdist_bits(xs)
+
+
+def test_max_pair_distance_when_the_farthest_row_leaves_the_maximal_pair():
+    rng = np.random.default_rng(32)
+    left_out = 0
+    for _ in range(2000):
+        xs = rng.uniform(-1, 1, (int(rng.integers(3, 7)), 2))
+        order = index._screen(xs)[0]
+        dist = pdist(xs)
+        i, j = np.triu_indices(len(xs), 1)
+        pair = {i[np.argmax(dist)], j[np.argmax(dist)]}
+        left_out += order[0] not in pair
+        assert_pdist_bits(xs)
+    assert left_out > 50  # about 8 % of such sets
+
+
+def test_max_pair_distance_on_sets_the_screen_cannot_prune():
+    # every row is as far from the box centre as the maximal pair allows
+    angles = 2 * np.pi * np.arange(64) / 64
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # (a small circle away from 0 is not round after rounding, and is pruned)
+    for centre, radius in ((0.0, 1.0), (0.0, 1e-9), (0.0, 1e-200), (0.5, 1.0),
+                           (-3.0, 3.0)):
+        xs = centre + radius * circle
+        assert index._screen(xs)[1] == xs.shape[0] - 1, (centre, radius)
+        assert_pdist_bits(xs)
+
+
+def test_switching_fibres_measure_few_rows(switching_system, switching_input):
+    # the screen's whole saving: a collapsed fibre's maximum comes from
+    # the pairs of a handful of its 1,089 rows
+    r_plus = Region(lo=np.array([-1.0, 0.55]), hi=np.array([1.0, 1.0]))
+    r_minus = Region(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, -0.55]))
+    for region in (r_plus, r_minus):
+        for depth in (80, 200):
+            fib = pullback_fibre(switching_system, switching_input, n=0,
+                                 depth=depth, region=region)
+            assert index._screen(fib.points)[1] <= 8, depth
+            assert (np.float64(fib.final_diameter).tobytes()
+                    == pdist(fib.points).max().tobytes()), depth
+
+
 def test_estimate_echo_index_switching(switching_system, switching_input):
     proto = IndexProtocol(ic_counts=(16, 24), transients=(150, 300),
                           horizon=120, window=100)

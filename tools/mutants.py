@@ -181,10 +181,11 @@ MUTANTS = [
            "if False:",
            (INDEX + "test_many_input_ladder_matches_one_input_ladders",
             INDEX + "test_shift_lanes_reproduce_the_two_phase_ladder")),
-    # the certified verdict's bounds (index._rung_verdict)
+    # the rounding bound (index._rounding) and the certified verdict's
+    # bounds on it (index._rung_verdict)
     Mutant("verdict bounds without eps", "index.py",
-           "eps, eta = (d + 4) * 2.0 ** -52, 1e-150",
-           "eps, eta = 0.0, 1e-150",
+           "return (d + 4) * 2.0 ** -52, 1e-150",
+           "return 0.0, 1e-150",
            (INDEX + "test_rung_verdict_falls_back_at_the_band_edges",)),
     Mutant("verdict links below tol/2", "index.py",
            "upper * (1 + eps) + eta < cluster_tol / 4",
@@ -198,6 +199,31 @@ MUTANTS = [
            "(sigma * (1 - eps) - eta)[:, None] - hi",
            "(rho * (1 - eps) - eta)[:, None] - hi",
            (INDEX + "test_rung_verdict_sees_a_cross_pair_within_tol_at_one_step",)),
+    # a fibre's diameter from the rows its screen keeps (index._screen)
+    Mutant("the screen's pair bound without its widening", "index.py",
+           "(hi[:-1] + hi[1:]) * (1 + eps) + eta >= low",
+           "(hi[:-1] + hi[1:]) + eta >= low",
+           (INDEX + "test_max_pair_distance_on_sets_where_the_screen_bound_is_tight",)),
+    Mutant("the screen's centre bounds without their widening", "index.py",
+           "lo / 2 + up / 2)) * (1 + eps) + eta",
+           "lo / 2 + up / 2)) + eta",
+           (INDEX + "test_max_pair_distance_on_sets_where_the_screen_bound_is_tight",)),
+    Mutant("the screen's centre distances taken as squares", "index.py",
+           "hi = np.sqrt(_squares_to(xs, lo / 2 + up / 2))",
+           "hi = (_squares_to(xs, lo / 2 + up / 2))",
+           (INDEX + "test_switching_fibres_measure_few_rows",)),
+    Mutant("the screen's prefix one row short", "index.py",
+           "(1 + eps) + eta >= low)",
+           "(1 + eps) + eta >= low) - 1",
+           (INDEX + "test_max_pair_distance_on_sets_where_the_screen_bound_is_tight",)),
+    Mutant("the screen run on a nan", "index.py",
+           "if not np.isfinite([lo, up]).all():",
+           "if False:",
+           (INDEX + "test_max_pair_distance_propagates_nan_across_blocks",)),
+    Mutant("an infinite low screened", "index.py",
+           "n - 1 if np.isinf(low) else k",
+           "k",
+           (INDEX + "test_fibre_diameter_equals_pdist_max",)),
     # the certifiers' comparisons (contraction): a norm exactly at mu
     # certifies, and an image on a face stays inside
     Mutant("region contraction strictly below mu", "contraction.py",
