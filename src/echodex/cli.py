@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .contraction import (Region, global_esp_check, region_contraction_check,
-                          region_invariance_check)
+from .contraction import Region, _region_certificate, global_esp_check
 from .core import ConfigurationError
 from .experiments import DEFAULTS, run_from_manifest, run_preset
 from .index import IndexProtocol, estimate_echo_index
@@ -110,17 +109,10 @@ def _cmd_certify(args):
                    effective_rate=report.effective_rate)
         ok = report.certified
     else:
-        region = _parse_region(args.region)
-        inv_ok, witness = region_invariance_check(params, region, u_samples,
-                                                  grid=args.grid)
-        con = region_contraction_check(params, region, u_samples, args.mu,
-                                       grid=args.grid)
-        doc.update(check="region", invariant=inv_ok,
-                   witness=None if witness is None
-                   else [witness[0].tolist(), witness[1].tolist()],
-                   certified=con.certified, worst_norm=con.worst_norm,
-                   margin=con.margin, input_samples=len(u_samples))
-        ok = inv_ok and con.certified
+        cert = _region_certificate(params, _parse_region(args.region),
+                                   u_samples, args.mu, args.grid)
+        doc.update(cert, check="region", input_samples=len(u_samples))
+        ok = cert["invariant"] and cert["certified"]
     return _emit(doc, 0 if ok else 1)
 
 

@@ -95,6 +95,12 @@ class ContractionReport:
         return self.mu - self.worst_norm
 
 
+def _check_mu(mu):
+    """Refuse a contraction rate mu outside (0, 1)."""
+    if not 0.0 < mu < 1.0:
+        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
+
+
 def local_contraction_norm(params, u, x):
     """Spectral norm of the state Jacobian at (u, x)."""
     return spectral_norm(jacobian(params, u, x))
@@ -140,8 +146,7 @@ def region_contraction_check(params, region, u_samples, mu, grid=33):
     mu-contraction set, not a proof: the sup over a continuum is
     under-approximated, and the report's margin quantifies the slack.
     """
-    if not 0.0 < mu < 1.0:
-        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
+    _check_mu(mu)
     u_samples = _region_inputs(params, region, u_samples)
     points, counts = region.grid(grid)
     worst, worst_point = _norms_over_grid(params, points, u_samples)
@@ -168,6 +173,19 @@ def region_invariance_check(params, region, u_samples, grid=33):
     return True, None
 
 
+def _region_certificate(params, region, u_samples, mu, grid):
+    """A region's certificate record: region_invariance_check's invariant
+    and witness (as lists) and region_contraction_check's worst_norm,
+    margin and certified."""
+    invariant, witness = region_invariance_check(params, region, u_samples,
+                                                 grid=grid)
+    con = region_contraction_check(params, region, u_samples, mu, grid=grid)
+    return {"invariant": invariant,
+            "witness": None if witness is None else [w.tolist() for w in witness],
+            "worst_norm": con.worst_norm, "margin": con.margin,
+            "certified": con.certified}
+
+
 def strip_bounds_closed_form(input_sign=1):
     """Expansion-strip bounds of the two-map switching benchmark.
 
@@ -192,8 +210,7 @@ def global_esp_check(params, mu):
     effective matrix is constant, so a single evaluation suffices.  For
     a leaky map the report carries the effective rate 1 - alpha (1 - mu).
     """
-    if not 0.0 < mu < 1.0:
-        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
+    _check_mu(mu)
     phi_prime_0 = 1.0  # tanh'(0)
     worst = phi_prime_0 * spectral_norm(params.effective_matrix)
     rate = None
@@ -253,8 +270,7 @@ def large_input_radius(params, epsilon, mu):
     """
     if not 0.0 < epsilon <= 1.0:
         raise ConfigurationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not 0.0 < mu < 1.0:
-        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
+    _check_mu(mu)
     row_norms = np.linalg.norm(params.w_in, axis=1)
     if np.any(row_norms == 0.0):
         j = int(np.argmin(row_norms))

@@ -17,12 +17,13 @@ changes nothing but the sign of a zero state.
 One kernel, _advance, evolves (lanes, members, d) states of any system
 in lockstep, each lane under its own drive, one block row per step:
 W_in u[k] plus any state-independent terms for a network, u[k]
-otherwise.  _drive maps input sequences into one drive block of about
-_DRIVE_BYTES (64 KiB), however many lanes and steps, every lane of a
-network in one _matvec_rows call a block; a network whose states fit
-as many bytes again steps on the block's rows widened to the states'
-shape, so that each step adds two arrays of one shape (numpy's
-contiguous fast path, not a broadcast).  orbit is the kernel's
+otherwise.  _drive stacks input sequences step-major into one drive
+block of about _DRIVE_BYTES (64 KiB), however many lanes and steps, in
+one layout for every system, a network's mapped in one _matvec_rows
+call; a network of several members a lane whose states fit as many
+bytes again steps on the block's rows widened to the states' shape, so
+that each step adds two arrays of one shape (numpy's contiguous fast
+path, not a broadcast).  orbit is the kernel's
 one-member case, _orbits (several solo orbits of one input) and the
 index module's ensembles its many-member cases (so their rows equal
 solo orbits by construction), and
@@ -427,39 +428,37 @@ def _drive(system, seqs, t0, t1):
     """Blocks of the drive into times t0 + 1 .. t1 of lanes seqs[i]:
     row j of a block holds each lane's W_in u as (lanes, 1, n_r) for
     RnnParams, its u as (lanes, n_i) for other systems.  Every block is
-    a view of one buffer, overwritten by the next.  A network stacks
-    every lane's inputs, padded with zero rows to whole blocks where the
-    steps do not fill them, and maps them all with one _matvec_rows call
-    a block: a 1 x 1 W_in multiplies them in place in the block itself,
-    any other maps them from a second buffer of (lanes, steps, n_i).  The
-    block and that buffer hold up to _DRIVE_BYTES together (and at most
-    3 padding rows a lane)."""
+    a contiguous view of one buffer, overwritten by the next.  A block
+    stacks every lane's inputs step-major, (steps, lanes, n_i), in one
+    np.stack; a network pads them with zero rows to whole blocks of
+    _block_rows(W_in), at most 3 rows, and maps them all with one
+    _matvec_rows call: a 1 x 1 W_in multiplies them in place, any other
+    maps them from a second buffer.  The block and that buffer hold up
+    to _DRIVE_BYTES together."""
     rnn = isinstance(system, RnnParams)
-    lanes = len(seqs)
-    width = system.state_dim if rnn else seqs[0].n_i
+    lanes, n_i = len(seqs), seqs[0].n_i
+    width = system.state_dim if rnn else n_i
     in_place = not rnn or system.w_in.shape == (1, 1)
-    per_step = 8 * lanes * (width + (0 if in_place else system.n_i))
+    per_step = 8 * lanes * (width + (0 if in_place else n_i))
     chunk = max(1, min(t1 - t0, _DRIVE_BYTES // per_step))
-    if rnn:
-        b, n_i = _block_rows(system.w_in), system.n_i
-        w_in, k = _matvec_rows(system.w_in), -(-chunk // b)
-        buf = np.empty(lanes * k * b * width)
-        raw = buf if in_place else np.empty(lanes * k * b * n_i)
-    else:
-        block = np.empty((chunk, lanes, width))
+    b = _block_rows(system.w_in) if rnn else 1
+    size = -(-(chunk * lanes) // b) * b
+    buf = np.empty((size, width))
+    raw = buf if in_place else np.empty((size, n_i))
     for c0 in range(t0 + 1, t1 + 1, chunk):
         n = min(chunk, t1 + 1 - c0)
+        rows = n * lanes
         inputs = [s.values[c0 - s.anchor:c0 - s.anchor + n] for s in seqs]
+        u = _blocks(raw, rows, b)
+        flat = u.reshape(-1, n_i)
+        np.stack(inputs, axis=1, out=flat[:rows].reshape(n, lanes, n_i))
         if not rnn:
-            yield np.stack(inputs, axis=1, out=block[:n])
+            yield flat.reshape(n, lanes, n_i)
             continue
-        k = -(-n // b)
-        u = _front(raw, (lanes, k * b, n_i))
-        np.stack(inputs, out=u[:, :n])
-        u[:, n:] = 0.0
-        block = _front(buf, (lanes, k, b, width))
-        w_in(u.reshape(lanes, k, b, n_i), out=block)
-        yield block.reshape(lanes, -1, width)[:, :n, None].swapaxes(0, 1)
+        flat[rows:] = 0.0
+        block = _blocks(buf, rows, b)
+        _matvec_rows(system.w_in)(u, out=block)
+        yield block.reshape(-1, width)[:rows].reshape(n, lanes, 1, width)
 
 
 def _distinct_rows(x):
@@ -478,10 +477,6 @@ def _distinct_rows(x):
     bits = x.view(np.int64)
     key = bits.sum(axis=-1)
     same = key[:, :, None] == key[:, None, :]
-    # equal bits share a key: where each row's key is only its own,
-    # nothing merges
-    if np.count_nonzero(same) == lanes * r:
-        return None
     own = np.arange(r)
     first = same.argmax(axis=-1)
     # confirm only the rows keyed as an earlier row: no state-sized gather
@@ -510,9 +505,8 @@ def _widened(block, shape, buf):
     of one shape: numpy's contiguous fast path (the broadcast add took
     2-3x as long at a (30, 2, 1) state).  They come in sub-blocks of the
     flat buffer buf, as many steps each as it holds, each filled by one
-    np.copyto.  Without buf, or when the rows already have the shape,
-    the block itself."""
-    if buf is None or block.shape[1:] == shape:
+    np.copyto, even where w is 1.  Without buf, the block itself."""
+    if buf is None:
         yield block
         return
     per = buf.size // math.prod(shape)
@@ -543,11 +537,11 @@ def _advance(system, drive, xs, tails=None):
     _block_rows(M), at most 3 rows more, and M maps the padded blocks:
     the step allocates nothing.
 
-    A network whose states fit _DRIVE_BYTES takes the rows of each
-    block through _widened, at the width that block is stepped at: a
-    merge narrows the states, so the next block is widened less.  Rows
-    that already have the states' shape (one member a lane), and every
-    row of a network whose states do not fit, are used as they come.
+    Whether drive rows are widened is decided once per run (fits): a
+    network of several members a lane whose states fit _DRIVE_BYTES
+    takes every block's rows through _widened, at the width that block
+    is stepped at (a merge narrows the states, so the next block is
+    widened less); any other run adds the rows as they come.
 
     A run that writes no tails steps each lane's bit-identical members
     once.  Before each drive block, _distinct_rows keeps one row per

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .contraction import (Region, large_input_radius, region_contraction_check,
-                          region_invariance_check, strip_bounds_closed_form)
+from .contraction import (Region, _region_certificate, large_input_radius,
+                          strip_bounds_closed_form)
 # orbit is not called here; the benchmark's tracer (bench/spans.py)
 # patches it under this module's name
 from .core import ConfigurationError, _orbits, orbit
@@ -304,14 +304,7 @@ def _run_switching2d(cfg, out):
     depth, deep = cfg["fibre_depth"], cfg["fibre_depth_deep"]
     certs, fibres = {}, {}
     for name, region in (("R+", r_plus), ("R-", r_minus)):
-        inv_ok, witness = region_invariance_check(params, region, [u1, u2],
-                                                  grid=grid)
-        con = region_contraction_check(params, region, [u1, u2], mu, grid=grid)
-        certs[name] = {"invariant": inv_ok,
-                       "witness": None if witness is None
-                       else [witness[0].tolist(), witness[1].tolist()],
-                       "worst_norm": con.worst_norm, "margin": con.margin,
-                       "certified": con.certified}
+        certs[name] = _region_certificate(params, region, [u1, u2], mu, grid)
         fb = pullback_fibre(params, seq, n=0, depth=depth, region=region)
         fb_deep = pullback_fibre(params, seq, n=0, depth=deep, region=region)
         fibres[name] = {"diameter": fb.final_diameter,

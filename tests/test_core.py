@@ -563,6 +563,26 @@ def test_network_drive_maps_each_lanes_own_inputs(n_r, monkeypatch):
         assert t == 60
 
 
+def test_drive_stacks_each_lanes_own_inputs_for_any_system(monkeypatch):
+    # three lanes of a system that is not a network take the same
+    # step-major stacking; a 170-byte bound makes 7-step blocks of one
+    # channel, the last one of 4 steps.  Each row is (lanes, n_i), each
+    # lane's own u.
+    monkeypatch.setattr(core, "_DRIVE_BYTES", 170)
+    rng = np.random.default_rng(107)
+    system = KloedenSystem(a=1.5)
+    seqs = [make_seq(rng, 1, -3, 60) for _ in range(3)]
+    t, steps = 0, []
+    for block in core._drive(system, seqs, 0, 60):
+        steps.append(len(block))
+        for row in block:
+            t += 1
+            assert row.shape == (3, 1)
+            for i, seq in enumerate(seqs):
+                assert row[i].tobytes() == seq.at(t).tobytes()
+    assert steps == [7] * 8 + [4] and t == 60
+
+
 def offset_copy(a, offset):
     """Copy of a whose data starts `offset` bytes past a 64-byte boundary."""
     buf = np.empty(a.size + 16)

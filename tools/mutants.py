@@ -4,6 +4,8 @@
 
 Each mutant names a file under src/, a text that must occur there
 exactly once, its replacement, and the tests that should catch the edit.
+Before any test runs, the script checks every selected mutant's text and
+names all the stale ones in one message.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit and runs the named tests against the copy (PYTHONPATH points at
 it, and pytest's own `pythonpath = ["src"]` is switched off).  A failing
@@ -56,10 +58,6 @@ MUTANTS = [
             INDEX + "test_pair_groups_leave_no_thread_behind")),
     # a lane's bit-identical members stepped once in a tail-free run
     # (core._distinct_rows, core._advance)
-    Mutant("the early exit taken when keys are shared", "core.py",
-           "if np.count_nonzero(same) == lanes * r:",
-           "if np.count_nonzero(same) >= lanes * r:",
-           (CORE + "test_a_lanes_bit_identical_members_keep_their_own_bits",)),
     Mutant("members merged by value, not by bits", "core.py",
            "bits = x.view(np.int64)",
            "bits = x",
@@ -87,8 +85,18 @@ MUTANTS = [
            "part = block[s0 + 1:s0 + 1 + per]",
            (CORE + "test_widened_drive_rows_step_like_solo_orbits",)),
     Mutant("lane 0's inputs mapped into every lane", "core.py",
-           "np.stack(inputs, out=u[:, :n])",
-           "np.stack(inputs[:1] * lanes, out=u[:, :n])",
+           "np.stack(inputs, axis=1,",
+           "np.stack(inputs[:1] * lanes, axis=1,",
+           (CORE + "test_network_drive_maps_each_lanes_own_inputs",
+            CORE + "test_drive_stacks_each_lanes_own_inputs_for_any_system")),
+    Mutant("lanes 0 and 1 of each step swapped", "core.py",
+           "np.stack(inputs, axis=1,",
+           "np.stack(inputs[1::-1] + inputs[2:], axis=1,",
+           (CORE + "test_drive_stacks_each_lanes_own_inputs_for_any_system",)),
+    Mutant("a block's rows read lane-major", "core.py",
+           "yield block.reshape(-1, width)[:rows].reshape(n, lanes, 1, width)",
+           "yield block.reshape(-1, width)[:rows].reshape(lanes, n, 1, width)"
+           ".swapaxes(0, 1)",
            (CORE + "test_network_drive_maps_each_lanes_own_inputs",)),
     # the row map (core._matvec_rows): rows of networks up to n = 300 as
     # rows of 4-row GEMMs, a solo state padded with three zero rows
@@ -370,11 +378,26 @@ def run_tests(src, tests):
                           stderr=subprocess.DEVNULL).returncode
 
 
+def stale(mutants):
+    """A line for each mutant whose text does not occur exactly once in
+    its file."""
+    lines = []
+    for m in mutants:
+        count = (ROOT / "src" / "echodex" / m.path).read_text().count(m.old)
+        if count != 1:
+            lines.append(f"  {m.name}: {m.old!r} occurs {count} times "
+                         f"in {m.path}, not once")
+    return lines
+
+
 def main(names):
     mutants = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         sys.exit(f"unknown mutants: {sorted(unknown)}")
+    lines = stale(mutants)
+    if lines:
+        sys.exit("stale mutants, before any test ran:\n" + "\n".join(lines))
     with tempfile.TemporaryDirectory(prefix="echodex-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
@@ -386,9 +409,6 @@ def main(names):
         for m in mutants:
             path = src / "echodex" / m.path
             text = path.read_text()
-            if text.count(m.old) != 1:
-                sys.exit(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times "
-                         f"in {m.path}, not once")
             path.write_text(text.replace(m.old, m.new))
             try:
                 code = run_tests(src, m.tests)
